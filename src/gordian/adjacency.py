@@ -119,15 +119,22 @@ class AdjacencyCertificate:
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """Result of checking a certificate; ``alexander_match`` is None when the
-    polynomial comparison was skipped."""
+    """Result of checking a certificate.
+
+    When replay fails, ``failed_step`` is the index it failed at
+    (``len(steps)`` when the steps end off the recorded final word) and the
+    checks on the final word are not made: ``strands_match``,
+    ``length_match`` and ``alexander_match`` are None, as ``alexander_match``
+    also is when the polynomial comparison was skipped.
+    """
 
     replay_ok: bool
     source_match: bool
-    strands_match: bool
-    length_match: bool
+    strands_match: bool | None
+    length_match: bool | None
     alexander_match: bool | None
     cc_match: bool
+    failed_step: int | None = None
 
     @property
     def valid(self) -> bool:
@@ -161,7 +168,7 @@ def _parse_endpoint(text: str) -> TorusParams | BraidWord:
             raise ParseError(f"malformed torus endpoint: {text!r}")
         try:
             return TorusParams(int(fields[0]), int(fields[1]))
-        except ValueError:
+        except (ValueError, DomainError):
             raise ParseError(f"malformed torus endpoint: {text!r}") from None
     if text.startswith("word "):
         return parse_word(text[len("word ") :])
@@ -178,17 +185,17 @@ def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = Tr
     """
     src = endpoint_word(cert.source)
     tgt = endpoint_word(cert.target)
-    try:
-        final = replay(cert.trace)
-    except TraceCorrupt:
-        return CertificateCheck(False, False, False, False, None if not check_alexander else False, False)
     source_match = cert.trace.initial == src
-    strands_match = final.strands == tgt.strands
-    length_match = final.length == tgt.length
-    alexander_match = (alexander(final) == alexander(tgt)) if check_alexander else None
     cc_match = cert.trace.crossing_changes == cert.claimed_cc
     if cc_match and is_knot(src) and is_knot(tgt):
         cc_match = cert.claimed_cc == unknotting_number(src) - unknotting_number(tgt)
+    try:
+        final = replay(cert.trace)
+    except TraceCorrupt as exc:
+        return CertificateCheck(False, source_match, None, None, None, cc_match, exc.step_index)
+    strands_match = final.strands == tgt.strands
+    length_match = final.length == tgt.length
+    alexander_match = (alexander(final) == alexander(tgt)) if check_alexander else None
     return CertificateCheck(
         replay_ok=True,
         source_match=source_match,
@@ -811,7 +818,8 @@ def adjacency_catalog(lower: TorusParams, upper: TorusParams) -> CatalogAnswer:
     p2, q2 = hi.p, hi.q
 
     if (p1, q1) == (p2, q2):
-        trace = RewriteTrace(torus_braid(p2, q2), ())
+        word = torus_braid(p2, q2)
+        trace = RewriteTrace(word, (), word)
         cert = AdjacencyCertificate(hi, lo, trace, 0)
         return CatalogAnswer(CLAIMED, "equal-parameters", cert)
 

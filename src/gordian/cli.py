@@ -161,6 +161,11 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _where(step_index: int, trace) -> str:
+    """Name a replay failure: a step, or the final word when every step held."""
+    return "final" if step_index == len(trace.steps) else f"step {step_index}"
+
+
 def cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -171,10 +176,10 @@ def cmd_verify(args) -> int:
         if check.valid:
             print("certificate: valid")
             return 0
-        failed = [
+        failed = [] if check.replay_ok else [f"replay at {_where(check.failed_step, cert.trace)}"]
+        failed += [
             name
             for name, flag in (
-                ("replay", check.replay_ok),
                 ("source", check.source_match),
                 ("strands", check.strands_match),
                 ("length", check.length_match),
@@ -189,8 +194,7 @@ def cmd_verify(args) -> int:
     try:
         replay(trace)
     except TraceCorrupt as exc:
-        where = "recount" if exc.step_index == len(trace.steps) else f"step {exc.step_index}"
-        print(f"trace: invalid at {where}: {exc}")
+        print(f"trace: invalid at {_where(exc.step_index, trace)}: {exc}")
         return 1
     print(f"trace: valid ({len(trace.steps)} steps, {trace.crossing_changes} crossing changes)")
     return 0

@@ -454,7 +454,7 @@ def positive_path_diagnostic(trace: RewriteTrace) -> str | None:
     words = trace.words
     if not is_knot(words[0]):
         return "the initial closure is not a knot"
-    for index, (step, _word) in enumerate(trace.steps):
+    for index, step in enumerate(trace.steps):
         before = words[index]
         after = words[index + 1]
         if not is_knot(after):

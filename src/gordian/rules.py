@@ -22,10 +22,22 @@ count:
   of a knot closure by exactly 1 (length drops by 2, strands unchanged).
   Recorded atomically — no negative letters ever materialize.
 
-A :class:`RewriteTrace` stores the initial word, each step *with the word it
-produced*, and the crossing-change total.  :func:`replay` re-applies every
+A :class:`RewriteTrace` stores the initial word, the steps and the final word;
+the words in between are derived on demand.  :func:`replay` re-applies every
 step from the initial word and is the single source of truth for validity:
-serialization and deserialization round-trip bit-exactly through it.
+each step must be legal and the last one must reach the recorded final word.
+
+Trace text, version 2 (written by :func:`serialize_trace`)::
+
+    trace v2
+    initial: 2: 1 1 1
+    step: crossing-change pos=0
+    final: 2: 1
+    crossing_changes: 1
+    end
+
+Version 1 text (a bare ``trace`` header and ``-> word`` after every step) is
+still read; replay then also checks every recorded word.
 """
 
 from __future__ import annotations
@@ -84,51 +96,58 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    """An initial word plus steps, each paired with the word it produced."""
+    """An initial word, the steps applied to it in order, and the final word.
+
+    The words in between are not stored; :attr:`words` derives them by
+    replay.  ``recorded`` is set only for traces read from version-1 text,
+    which lists the word after every step; :func:`replay` checks those too.
+    """
 
     initial: BraidWord
-    steps: tuple[tuple[RewriteStep, BraidWord], ...]
+    steps: tuple[RewriteStep, ...]
+    final: BraidWord
+    recorded: tuple[BraidWord, ...] | None = None
     crossing_changes: int = field(init=False)
 
     def __post_init__(self):
-        count = sum(1 for step, _ in self.steps if step.kind == CROSSING_CHANGE)
+        count = sum(1 for step in self.steps if step.kind == CROSSING_CHANGE)
         object.__setattr__(self, "crossing_changes", count)
 
     @property
-    def final(self) -> BraidWord:
-        return self.steps[-1][1] if self.steps else self.initial
-
-    @property
     def words(self) -> tuple[BraidWord, ...]:
-        """The full ride: initial word followed by the word after each step."""
-        return (self.initial,) + tuple(word for _, word in self.steps)
+        """The full ride, derived by replay: the initial word followed by the
+        word after each step.  An illegal step raises :class:`TraceCorrupt`."""
+        after = tuple(BraidWord._trusted(strands, tuple(letters)) for strands, letters in _walk(self))
+        return (self.initial,) + after
 
 
-def _check_position(word: BraidWord, position, width: int, kind: str) -> int:
+# The rules work in place on a list of letters, so that replay pays O(1) for a
+# swap or a braid move instead of copying the word.  Each keeps every letter
+# inside 1..strands-1 by construction: the braid move only writes the two
+# letters of its triple, and destabilize removes the only top letter.  Their
+# results therefore become words through ``BraidWord._trusted``, unchecked.
+
+
+def _check_position(length: int, position, width: int, kind: str) -> None:
     if position is None or not isinstance(position, int):
         raise IllegalStep(f"{kind} requires an integer position, got {position!r}")
-    if not (0 <= position <= word.length - width):
+    if not (0 <= position <= length - width):
         raise IllegalStep(
-            f"{kind} at position {position} does not fit in a word of length {word.length}"
+            f"{kind} at position {position} does not fit in a word of length {length}"
         )
-    return position
 
 
-def apply_distant_swap(word: BraidWord, position: int) -> BraidWord:
-    """Swap the letters at ``position`` and ``position + 1`` when they commute."""
-    position = _check_position(word, position, 2, DISTANT_SWAP)
-    a, b = word.letters[position], word.letters[position + 1]
+def _distant_swap(letters: list[int], position) -> None:
+    _check_position(len(letters), position, 2, DISTANT_SWAP)
+    a, b = letters[position], letters[position + 1]
     if abs(a - b) < 2:
         raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not distant")
-    letters = list(word.letters)
     letters[position], letters[position + 1] = b, a
-    return BraidWord(word.strands, tuple(letters))
 
 
-def neighbor_braid_direction(word: BraidWord, position: int) -> str:
-    """Direction of the braid-relation rewrite available at ``position``."""
-    position = _check_position(word, position, 3, NEIGHBOR_BRAID)
-    a, b, c = word.letters[position : position + 3]
+def _braid_direction(letters, position) -> str:
+    _check_position(len(letters), position, 3, NEIGHBOR_BRAID)
+    a, b, c = letters[position : position + 3]
     if a == c and b == a + 1:
         return FORWARD
     if a == c and b == a - 1:
@@ -136,98 +155,142 @@ def neighbor_braid_direction(word: BraidWord, position: int) -> str:
     raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
 
 
-def apply_neighbor_braid(word: BraidWord, position: int) -> BraidWord:
-    """Rewrite ``(i, i+1, i) ↔ (i+1, i, i+1)`` at ``position`` (pattern inferred)."""
-    direction = neighbor_braid_direction(word, position)
-    a = word.letters[position]
-    if direction == FORWARD:
-        triple = (a + 1, a, a + 1)
-    else:
-        triple = (a - 1, a, a - 1)
-    letters = list(word.letters)
-    letters[position : position + 3] = triple
-    return BraidWord(word.strands, tuple(letters))
+def _neighbor_braid(letters: list[int], position, direction) -> None:
+    found = _braid_direction(letters, position)
+    if direction is not None and direction != found:
+        raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
+    a = letters[position]
+    b = a + 1 if found == FORWARD else a - 1
+    letters[position] = letters[position + 2] = b
+    letters[position + 1] = a
 
 
-def apply_conjugate(word: BraidWord, amount: int) -> BraidWord:
-    """Rotate left by ``amount`` (mod length); the empty word only admits 0."""
+def _conjugate(letters: list[int], amount) -> None:
     if not isinstance(amount, int):
         raise IllegalStep(f"conjugate requires an integer amount, got {amount!r}")
-    if word.length == 0:
+    if not letters:
         if amount != 0:
             raise IllegalStep("cannot rotate the empty word by a nonzero amount")
-        return word
-    amount %= word.length
-    return BraidWord(word.strands, word.letters[amount:] + word.letters[:amount])
+        return
+    amount %= len(letters)
+    letters[:] = letters[amount:] + letters[:amount]
 
 
-def apply_destabilize(word: BraidWord) -> BraidWord:
-    """Remove the unique top-generator letter and drop the top strand."""
-    if word.strands == 1:
+def _destabilize(letters: list[int], strands: int) -> int:
+    if strands == 1:
         raise IllegalStep("cannot destabilize a word on one strand")
-    top = word.strands - 1
-    occurrences = [pos for pos, letter in enumerate(word.letters) if letter == top]
-    if not word.letters or max(word.letters) != top:
+    top = strands - 1
+    # No letter exceeds top, so σ_top is the maximal used index iff it occurs.
+    occurrences = letters.count(top)
+    if not occurrences:
         raise IllegalStep(f"destabilize requires σ_{top} to be the maximal used index")
-    if len(occurrences) != 1:
-        raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {len(occurrences)}")
-    letters = word.letters[: occurrences[0]] + word.letters[occurrences[0] + 1 :]
-    return BraidWord(word.strands - 1, letters)
+    if occurrences != 1:
+        raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {occurrences}")
+    letters.remove(top)
+    return strands - 1
 
 
-def apply_crossing_change(word: BraidWord, position: int) -> BraidWord:
-    """Delete the adjacent equal pair at ``position`` (one crossing change)."""
-    position = _check_position(word, position, 2, CROSSING_CHANGE)
-    a, b = word.letters[position], word.letters[position + 1]
+def _crossing_change(letters: list[int], position) -> None:
+    _check_position(len(letters), position, 2, CROSSING_CHANGE)
+    a, b = letters[position], letters[position + 1]
     if a != b:
         raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not an equal pair")
-    letters = word.letters[:position] + word.letters[position + 2 :]
-    return BraidWord(word.strands, letters)
+    del letters[position : position + 2]
+
+
+def _apply(letters: list[int], strands: int, step: RewriteStep) -> int:
+    """Apply ``step`` to ``letters`` in place; return the new strand count."""
+    kind = step.kind
+    if kind == DISTANT_SWAP:
+        _distant_swap(letters, step.position)
+    elif kind == NEIGHBOR_BRAID:
+        _neighbor_braid(letters, step.position, step.direction)
+    elif kind == CONJUGATE:
+        _conjugate(letters, step.amount)
+    elif kind == DESTABILIZE:
+        return _destabilize(letters, strands)
+    elif kind == CROSSING_CHANGE:
+        _crossing_change(letters, step.position)
+    else:
+        raise IllegalStep(f"unknown rule kind {kind!r}")
+    return strands
 
 
 def apply_step(word: BraidWord, step: RewriteStep) -> BraidWord:
     """Apply one recorded step, checking its recorded parameters."""
-    if step.kind == DISTANT_SWAP:
-        return apply_distant_swap(word, step.position)
-    if step.kind == NEIGHBOR_BRAID:
-        direction = neighbor_braid_direction(word, step.position)
-        if step.direction is not None and step.direction != direction:
-            raise IllegalStep(
-                f"recorded direction {step.direction!r} does not match the {direction} pattern"
-            )
-        return apply_neighbor_braid(word, step.position)
-    if step.kind == CONJUGATE:
-        return apply_conjugate(word, step.amount)
-    if step.kind == DESTABILIZE:
-        return apply_destabilize(word)
-    if step.kind == CROSSING_CHANGE:
-        return apply_crossing_change(word, step.position)
-    raise IllegalStep(f"unknown rule kind {step.kind!r}")
+    letters = list(word.letters)
+    strands = _apply(letters, word.strands, step)
+    return BraidWord._trusted(strands, tuple(letters))
+
+
+def apply_distant_swap(word: BraidWord, position: int) -> BraidWord:
+    """Swap the letters at ``position`` and ``position + 1`` when they commute."""
+    return apply_step(word, RewriteStep(DISTANT_SWAP, position=position))
+
+
+def neighbor_braid_direction(word: BraidWord, position: int) -> str:
+    """Direction of the braid-relation rewrite available at ``position``."""
+    return _braid_direction(word.letters, position)
+
+
+def apply_neighbor_braid(word: BraidWord, position: int) -> BraidWord:
+    """Rewrite ``(i, i+1, i) ↔ (i+1, i, i+1)`` at ``position`` (pattern inferred)."""
+    return apply_step(word, RewriteStep(NEIGHBOR_BRAID, position=position))
+
+
+def apply_conjugate(word: BraidWord, amount: int) -> BraidWord:
+    """Rotate left by ``amount`` (mod length); the empty word only admits 0."""
+    return apply_step(word, RewriteStep(CONJUGATE, amount=amount))
+
+
+def apply_destabilize(word: BraidWord) -> BraidWord:
+    """Remove the unique top-generator letter and drop the top strand."""
+    return apply_step(word, RewriteStep(DESTABILIZE))
+
+
+def apply_crossing_change(word: BraidWord, position: int) -> BraidWord:
+    """Delete the adjacent equal pair at ``position`` (one crossing change)."""
+    return apply_step(word, RewriteStep(CROSSING_CHANGE, position=position))
+
+
+def _walk(trace: RewriteTrace):
+    """Apply the steps in turn to one list of letters, yielding the strand
+    count and that (mutated) list after each; an illegal step raises
+    :class:`TraceCorrupt` with its index."""
+    letters = list(trace.initial.letters)
+    strands = trace.initial.strands
+    for index, step in enumerate(trace.steps):
+        try:
+            strands = _apply(letters, strands, step)
+        except IllegalStep as exc:
+            raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
+        yield strands, letters
 
 
 def replay(trace: RewriteTrace) -> BraidWord:
-    """Re-apply every step from the initial word, verifying each recorded word.
+    """Re-apply every step from the initial word and check where it ends.
 
-    Raises :class:`TraceCorrupt` with the index of the first failing step; a
-    crossing-change total that disagrees with the steps fails at index
+    Raises :class:`TraceCorrupt` with the index of the first illegal step (or,
+    for version-1 traces, of the first step whose recorded word disagrees);
+    a replay that ends anywhere but the recorded final word fails at index
     ``len(steps)``.  Returns the final word.
     """
-    word = trace.initial
-    for index, (step, recorded) in enumerate(trace.steps):
-        try:
-            word = apply_step(word, step)
-        except IllegalStep as exc:
-            raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
-        if word != recorded:
-            raise TraceCorrupt(
-                f"step {index} ({step.kind}) produced {format_word(word)} "
-                f"but the trace records {format_word(recorded)}",
-                index,
-            )
-    recount = sum(1 for step, _ in trace.steps if step.kind == CROSSING_CHANGE)
-    if recount != trace.crossing_changes:
+    strands, letters = trace.initial.strands, trace.initial.letters
+    recorded = trace.recorded
+    for index, (strands, letters) in enumerate(_walk(trace)):
+        if recorded is not None:
+            word = BraidWord._trusted(strands, tuple(letters))
+            if word != recorded[index]:
+                raise TraceCorrupt(
+                    f"step {index} ({trace.steps[index].kind}) produced {format_word(word)} "
+                    f"but the trace records {format_word(recorded[index])}",
+                    index,
+                )
+    word = BraidWord._trusted(strands, tuple(letters))
+    if word != trace.final:
         raise TraceCorrupt(
-            f"crossing-change total {trace.crossing_changes} disagrees with steps ({recount})",
+            f"the steps end at {format_word(word)} "
+            f"but the trace records final {format_word(trace.final)}",
             len(trace.steps),
         )
     return word
@@ -239,28 +302,23 @@ class TraceBuilder:
     def __init__(self, initial: BraidWord):
         self.initial = initial
         self.word = initial
-        self._steps: list[tuple[RewriteStep, BraidWord]] = []
+        self.crossing_changes = 0
+        self._steps: list[RewriteStep] = []
 
     @property
-    def steps(self) -> tuple[tuple[RewriteStep, BraidWord], ...]:
+    def steps(self) -> tuple[RewriteStep, ...]:
         return tuple(self._steps)
 
-    @property
-    def crossing_changes(self) -> int:
-        return sum(1 for step, _ in self._steps if step.kind == CROSSING_CHANGE)
-
-    def _record(self, step: RewriteStep, word: BraidWord) -> None:
-        self._steps.append((step, word))
-        self.word = word
+    def _record(self, step: RewriteStep) -> None:
+        self.word = apply_step(self.word, step)
+        self._steps.append(step)
 
     def distant_swap(self, position: int) -> None:
-        word = apply_distant_swap(self.word, position)
-        self._record(RewriteStep(DISTANT_SWAP, position=position), word)
+        self._record(RewriteStep(DISTANT_SWAP, position=position))
 
     def neighbor_braid(self, position: int) -> None:
         direction = neighbor_braid_direction(self.word, position)
-        word = apply_neighbor_braid(self.word, position)
-        self._record(RewriteStep(NEIGHBOR_BRAID, position=position, direction=direction), word)
+        self._record(RewriteStep(NEIGHBOR_BRAID, position=position, direction=direction))
 
     def conjugate(self, amount: int) -> None:
         if self.word.length:
@@ -269,16 +327,14 @@ class TraceBuilder:
             amount = 0
         if amount == 0:
             return  # a null rotation is not worth a step
-        word = apply_conjugate(self.word, amount)
-        self._record(RewriteStep(CONJUGATE, amount=amount), word)
+        self._record(RewriteStep(CONJUGATE, amount=amount))
 
     def destabilize(self) -> None:
-        word = apply_destabilize(self.word)
-        self._record(RewriteStep(DESTABILIZE), word)
+        self._record(RewriteStep(DESTABILIZE))
 
     def crossing_change(self, position: int) -> None:
-        word = apply_crossing_change(self.word, position)
-        self._record(RewriteStep(CROSSING_CHANGE, position=position), word)
+        self._record(RewriteStep(CROSSING_CHANGE, position=position))
+        self.crossing_changes += 1
 
     def expect(self, letters: tuple[int, ...], at: int) -> None:
         """Assert that ``letters`` sits at position ``at`` of the current word.
@@ -293,10 +349,14 @@ class TraceBuilder:
             )
 
     def snapshot(self) -> RewriteTrace:
-        return RewriteTrace(self.initial, tuple(self._steps))
+        return RewriteTrace(self.initial, tuple(self._steps), self.word)
 
 
-def _format_step(step: RewriteStep, result: BraidWord) -> str:
+V1_HEADER = "trace"
+V2_HEADER = "trace v2"
+
+
+def _format_step(step: RewriteStep) -> str:
     parts = [f"step: {step.kind}"]
     if step.position is not None:
         parts.append(f"pos={step.position}")
@@ -304,25 +364,28 @@ def _format_step(step: RewriteStep, result: BraidWord) -> str:
         parts.append(f"direction={step.direction}")
     if step.amount is not None:
         parts.append(f"amount={step.amount}")
-    return " ".join(parts) + f" -> {format_word(result)}"
+    return " ".join(parts)
 
 
 def serialize_trace(trace: RewriteTrace) -> str:
-    """Render a trace in the line format understood by :func:`parse_trace`."""
-    lines = ["trace", f"initial: {format_word(trace.initial)}"]
-    for step, result in trace.steps:
-        lines.append(_format_step(step, result))
+    """Render a trace as version-2 text, the format read by :func:`parse_trace`."""
+    lines = [V2_HEADER, f"initial: {format_word(trace.initial)}"]
+    lines.extend(_format_step(step) for step in trace.steps)
+    lines.append(f"final: {format_word(trace.final)}")
     lines.append(f"crossing_changes: {trace.crossing_changes}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-def _parse_step_line(line: str) -> tuple[RewriteStep, BraidWord]:
-    body = line[len("step:") :].strip()
-    before, sep, after = body.partition("->")
-    if not sep:
-        raise ParseError(f"step line has no '->' result: {line!r}")
-    fields = before.split()
+def _parse_int(key: str, value: str, line: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"malformed {key} value {value!r} in step line {line!r}") from None
+
+
+def _parse_step(line: str, body: str) -> RewriteStep:
+    fields = body.split()
     if not fields:
         raise ParseError(f"step line names no rule: {line!r}")
     kind = fields[0]
@@ -334,27 +397,33 @@ def _parse_step_line(line: str) -> tuple[RewriteStep, BraidWord]:
         if not eq:
             raise ParseError(f"malformed step parameter {piece!r}")
         if key == "pos":
-            position = int(value)
+            position = _parse_int(key, value, line)
         elif key == "direction":
             if value not in (FORWARD, BACKWARD):
                 raise ParseError(f"unknown direction {value!r}")
             direction = value
         elif key == "amount":
-            amount = int(value)
+            amount = _parse_int(key, value, line)
         else:
             raise ParseError(f"unknown step parameter {key!r}")
-    step = RewriteStep(kind, position=position, direction=direction, amount=amount)
-    return step, parse_word(after.strip())
+    return RewriteStep(kind, position=position, direction=direction, amount=amount)
+
+
+def _step_body(line: str) -> str:
+    if not line.startswith("step:"):
+        raise ParseError(f"unexpected line in trace body: {line!r}")
+    return line[len("step:") :]
 
 
 def parse_trace(text: str) -> RewriteTrace:
-    """Parse the text format written by :func:`serialize_trace`.
+    """Parse trace text: version 2 as written by :func:`serialize_trace`, or
+    version 1, whose step lines also carry ``-> word``.
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or lines[0] != "trace":
-        raise ParseError("trace text must start with a 'trace' line")
+    if not lines or lines[0] not in (V1_HEADER, V2_HEADER):
+        raise ParseError("trace text must start with a 'trace v2' (or version-1 'trace') line")
     if lines[-1] != "end":
         raise ParseError("trace text must end with an 'end' line")
     if len(lines) < 4 or not lines[1].startswith("initial:"):
@@ -367,12 +436,30 @@ def parse_trace(text: str) -> RewriteTrace:
         declared = int(count_line[len("crossing_changes:") :].strip())
     except ValueError:
         raise ParseError(f"malformed crossing-change total: {count_line!r}") from None
-    steps = []
-    for line in lines[2:-2]:
-        if not line.startswith("step:"):
-            raise ParseError(f"unexpected line in trace body: {line!r}")
-        steps.append(_parse_step_line(line))
-    trace = RewriteTrace(initial, tuple(steps))
+    body = lines[2:-2]
+    if lines[0] == V1_HEADER:
+        steps, recorded = [], []
+        for line in body:
+            before, sep, after = _step_body(line).partition("->")
+            if not sep:
+                raise ParseError(f"step line has no '->' result: {line!r}")
+            steps.append(_parse_step(line, before))
+            recorded.append(parse_word(after.strip()))
+        final = recorded[-1] if recorded else initial
+        trace = RewriteTrace(initial, tuple(steps), final, tuple(recorded))
+    else:
+        if not body or not body[-1].startswith("final:"):
+            raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
+        final = parse_word(body[-1][len("final:") :].strip())
+        # Step lines repeat a lot; parse each distinct line once.
+        known: dict[str, RewriteStep] = {}
+        steps = []
+        for line in body[:-1]:
+            step = known.get(line)
+            if step is None:
+                step = known[line] = _parse_step(line, _step_body(line))
+            steps.append(step)
+        trace = RewriteTrace(initial, tuple(steps), final)
     if trace.crossing_changes != declared:
         raise ParseError(
             f"declared crossing-change total {declared} disagrees with steps "

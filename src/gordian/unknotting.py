@@ -1,6 +1,6 @@
 """Reduction of positive braid words to the trivial word.
 
-The workhorse is a recursive subword reduction: inside a marked region whose
+The workhorse is a subword reduction: inside a marked region whose
 letters do not exceed a given level ``n``, occurrences of ``σ_n`` are brought
 together and eliminated pairwise, each elimination costing either one
 crossing change (when nothing of index ``n-1`` separates the pair) or nothing
@@ -36,45 +36,52 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
     Precondition: the region's letters are all ``<= n``.  Postcondition: the
     region contains at most one ``σ_n``, has not grown, and its letters are
     still ``<= n``.
+
+    The region is walked right to left, keeping the invariant that the part
+    from the current letter to the region's end holds at most one ``σ_n``.
+    Only the stretch between a pair is reduced recursively, one level down,
+    so the depth is bounded by ``n`` rather than by the length.
     """
-    if length <= 1 or n == 0:
+    if n == 0:
         return length
-    length = 1 + _reduce(tb, start + 1, length - 1, n)
-    letters = tb.word.letters
-    if letters[start] != n:
-        return length
-    second = None
-    for q in range(start + 1, start + length):
-        if letters[q] == n:
-            second = q
-            break
-    if second is None:
-        return length
-    # Region reads σ_n γ σ_n δ with γ, δ free of σ_n.  Tidy γ one level down.
-    gamma_len = second - (start + 1)
-    new_gamma_len = _reduce(tb, start + 1, gamma_len, n - 1)
-    length -= gamma_len - new_gamma_len
-    second = start + 1 + new_gamma_len
-    letters = tb.word.letters
-    r = None
-    for q in range(start + 1, second):
-        if letters[q] == n - 1:
-            r = q
-            break
-    if r is None:
-        # Nothing in between interacts: slide the pair together and cancel it.
-        for q in range(start, second - 1):
+    end = start + length
+    for s in range(end - 2, start - 1, -1):
+        letters = tb.word.letters
+        if letters[s] != n:
+            continue
+        second = None
+        for q in range(s + 1, end):
+            if letters[q] == n:
+                second = q
+                break
+        if second is None:
+            continue
+        # The tail reads σ_n γ σ_n δ with γ, δ free of σ_n.  Tidy γ one level down.
+        gamma_len = second - (s + 1)
+        new_gamma_len = _reduce(tb, s + 1, gamma_len, n - 1)
+        end -= gamma_len - new_gamma_len
+        second = s + 1 + new_gamma_len
+        letters = tb.word.letters
+        r = None
+        for q in range(s + 1, second):
+            if letters[q] == n - 1:
+                r = q
+                break
+        if r is None:
+            # Nothing in between interacts: slide the pair together and cancel it.
+            for q in range(s, second - 1):
+                tb.distant_swap(q)
+            tb.crossing_change(second - 1)
+            end -= 2
+            continue
+        # A single σ_{n-1} separates the pair: close in on it from both sides and
+        # merge the pair into one occurrence by the braid relation.
+        for q in range(s, r - 1):
             tb.distant_swap(q)
-        tb.crossing_change(second - 1)
-        return length - 2
-    # A single σ_{n-1} separates the pair: close in on it from both sides and
-    # merge the pair into one occurrence by the braid relation.
-    for q in range(start, r - 1):
-        tb.distant_swap(q)
-    for q in range(second - 1, r, -1):
-        tb.distant_swap(q)
-    tb.neighbor_braid(r - 1)
-    return length
+        for q in range(second - 1, r, -1):
+            tb.distant_swap(q)
+        tb.neighbor_braid(r - 1)
+    return end - start
 
 
 def reduce_subword(word: BraidWord, start: int, length: int, level: int) -> RewriteTrace:
@@ -137,7 +144,7 @@ def unknotting_sequence(trace: RewriteTrace) -> list[BraidWord]:
         raise DomainError("the initial closure is not a knot")
     replay(trace)
     sequence = [trace.initial]
-    for step, word in trace.steps:
+    for step, word in zip(trace.steps, trace.words[1:]):
         if step.kind == CROSSING_CHANGE:
             sequence.append(word)
     return sequence

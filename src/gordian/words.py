@@ -63,6 +63,19 @@ class BraidWord:
                     f"letter {letter!r} at position {pos} is outside 1..{self.strands - 1}"
                 )
 
+    @classmethod
+    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
+        """Build a word without re-checking its letters.
+
+        Only for the rewriting rules, which keep every letter inside
+        ``1..strands-1`` by construction; checking again would cost
+        O(length) per step.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     @property
     def length(self) -> int:
         return len(self.letters)

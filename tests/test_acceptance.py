@@ -251,7 +251,7 @@ def test_criterion_09_rule_calculus_properties():
     report(9, "rule accounting and component preservation on 10000 pairs", check)
 
 
-def test_criterion_10_enumeration():
+def test_criterion_10_enumeration(census_m2):
     def brute_force_m1_classes():
         """Full exhaustion at the m=1 scale: 1 + 2**4 candidate words."""
         candidates = [BraidWord(2, (1, 1, 1))]
@@ -278,7 +278,7 @@ def test_criterion_10_enumeration():
         assert members1 == brute_force_m1_classes()
         assert len(result1) <= (2 * 1) ** (4 * 1)
 
-        result2 = enumerate_positive_knots(2, budget=1_000_000)
+        result2 = census_m2
         assert len(result2) <= (2 * 2) ** (4 * 2)
         golden = (GOLDEN / "enumerate_m2.txt").read_text()
         assert format_enumeration_report(result2) == golden

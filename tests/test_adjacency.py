@@ -1,5 +1,6 @@
 """Certified crossing-change paths between torus knots and the claim catalog."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,9 @@ from gordian import (
     DomainError,
     IllegalStep,
     ParseError,
+    RewriteTrace,
     TorusParams,
+    TraceCorrupt,
     adjacency_2_from_4,
     adjacency_3_from_4,
     adjacency_catalog,
@@ -34,6 +37,7 @@ from gordian import (
     wrap_commute,
 )
 from gordian.moves import form_letters, full_twist_letters, wrap
+from gordian.rules import DISTANT_SWAP
 
 
 def check_cert(cert: AdjacencyCertificate) -> None:
@@ -231,6 +235,37 @@ class TestCertificateFormat:
         check = verify_certificate(cert, check_alexander=False)
         assert check.alexander_match is None
         assert check.valid
+
+    def test_replay_failure_keeps_the_step_index(self):
+        cert = adjacency_ci(2, 1)
+        steps = cert.trace.steps[:3] + cert.trace.steps[4:]
+        forged = AdjacencyCertificate(
+            cert.source, cert.target, RewriteTrace(cert.trace.initial, steps, cert.trace.final), 1
+        )
+        check = verify_certificate(forged)
+        assert not check.replay_ok and not check.valid
+        assert check.failed_step == 3
+        assert check.source_match and check.cc_match
+        assert check.strands_match is None and check.alexander_match is None
+
+    def test_every_moved_distant_swap_fails_replay(self):
+        # ci 3 2 ends on 38 letters, so positions 0..36 fit every step; moving
+        # any one distant-swap to any other of them must break the replay
+        cert = adjacency_ci(3, 2)
+        trace = cert.trace
+        edits = 0
+        for index, step in enumerate(trace.steps):
+            if step.kind != DISTANT_SWAP:
+                continue
+            for position in range(37):
+                if position == step.position:
+                    continue
+                moved = dataclasses.replace(step, position=position)
+                steps = trace.steps[:index] + (moved,) + trace.steps[index + 1 :]
+                with pytest.raises(TraceCorrupt):
+                    replay(RewriteTrace(trace.initial, steps, trace.final))
+                edits += 1
+        assert edits == 4770
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ParseError):

@@ -1,7 +1,10 @@
 """Command-line surface: outputs, file emission, exit codes."""
 
+import re
+
 import pytest
 
+from gordian import TraceBuilder, format_word, parse_word, serialize_trace, unknot
 from gordian.cli import main
 
 
@@ -193,26 +196,172 @@ class TestSearch:
         assert err.startswith("error:")
 
 
+def v1_text(trace) -> str:
+    """The trace as version-1 text: every step line ends in ``-> word``."""
+    v2 = serialize_trace(trace).splitlines()
+    steps = [line for line in v2 if line.startswith("step:")]
+    body = [f"{line} -> {format_word(word)}" for line, word in zip(steps, trace.words[1:])]
+    return "\n".join(["trace", v2[1], *body, v2[-2], "end"]) + "\n"
+
+
+def edit_line(path, startswith: str, edit) -> None:
+    """Rewrite the first line of the file that starts with ``startswith``."""
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(startswith))
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestVerify:
+    def test_v1_trace_still_verifies(self, capsys, tmp_path):
+        path = tmp_path / "v1.trace"
+        path.write_text(v1_text(unknot(parse_word("2: 1 1 1 1 1"))))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out == "trace: valid (3 steps, 2 crossing changes)\n"
+
     def test_corrupt_trace_names_step(self, capsys, tmp_path):
-        good = tmp_path / "good.trace"
-        run(capsys, "unknot", "2: 1 1 1 1 1", "--trace", str(good))
-        text = good.read_text()
-        lines = text.splitlines()
-        # swap the result word of the first step for a wrong one
-        for i, line in enumerate(lines):
-            if line.startswith("step:"):
-                head, _, _tail = line.partition(" -> ")
-                lines[i] = head + " -> 2: 1 1 1 1 1 1 1"
-                break
         bad = tmp_path / "bad.trace"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text(v1_text(unknot(parse_word("2: 1 1 1 1 1"))))
+        # swap the result word of the first step for a wrong one
+        edit_line(bad, "step:", lambda line: line.partition(" -> ")[0] + " -> 2: 1 1 1 1 1 1 1")
         code, out, _ = run(capsys, "verify", str(bad))
         assert code == 1
         assert out.startswith("trace: invalid at step 0")
 
+    def test_corrupt_v2_step_names_step(self, capsys, tmp_path):
+        bad = tmp_path / "bad.trace"
+        run(capsys, "unknot", "2: 1 1 1 1 1", "--trace", str(bad))
+        edit_line(bad, "step: crossing-change pos=1", lambda line: "step: crossing-change pos=3")
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert out.startswith("trace: invalid at step 1")
+
+    def test_wrong_v2_final_names_final(self, capsys, tmp_path):
+        bad = tmp_path / "bad.trace"
+        run(capsys, "unknot", "2: 1 1 1", "--trace", str(bad))
+        edit_line(bad, "final:", lambda line: "final: 2: 1")
+        code, out, _ = run(capsys, "verify", str(bad))
+        assert code == 1
+        assert out.startswith("trace: invalid at final")
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("key", ["pos", "amount"])
+    def test_malformed_step_number_exits_2(self, capsys, tmp_path, version, key):
+        tb = TraceBuilder(parse_word("2: 1 1 1"))
+        tb.conjugate(1)
+        tb.crossing_change(0)
+        trace = tb.snapshot()
+        path = tmp_path / "bad.trace"
+        path.write_text(v1_text(trace) if version == "v1" else serialize_trace(trace))
+        edit_line(path, f"step: {'conjugate' if key == 'amount' else 'crossing-change'}",
+                  lambda line: re.sub(key + r"=\d+", key + "=x", line))
+        assert f"{key}=x" in path.read_text()
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_malformed_step_number_in_certificate_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "ci21.cert"
+        run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
+        edit_line(path, "step: neighbor-braid", lambda line: line.replace("pos=2", "pos=x"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_out_of_domain_torus_endpoint_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "ci21.cert"
+        run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
+        edit_line(path, "source:", lambda line: "source: torus 0 5")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.trace"))
+        assert code == 2
+        assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def ci32_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "ci32.cert"
+    assert main(["adjacency", "ci", "3", "2", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def rotate_word(line: str) -> str:
+    """``final: n: a b c`` → ``final: n: b c a`` (same strands, length and Alexander)."""
+    head, _, letters = line.partition(": ")
+    strands, _, letters = letters.partition(": ")
+    pieces = letters.split()
+    return f"{head}: {strands}: " + " ".join(pieces[1:] + pieces[:1])
+
+
+class TestCertificateTamper:
+    """Each well-formed edit of an ``adjacency ci 3 2`` certificate fails verify."""
+
+    def verify_edited(self, capsys, tmp_path, text, startswith, edit):
+        path = tmp_path / "edited.cert"
+        path.write_text(text)
+        edit_line(path, startswith, edit)
+        assert path.read_text() != text
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith("certificate: invalid (")
+        return out
+
+    def step_index(self, text, startswith) -> int:
+        steps = [line for line in text.splitlines() if line.startswith("step:")]
+        return next(i for i, line in enumerate(steps) if line.startswith(startswith))
+
+    def test_claim_raised_by_one(self, capsys, tmp_path, ci32_text):
+        out = self.verify_edited(capsys, tmp_path, ci32_text, "claimed_cc:", lambda _: "claimed_cc: 7")
+        assert out == "certificate: invalid (crossing-changes)\n"
+
+    def test_distant_swap_moved(self, capsys, tmp_path, ci32_text):
+        index = self.step_index(ci32_text, "step: distant-swap")
+        out = self.verify_edited(
+            capsys, tmp_path, ci32_text, "step: distant-swap",
+            lambda line: re.sub(r"pos=(\d+)", lambda m: f"pos={(int(m[1]) + 1) % 37}", line),
+        )
+        assert out == f"certificate: invalid (replay at step {index})\n"
+
+    def test_neighbor_braid_direction_flipped(self, capsys, tmp_path, ci32_text):
+        index = self.step_index(ci32_text, "step: neighbor-braid")
+
+        def flip(line):
+            if "forward" in line:
+                return line.replace("forward", "backward")
+            return line.replace("backward", "forward")
+
+        out = self.verify_edited(capsys, tmp_path, ci32_text, "step: neighbor-braid", flip)
+        assert out == f"certificate: invalid (replay at step {index})\n"
+
+    def test_final_word_changed(self, capsys, tmp_path, ci32_text):
+        out = self.verify_edited(capsys, tmp_path, ci32_text, "final:", rotate_word)
+        assert out == "certificate: invalid (replay at final)\n"
+
+    @pytest.mark.parametrize("kind", ["distant-swap", "neighbor-braid", "conjugate", "destabilize"])
+    def test_step_line_deleted(self, capsys, tmp_path, ci32_text, kind):
+        lines = ci32_text.splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(f"step: {kind}"))
+        path = tmp_path / "edited.cert"
+        path.write_text("\n".join(lines[:index] + lines[index + 1 :]) + "\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.startswith("certificate: invalid (replay at ")
+
+    def test_crossing_change_line_deleted_is_malformed(self, capsys, tmp_path, ci32_text):
+        # the declared total no longer matches the steps, which parsing checks
+        lines = ci32_text.splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("step: crossing-change"))
+        path = tmp_path / "edited.cert"
+        path.write_text("\n".join(lines[:index] + lines[index + 1 :]) + "\n")
+        code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert err.startswith("error:")
 

@@ -84,8 +84,8 @@ class TestEnumeration:
         assert only.invariant_key[0] == 1
         assert not only.merged
 
-    def test_m2_two_classes(self):
-        result = enumerate_positive_knots(2)
+    def test_m2_two_classes(self, census_m2):
+        result = census_m2
         assert len(result) == 2
         reps = [cls.representative for cls in result]
         assert torus_braid(2, 5) in reps
@@ -96,16 +96,17 @@ class TestEnumeration:
         assert len(keys) == 2
         assert all(key[0] == 2 for key in keys)
 
-    def test_every_class_has_the_right_unknotting_number(self):
-        for m in (0, 1, 2):
-            for cls in enumerate_positive_knots(m):
+    def test_every_class_has_the_right_unknotting_number(self, census_m2):
+        censuses = (enumerate_positive_knots(0), enumerate_positive_knots(1), census_m2)
+        for m, result in enumerate(censuses):
+            for cls in result:
                 assert unknotting_number(cls.representative) == m
                 for member in cls.members:
                     assert unknotting_number(member) == m
 
-    def test_class_count_stays_under_examined_ceiling(self):
-        for m in (0, 1, 2):
-            result = enumerate_positive_knots(m)
+    def test_class_count_stays_under_examined_ceiling(self, census_m2):
+        censuses = (enumerate_positive_knots(0), enumerate_positive_knots(1), census_m2)
+        for m, result in enumerate(censuses):
             ceiling = (2 * m) ** (4 * m) if m else 1
             assert len(result) <= ceiling
 
@@ -173,21 +174,20 @@ class TestVerifyPositivePath:
 
     def test_corrupt_trace_fails(self):
         good = unknot(torus_braid(2, 3))
-        bad = RewriteTrace(BraidWord(2, (1, 1, 1, 1, 1)), good.steps)
+        bad = RewriteTrace(BraidWord(2, (1, 1, 1, 1, 1)), good.steps, good.final)
         diagnostic = positive_path_diagnostic(bad)
         assert diagnostic is not None
         assert "replay" in diagnostic
 
     def test_non_unit_drop_detected(self):
-        # splice two crossing changes into one trace between knot words:
-        # (1,1,1,1,1) --cc--> (1,1,1) --cc--> (1,): each drop is 1, fine;
-        # forged claim: initial T(2,7) with a single cc jumping to (1,1,1)
-        from gordian import apply_crossing_change
+        # forged claim: initial T(2,7) with a single cc jumping to (1,1,1);
+        # the step really reaches (1,1,1,1,1), so the final word gives it away
         from gordian.rules import CROSSING_CHANGE, RewriteStep
 
         start = torus_braid(2, 7)
         jump = BraidWord(2, (1, 1, 1))
         step = RewriteStep(CROSSING_CHANGE, 0, None, None)
-        forged = RewriteTrace(start, ((step, jump),))
+        forged = RewriteTrace(start, (step,), jump)
         diagnostic = positive_path_diagnostic(forged)
         assert diagnostic is not None
+        assert "replay" in diagnostic

@@ -171,6 +171,41 @@ class TestTraceBuilder:
         trace = tb.snapshot()
         assert trace.words == (BraidWord(2, (1, 1, 1)), BraidWord(2, (1,)))
 
+    def test_snapshot_keeps_endpoints_and_steps_only(self):
+        tb = TraceBuilder(BraidWord(3, (1, 1, 2, 1)))
+        tb.crossing_change(0)
+        tb.destabilize()
+        trace = tb.snapshot()
+        assert trace.initial == BraidWord(3, (1, 1, 2, 1))
+        assert trace.final == BraidWord(2, (1,))
+        assert all(isinstance(step, RewriteStep) for step in trace.steps)
+        assert tb.crossing_changes == trace.crossing_changes == 1
+
+    def test_builder_counts_crossing_changes_as_it_goes(self):
+        tb = TraceBuilder(BraidWord(2, (1, 1, 1, 1, 1)))
+        assert tb.crossing_changes == 0
+        tb.crossing_change(0)
+        assert tb.crossing_changes == 1
+        tb.conjugate(1)
+        tb.crossing_change(0)
+        assert tb.crossing_changes == 2
+
+
+class TestTrustedResults:
+    """Rule outputs skip re-validation; they must still be valid words."""
+
+    def test_rule_outputs_match_validated_words(self):
+        word = BraidWord(4, (1, 2, 1, 3, 3, 1))
+        for after in (
+            apply_neighbor_braid(word, 0),
+            apply_distant_swap(word, 2),
+            apply_conjugate(word, 4),
+            apply_crossing_change(word, 3),
+            apply_destabilize(BraidWord(4, (1, 2, 1, 3, 1))),
+        ):
+            assert BraidWord(after.strands, after.letters) == after
+            assert isinstance(after.letters, tuple)
+
 
 class TestApplyStep:
     def test_dispatches_each_kind(self):
@@ -196,8 +231,91 @@ class TestSerialization:
         assert again == trace
 
     def test_empty_trace_round_trip(self):
-        trace = RewriteTrace(BraidWord(2, (1,)), ())
+        word = BraidWord(2, (1,))
+        trace = RewriteTrace(word, (), word)
         assert parse_trace(serialize_trace(trace)) == trace
+
+    def test_writes_version_2(self):
+        tb = TraceBuilder(BraidWord(3, (1, 2, 1, 1, 1)))
+        tb.neighbor_braid(0)
+        tb.conjugate(1)
+        tb.crossing_change(2)
+        assert serialize_trace(tb.snapshot()).splitlines() == [
+            "trace v2",
+            "initial: 3: 1 2 1 1 1",
+            "step: neighbor-braid pos=0 direction=forward",
+            "step: conjugate amount=1",
+            "step: crossing-change pos=2",
+            "final: 3: 1 2 2",
+            "crossing_changes: 1",
+            "end",
+        ]
+
+    def test_reads_version_1(self):
+        text = (
+            "trace\n"
+            "initial: 3: 1 2 1 1\n"
+            "step: neighbor-braid pos=0 direction=forward -> 3: 2 1 2 1\n"
+            "step: conjugate amount=1 -> 3: 1 2 1 2\n"
+            "crossing_changes: 0\n"
+            "end\n"
+        )
+        trace = parse_trace(text)
+        assert trace.final == BraidWord(3, (1, 2, 1, 2))
+        assert replay(trace) == trace.final
+        again = parse_trace(serialize_trace(trace))
+        assert (again.initial, again.steps, again.final) == (
+            trace.initial,
+            trace.steps,
+            trace.final,
+        )
+
+    def test_v2_wrong_final_detected_after_the_last_step(self):
+        text = (
+            "trace v2\n"
+            "initial: 2: 1 1 1\n"
+            "step: crossing-change pos=1\n"
+            "final: 2: 1 1 1\n"
+            "crossing_changes: 1\n"
+            "end\n"
+        )
+        with pytest.raises(TraceCorrupt) as info:
+            replay(parse_trace(text))
+        assert info.value.step_index == 1
+
+    def test_v2_requires_final_line(self):
+        text = "trace v2\ninitial: 2: 1 1 1\nstep: crossing-change pos=1\ncrossing_changes: 1\nend\n"
+        with pytest.raises(ParseError):
+            parse_trace(text)
+
+    def test_v2_rejects_result_words_on_step_lines(self):
+        text = (
+            "trace v2\n"
+            "initial: 2: 1 1 1\n"
+            "step: crossing-change pos=1 -> 2: 1\n"
+            "final: 2: 1\n"
+            "crossing_changes: 1\n"
+            "end\n"
+        )
+        with pytest.raises(ParseError):
+            parse_trace(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "step: crossing-change pos=x -> 2: 1",
+            "step: conjugate amount=x -> 2: 1 1 1",
+            "step: crossing-change pos=x",
+            "step: conjugate amount=1.5",
+        ],
+    )
+    def test_malformed_numbers_are_parse_errors(self, line):
+        lines = ["trace" if "->" in line else "trace v2", "initial: 2: 1 1 1", line]
+        if "->" not in line:
+            lines.append("final: 2: 1")
+        lines += ["crossing_changes: 0", "end"]
+        with pytest.raises(ParseError):
+            parse_trace("\n".join(lines) + "\n")
 
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ParseError):

@@ -9,6 +9,7 @@ from gordian import (
     BraidWord,
     DomainError,
     NoSingleGenerator,
+    delete_link_subword,
     generator_support_check,
     reduce_single_generator,
     reduce_subword,
@@ -98,6 +99,29 @@ class TestUnknot:
         trace = unknot(BraidWord(2, (1, 1)))
         assert replay(trace).length == 0
         assert trace.crossing_changes == 1
+
+
+class TestLongWords:
+    """The reducer loops over a region instead of recursing per letter, so
+    words far past the interpreter's recursion limit still reduce."""
+
+    def test_t2_5001(self):
+        trace = unknot(torus_braid(2, 5001))
+        assert trace.crossing_changes == 2500
+        assert replay(trace) == BraidWord(1, ())
+
+    def test_t3_2500(self):
+        word = torus_braid(3, 2500)
+        assert word.length == 5000
+        trace = unknot(word)
+        assert trace.crossing_changes == 2499
+        assert replay(trace) == BraidWord(1, ())
+
+    def test_delete_long_identity_tail(self):
+        tail = BraidWord(3, (1, 2) * 1250 + (2, 1) * 1250)
+        cert = delete_link_subword(BraidWord(3, (1, 2, 1, 2)), tail)
+        assert cert.claimed_cc == 2500
+        assert replay(cert.trace) == BraidWord(3, (1, 2, 1, 2))
 
 
 class TestUnknottingSequence:
