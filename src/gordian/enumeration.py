@@ -5,11 +5,13 @@ A positive braid word on ``n`` strands with ``ℓ`` letters closes to a knot of
 unknotting number ``u = (ℓ − n + 1)/2``; fixing ``u = m`` therefore pins the
 length per strand count, and a knot representative needs every generator
 present plus at most ``2m + 1`` strands once single-occurrence generators are
-removed.  :func:`enumerate_positive_knots` walks exactly that finite space,
-canonicalizes words under rotation and commutation, minimizes each distinct
-form, and groups the survivors by invariant key (unknotting number, Alexander
-polynomial, minimal strand count).  The class count is checked against the
-``(2m)^{4m}`` ceiling.
+removed.  :func:`enumerate_positive_knots` walks exactly that finite space in
+lexicographic order and counts every word.  It computes the canonical form
+(least over rotations and distant commutations) once per rotation class, at
+the class's least rotation, which is the first member the walk meets.  It
+then minimizes each distinct form and groups the survivors by invariant key
+(unknotting number, Alexander polynomial, minimal strand count).  The class
+count is checked against the ``(2m)^{4m}`` ceiling.
 
 :func:`positive_path_search` looks for an explicit five-rule path between two
 given words whose every intermediate stays a positive braid knot, and
@@ -81,16 +83,21 @@ def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
     Letters whose indices differ by at most one never commute, so at every
     step exactly one occurrence of each *available* letter value competes and
     the greedy choice of the smallest available value is the unique optimum.
+    A letter is available when no earlier remaining letter is within one of
+    it; each pick is one scan that keeps those blocked values as bits of an
+    integer.
     """
     remaining = list(letters)
     out: list[int] = []
     while remaining:
-        best = None
+        blocked = 0
+        best = 0
+        least = remaining[0]
         for idx, letter in enumerate(remaining):
-            if best is not None and letter >= remaining[best]:
-                continue
-            if all(abs(prev - letter) >= 2 for prev in remaining[:idx]):
+            if letter < least and not blocked >> letter & 1:
                 best = idx
+                least = letter
+            blocked |= 0b111 << (letter - 1)
         out.append(remaining.pop(best))
     return tuple(out)
 
@@ -106,9 +113,9 @@ def canonical_form(word: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _reducible(word: BraidWord) -> bool:
-    counts = [0] * word.strands
-    for letter in word.letters:
+def _reducible(strands: int, letters: tuple[int, ...]) -> bool:
+    counts = [0] * strands
+    for letter in letters:
         counts[letter] += 1
     return any(count == 1 for count in counts[1:])
 
@@ -123,9 +130,8 @@ def _orbit_search_reduce(word: BraidWord, node_cap: int) -> BraidWord | None:
             queue.append(rot)
     while queue and len(seen) <= node_cap:
         letters = queue.popleft()
-        candidate = BraidWord(word.strands, letters)
-        if _reducible(candidate):
-            return reduce_single_generator(candidate)
+        if _reducible(word.strands, letters):
+            return reduce_single_generator(BraidWord._trusted(word.strands, letters))
         neighbours: list[tuple[int, ...]] = []
         for q in range(len(letters) - 2):
             a, b, c = letters[q : q + 3]
@@ -215,6 +221,12 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
     generators all occur, dedups by canonical form, minimizes strand count,
     and groups by invariant key.  Raises :class:`BudgetExceeded` carrying the
     partial result when more than ``budget`` words would be examined.
+
+    Both filters and the canonical form are the same on every rotation of a
+    word, and the walk is lexicographic, so each rotation class is first met
+    at its least rotation; the canonical form is computed there only.  Every
+    word is still counted, and a partial result holds the forms of exactly
+    the classes met so far.
     """
     if m < 0:
         raise DomainError(f"unknotting number must be >= 0, got {m}")
@@ -265,13 +277,14 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
                     partial=build(partial_ok=True),
                 )
             words_examined += 1
-            candidate = BraidWord(n, letters)
+            candidate = BraidWord._trusted(n, letters)
             if not generator_support_check(candidate):
                 continue
             if not is_knot(candidate):
                 continue
             knot_words += 1
-            raw_forms.add(canonical_form(candidate))
+            if letters == min(_rotations(letters)):
+                raw_forms.add(canonical_form(candidate))
     return build()
 
 

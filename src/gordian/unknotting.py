@@ -170,5 +170,4 @@ def reduce_single_generator(word: BraidWord) -> BraidWord:
 
 def generator_support_check(word: BraidWord) -> bool:
     """Whether every generator index ``1 … strands-1`` occurs in the word."""
-    used = set(word.letters)
-    return all(index in used for index in range(1, word.strands))
+    return len(set(word.letters)) == word.strands - 1

@@ -67,9 +67,9 @@ class BraidWord:
     def _trusted(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
         """Build a word without re-checking its letters.
 
-        Only for the rewriting rules, which keep every letter inside
-        ``1..strands-1`` by construction; checking again would cost
-        O(length) per step.
+        Only for letters inside ``1..strands-1`` by construction: the
+        rewriting rules keep them there, and the census walk draws them
+        from that range; checking again would cost O(length) per word.
         """
         word = object.__new__(cls)
         object.__setattr__(word, "strands", strands)
@@ -197,8 +197,21 @@ def components(word: BraidWord) -> int:
 
 
 def is_knot(word: BraidWord) -> bool:
-    """True when the closure has exactly one component."""
-    return closure_info(word).is_knot
+    """True when the closure has exactly one component.
+
+    Tracks positions as :func:`closure_info` does, then walks only the cycle
+    through strand 1: the closure is a knot when that cycle has every strand.
+    """
+    strands = word.strands
+    perm = list(range(strands))
+    for letter in word.letters:
+        perm[letter - 1], perm[letter] = perm[letter], perm[letter - 1]
+    cycle = 1
+    current = perm[0]
+    while current:
+        current = perm[current]
+        cycle += 1
+    return cycle == strands
 
 
 def unknotting_number(word: BraidWord) -> int:

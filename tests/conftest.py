@@ -7,5 +7,5 @@ from gordian import enumerate_positive_knots
 
 @pytest.fixture(scope="session")
 def census_m2():
-    """The m = 2 census, computed once per session (it takes seconds)."""
+    """The m = 2 census, computed once per session."""
     return enumerate_positive_knots(2, budget=1_000_000)

@@ -117,6 +117,28 @@ class TestEnumeration:
         assert partial.budget == 500
         assert partial.words_examined <= 500
 
+    @pytest.mark.parametrize(
+        "budget, examined, knot_words, forms, classes",
+        [
+            (500, 500, 205, 54, 2),
+            (5_000, 5_000, 1_341, 158, 2),
+            (20_000, 20_000, 4_485, 534, 2),
+            (50_000, 50_000, 11_131, 534, 2),
+        ],
+    )
+    def test_budget_partial_counts(self, budget, examined, knot_words, forms, classes):
+        # Forms are taken only at each rotation class's least rotation; a cut
+        # anywhere in the walk still holds every class met so far.
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_positive_knots(2, budget=budget)
+        partial = info.value.partial
+        assert (
+            partial.words_examined,
+            partial.knot_words,
+            partial.distinct_forms,
+            len(partial.classes),
+        ) == (examined, knot_words, forms, classes)
+
     def test_report_format(self):
         report = format_enumeration_report(enumerate_positive_knots(1))
         lines = report.splitlines()

@@ -1,6 +1,6 @@
 """Randomized invariants of the five rules, the oracle, and the text formats."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gordian import (
@@ -16,6 +16,7 @@ from gordian import (
     parse_trace,
     parse_word,
     format_word,
+    is_knot,
     serialize_trace,
     unknot,
     verify_positive_path,
@@ -28,6 +29,7 @@ from gordian.rules import (
     NEIGHBOR_BRAID,
     TraceBuilder,
 )
+from gordian.enumeration import _commutation_least
 
 
 @st.composite
@@ -117,6 +119,35 @@ class TestCanonicalFormProperties:
     def test_idempotent(self, word):
         once = canonical_form(word)
         assert canonical_form(once) == once
+
+
+def greedy_commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Oracle: pick the smallest letter that commutes past everything before it."""
+    remaining = list(letters)
+    out: list[int] = []
+    while remaining:
+        best = None
+        for idx, letter in enumerate(remaining):
+            if best is not None and letter >= remaining[best]:
+                continue
+            if all(abs(prev - letter) >= 2 for prev in remaining[:idx]):
+                best = idx
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+class TestKernelsMatchOracles:
+    @given(braid_words(max_strands=9, max_length=30))
+    @example(BraidWord(1, ()))
+    @settings(max_examples=500)
+    def test_is_knot_matches_closure_cycles(self, word):
+        assert is_knot(word) == closure_info(word).is_knot
+
+    @given(braid_words(max_strands=9, max_length=30))
+    @example(BraidWord(1, ()))
+    @settings(max_examples=500)
+    def test_commutation_least_matches_greedy_scan(self, word):
+        assert _commutation_least(word.letters) == greedy_commutation_least(word.letters)
 
 
 class TestFormatRoundTrips:
