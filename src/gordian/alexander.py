@@ -2,8 +2,11 @@
 
 Two independent routes are provided and cross-checked in the tests:
 
-* ``alexander(word)`` evaluates the reduced Burau representation of the word
-  (matrices over Z[t, t^-1]) and applies the determinant formula
+* ``alexander(word)`` evaluates the reduced Burau representation ρ(w) of the
+  word (a positive word needs only Z[t], held as dense coefficient lists)
+  one letter at a time: σ_i changes only three columns of ρ, so each letter
+  costs O(strands) polynomial additions, never a matrix product.  It then
+  applies the determinant formula
 
       det(I - ρ(w)) = Δ(t) · (1 - t^n) / (1 - t)
 
@@ -25,6 +28,7 @@ Everything here is integer-exact; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -111,7 +115,7 @@ class LaurentPoly:
             return LaurentPoly.zero()
         shift = self.min_exponent - divisor.min_exponent
         remainder = dict(self.shifted(-self.min_exponent).terms)
-        div_terms = self.__class__(divisor.shifted(-divisor.min_exponent).terms).terms
+        div_terms = divisor.shifted(-divisor.min_exponent).terms
         lead_exp, lead_coeff = div_terms[-1]
         quotient: dict[int, int] = {}
         while remainder:
@@ -158,108 +162,100 @@ class LaurentPoly:
         return " ".join(pieces)
 
 
-def _identity(size: int) -> list[list[LaurentPoly]]:
-    return [
-        [LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(size)]
-        for r in range(size)
-    ]
+def _add_into(acc: list[int], poly: list[int], shift: int = 0) -> None:
+    """``acc += t^shift · poly`` on dense coefficient lists, trailing zeros trimmed."""
+    need = len(poly) + shift
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for e, c in enumerate(poly, shift):
+        acc[e] += c
+    while acc and not acc[-1]:
+        acc.pop()
 
 
-def _reduced_burau_generator(index: int, strands: int) -> list[list[LaurentPoly]]:
-    """Matrix of σ_index in the reduced Burau representation (columns are images)."""
-    size = strands - 1
-    t = LaurentPoly.monomial(1)
-    minus_t = LaurentPoly.monomial(1, -1)
-    one = LaurentPoly.one()
-    matrix = _identity(size)
-    i = index  # 1-based generator index; basis vectors e_1 … e_{size}
-    if size == 1:
-        matrix[0][0] = minus_t
-        return matrix
-    if i == 1:
-        matrix[0][0] = minus_t
-        matrix[0][1] = one
-    elif i == strands - 1:
-        matrix[i - 1][i - 2] = t
-        matrix[i - 1][i - 1] = minus_t
-    else:
-        matrix[i - 1][i - 2] = t
-        matrix[i - 1][i - 1] = minus_t
-        matrix[i - 1][i] = one
-    return matrix
+def _determinant(matrix: list[list[list[int]]]) -> list[int]:
+    """Cofactor expansion on dense coefficient lists, memoized over column subsets.
 
-
-def _matmul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    size = len(a)
-    result = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for r in range(size):
-        row = a[r]
-        out = result[r]
-        for k in range(size):
-            if row[k].is_zero:
-                continue
-            factor = row[k]
-            brow = b[k]
-            for c in range(size):
-                if not brow[c].is_zero:
-                    out[c] = out[c] + factor * brow[c]
-    return result
-
-
-def _determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor expansion with memoization over column subsets (sizes here are ≤ 7)."""
+    Row ``r`` is expanded only under masks of ``size - r`` columns, so the memo
+    holds one entry per column subset reachable from the full set: up to
+    2^size entries, each built from at most ``size`` products.
+    """
     size = len(matrix)
-    if size == 0:
-        return LaurentPoly.one()
-    full_mask = (1 << size) - 1
-    memo: dict[int, LaurentPoly] = {}
+    memo: dict[int, list[int]] = {}
 
-    def minor(row: int, mask: int) -> LaurentPoly:
+    def minor(row: int, mask: int) -> list[int]:
         if row == size:
-            return LaurentPoly.one()
+            return [1]
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        total = LaurentPoly.zero()
+        total: list[int] = []
         sign = 1
         for c in range(size):
             bit = 1 << c
             if not mask & bit:
                 continue
             entry = matrix[row][c]
-            if not entry.is_zero:
-                part = entry * minor(row + 1, mask & ~bit)
-                total = total + part if sign > 0 else total - part
+            sub = minor(row + 1, mask & ~bit) if entry else None
+            if sub:
+                need = len(entry) + len(sub) - 1
+                if len(total) < need:
+                    total.extend([0] * (need - len(total)))
+                for e, a in enumerate(entry):
+                    if a:
+                        a *= sign
+                        for f, b in enumerate(sub, e):
+                            total[f] += a * b
             sign = -sign
+        while total and not total[-1]:
+            total.pop()
         memo[mask] = total
         return total
 
-    return minor(0, full_mask)
+    return minor(0, (1 << size) - 1)
 
 
 def alexander(word: BraidWord) -> LaurentPoly:
-    """Normalized Alexander polynomial of the word's closure via reduced Burau."""
+    """Normalized Alexander polynomial of the word's closure via reduced Burau.
+
+    ρ(w) is kept as rows of dense coefficient lists indexed by exponent (a
+    positive word has no negative powers of t).  Right-multiplying by σ_i
+    changes only columns r - 1, r, r + 1 (r = i - 1) of each row: with
+    x = row[r], row[r-1] += t·x, row[r+1] += x and row[r] = -t·x.
+    """
     if word.strands == 1:
         return LaurentPoly.one()
     size = word.strands - 1
-    rho = _identity(size)
+    rho = [[[1] if r == c else [] for c in range(size)] for r in range(size)]
     for letter in word.letters:
-        rho = _matmul(rho, _reduced_burau_generator(letter, word.strands))
-    i_minus_rho = [
-        [(LaurentPoly.one() if r == c else LaurentPoly.zero()) - rho[r][c] for c in range(size)]
-        for r in range(size)
-    ]
+        r = letter - 1
+        for row in rho:
+            x = row[r]
+            if not x:
+                continue
+            if r > 0:
+                _add_into(row[r - 1], x, 1)
+            if r + 1 < size:
+                _add_into(row[r + 1], x)
+            row[r] = [0] + [-c for c in x]
+    i_minus_rho = [[[-c for c in entry] for entry in row] for row in rho]
+    for r in range(size):
+        _add_into(i_minus_rho[r][r], [1])
     det = _determinant(i_minus_rho)
-    one = LaurentPoly.one()
-    numerator = det * (one - LaurentPoly.monomial(1))
-    denominator = one - LaurentPoly.monomial(word.strands)
-    return numerator.divide_exact(denominator).normalized()
+    # det(I - ρ) · (1 - t) = Δ · (1 - t^n).  Dividing from the constant term
+    # up leaves Δ in the low coefficients; the top n must come out zero.
+    n = word.strands
+    quotient = [a - b for a, b in zip(det + [0], [0] + det)]
+    for e in range(n, len(quotient)):
+        quotient[e] += quotient[e - n]
+    split = max(len(quotient) - n, 0)
+    if any(quotient[split:]):
+        raise DomainError("polynomial division left a remainder")
+    return LaurentPoly.from_dict(dict(enumerate(quotient[:split]))).normalized()
 
 
 def torus_alexander(p: int, q: int) -> LaurentPoly:
     """Closed-form normalized Alexander polynomial of the torus knot T(p, q)."""
-    import math
-
     if p < 1 or q < 1:
         raise DomainError(f"torus parameters must be >= 1, got ({p}, {q})")
     if math.gcd(p, q) != 1:

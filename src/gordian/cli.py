@@ -168,7 +168,10 @@ def _where(step_index: int, trace) -> str:
 
 def cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
     first = next((line.strip() for line in text.splitlines() if line.strip()), "")
     if first == "certificate":
         cert = parse_certificate(text)

@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic and the Alexander oracle."""
 
+import importlib
 import math
 
 import pytest
@@ -72,6 +73,18 @@ class TestAlexander:
                 if math.gcd(p, q) != 1:
                     continue
                 assert alexander(torus_braid(p, q)) == torus_alexander(p, q), (p, q)
+
+    @pytest.mark.parametrize("p, q", [(2, 301), (3, 200), (4, 101), (5, 76), (9, 13)])
+    def test_long_torus_words_match_closed_form(self, p, q):
+        assert alexander(torus_braid(p, q)) == torus_alexander(p, q)
+
+    def test_division_remainder_raises(self, monkeypatch):
+        # det(I - ρ)(1 - t) is always divisible by 1 - t^n; a determinant
+        # that is not must raise instead of being rounded into a polynomial.
+        module = importlib.import_module("gordian.alexander")
+        monkeypatch.setattr(module, "_determinant", lambda matrix: [1])
+        with pytest.raises(DomainError, match="remainder"):
+            alexander(BraidWord(3, (1, 2)))
 
     def test_torus_closed_form_rejects_links(self):
         with pytest.raises(DomainError):

@@ -285,6 +285,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.trace"
+        path.write_bytes(b"trace v2\n\xff\xfe\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "not UTF-8" in err and err.count("\n") == 1
+
 
 @pytest.fixture(scope="module")
 def ci32_text(tmp_path_factory):

@@ -1,10 +1,17 @@
-"""Randomized invariants of the five rules, the oracle, and the text formats."""
+"""Randomized invariants of the five rules, the oracle, the text formats and the CLI."""
 
+import contextlib
+import io
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gordian import (
     BraidWord,
+    LaurentPoly,
+    ParseError,
+    adjacency_ci,
     alexander,
     apply_conjugate,
     apply_crossing_change,
@@ -13,14 +20,19 @@ from gordian import (
     apply_neighbor_braid,
     canonical_form,
     closure_info,
+    parse_certificate,
     parse_trace,
     parse_word,
     format_word,
     is_knot,
+    replay,
+    serialize_certificate,
     serialize_trace,
     unknot,
+    verify_certificate,
     verify_positive_path,
 )
+from gordian.cli import main
 from gordian.rules import (
     CONJUGATE,
     CROSSING_CHANGE,
@@ -136,7 +148,119 @@ def greedy_commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _identity(size: int) -> list[list[LaurentPoly]]:
+    return [
+        [LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(size)]
+        for r in range(size)
+    ]
+
+
+def _reduced_burau_generator(index: int, strands: int) -> list[list[LaurentPoly]]:
+    """Matrix of σ_index in the reduced Burau representation (columns are images)."""
+    size = strands - 1
+    t = LaurentPoly.monomial(1)
+    minus_t = LaurentPoly.monomial(1, -1)
+    one = LaurentPoly.one()
+    matrix = _identity(size)
+    i = index  # 1-based generator index; basis vectors e_1 … e_{size}
+    if size == 1:
+        matrix[0][0] = minus_t
+        return matrix
+    if i == 1:
+        matrix[0][0] = minus_t
+        matrix[0][1] = one
+    elif i == strands - 1:
+        matrix[i - 1][i - 2] = t
+        matrix[i - 1][i - 1] = minus_t
+    else:
+        matrix[i - 1][i - 2] = t
+        matrix[i - 1][i - 1] = minus_t
+        matrix[i - 1][i] = one
+    return matrix
+
+
+def _matmul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
+    size = len(a)
+    result = [[LaurentPoly.zero()] * size for _ in range(size)]
+    for r in range(size):
+        for k in range(size):
+            if a[r][k].is_zero:
+                continue
+            for c in range(size):
+                if not b[k][c].is_zero:
+                    result[r][c] = result[r][c] + a[r][k] * b[k][c]
+    return result
+
+
+def _determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Cofactor expansion with memoization over column subsets."""
+    size = len(matrix)
+    memo: dict[int, LaurentPoly] = {}
+
+    def minor(row: int, mask: int) -> LaurentPoly:
+        if row == size:
+            return LaurentPoly.one()
+        if mask not in memo:
+            total = LaurentPoly.zero()
+            sign = 1
+            for c in range(size):
+                bit = 1 << c
+                if not mask & bit:
+                    continue
+                entry = matrix[row][c]
+                if not entry.is_zero:
+                    part = entry * minor(row + 1, mask & ~bit)
+                    total = total + part if sign > 0 else total - part
+                sign = -sign
+            memo[mask] = total
+        return memo[mask]
+
+    return minor(0, (1 << size) - 1)
+
+
+def burau_product_alexander(word: BraidWord) -> LaurentPoly:
+    """Oracle: multiply full reduced Burau matrices over LaurentPoly, letter by letter."""
+    if word.strands == 1:
+        return LaurentPoly.one()
+    size = word.strands - 1
+    rho = _identity(size)
+    for letter in word.letters:
+        rho = _matmul(rho, _reduced_burau_generator(letter, word.strands))
+    one = LaurentPoly.one()
+    i_minus_rho = [
+        [(one if r == c else LaurentPoly.zero()) - rho[r][c] for c in range(size)]
+        for r in range(size)
+    ]
+    numerator = _determinant(i_minus_rho) * (one - LaurentPoly.monomial(1))
+    denominator = one - LaurentPoly.monomial(word.strands)
+    return numerator.divide_exact(denominator).normalized()
+
+
+# A fixed 12-strand, 67-letter knot word: 2^11 column subsets in the
+# determinant memo, beyond every strand count the random words reach.
+TWELVE_STRAND_KNOT = BraidWord(12, (
+    9, 3, 7, 6, 9, 5, 9, 8, 6, 2, 2, 9, 10, 9, 5, 6, 1, 6, 11, 8, 2, 6, 4, 8,
+    4, 9, 10, 9, 1, 3, 5, 4, 6, 9, 8, 2, 5, 7, 2, 10, 3, 7, 7, 2, 2, 4, 5, 6,
+    5, 8, 8, 6, 7, 3, 4, 4, 6, 5, 11, 1, 10, 6, 11, 7, 3, 10, 4,
+))
+
+
 class TestKernelsMatchOracles:
+    @given(braid_words(max_strands=9, max_length=40))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(2, ()))
+    @settings(max_examples=300, deadline=None)
+    def test_alexander_matches_burau_product(self, word):
+        assert alexander(word) == burau_product_alexander(word)
+
+    def test_alexander_of_empty_words(self):
+        assert str(alexander(parse_word("1:"))) == "1"
+        assert str(alexander(parse_word("2:"))) == "0"
+
+    def test_alexander_matches_burau_product_on_twelve_strands(self):
+        assert is_knot(TWELVE_STRAND_KNOT)
+        assert alexander(TWELVE_STRAND_KNOT) == burau_product_alexander(TWELVE_STRAND_KNOT)
+
     @given(braid_words(max_strands=9, max_length=30))
     @example(BraidWord(1, ()))
     @settings(max_examples=500)
@@ -202,3 +326,126 @@ class TestUnknotPathProperty:
         if not closure_info(word).is_knot:
             return
         assert verify_positive_path(unknot(word))
+
+
+# The version-1 trace of ``unknot`` on T(3,4): every step line ends in ``-> word``.
+V1_TRACE_TEXT = """trace
+initial: 3: 2 1 2 1 2 1 2 1
+step: neighbor-braid pos=4 direction=backward -> 3: 2 1 2 1 1 2 1 1
+step: crossing-change pos=3 -> 3: 2 1 2 2 1 1
+step: crossing-change pos=2 -> 3: 2 1 1 1
+step: destabilize -> 2: 1 1 1
+step: crossing-change pos=1 -> 2: 1
+step: destabilize -> 1:
+crossing_changes: 3
+end
+"""
+SAMPLE_TEXTS = (
+    serialize_trace(parse_trace(V1_TRACE_TEXT)),
+    V1_TRACE_TEXT,
+    serialize_certificate(adjacency_ci(2, 1)),
+)
+# Characters the formats are made of, so edits land near valid text.
+FORMAT_CHARS = " \n:=->0123456789-xtrace v2stepinitialfinalendcrossing_changestorusword"
+
+
+@st.composite
+def mutated_texts(draw, text: str) -> str:
+    """``text`` after one to four edits of characters, spans or whole lines."""
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("delete", "insert", "line")))
+        at = draw(st.integers(0, len(text)))
+        if edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)) :]
+        elif edit == "insert":
+            text = text[:at] + draw(st.text(FORMAT_CHARS, min_size=1, max_size=6)) + text[at:]
+        else:
+            lines = text.splitlines()
+            if not lines:
+                continue
+            i = draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
+            action = draw(st.sampled_from(("drop", "copy", "swap", "replace")))
+            if action == "drop":
+                del lines[i]
+            elif action == "copy":
+                lines.insert(j, lines[i])
+            elif action == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines[i] = draw(st.text(max_size=20))
+            text = "\n".join(lines) + "\n"
+    return text
+
+
+class TestParsersRaiseOnlyParseError:
+    @given(st.one_of(st.text(), *(mutated_texts(text) for text in SAMPLE_TEXTS)))
+    @settings(max_examples=400)
+    def test_every_parser_succeeds_or_raises_parse_error(self, text):
+        for parse in (parse_word, parse_trace, parse_certificate):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
+    def test_samples_are_valid_texts(self):
+        v2, v1, cert = SAMPLE_TEXTS
+        assert v2.startswith("trace v2\n")
+        assert replay(parse_trace(v1)) == replay(parse_trace(v2)) == BraidWord(1, ())
+        assert verify_certificate(parse_certificate(cert)).valid
+
+
+# What a command line or a text file can carry: no NUL, no lone surrogate.
+ARGV_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+
+
+@st.composite
+def word_arguments(draw) -> str:
+    """Word text for the CLI: junk, near-valid (letters may be out of range) or valid."""
+    kind = draw(st.sampled_from(("junk", "near", "valid")))
+    if kind == "junk":
+        return draw(st.text(ARGV_CHARS, max_size=30))
+    if kind == "near":
+        strands = draw(st.integers(-1, 8))
+        letters = draw(st.lists(st.integers(-1, 9), max_size=39))
+    else:
+        word = draw(braid_words(max_strands=8, max_length=39))
+        strands, letters = word.strands, word.letters
+    return f"{strands}: " + " ".join(map(str, letters))
+
+
+@pytest.fixture(scope="module")
+def verify_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("verify")
+
+
+class TestCliExitCodes:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_line_error(self, verify_dir, data):
+        command = data.draw(st.sampled_from(("info", "alexander", "unknot", "torus", "verify")))
+        if command == "torus":
+            args = [str(data.draw(st.integers(-3, 12))) for _ in range(2)]
+        elif command == "verify":
+            path = verify_dir / "input"
+            content = data.draw(
+                st.one_of(
+                    st.text(ARGV_CHARS, max_size=60),
+                    st.binary(max_size=60),
+                    *(mutated_texts(text) for text in SAMPLE_TEXTS),
+                )
+            )
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
+            args = [str(data.draw(st.sampled_from((path, verify_dir, verify_dir / "absent"))))]
+        else:
+            args = [data.draw(word_arguments())]
+        # "--" keeps junk that starts with "-" from being read as an option:
+        # argparse's own usage errors are two lines, usage and message.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--", *args])
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1
