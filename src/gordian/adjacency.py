@@ -147,6 +147,20 @@ class CertificateCheck:
             and self.cc_match
         )
 
+    def summary(self) -> str:
+        """The final-word checks as one line: ``strands=… length=… alexander=…``."""
+
+        def word(flag) -> str:
+            if flag is None:
+                return "skipped"
+            return "match" if flag else "mismatch"
+
+        return (
+            f"strands={word(self.strands_match)} "
+            f"length={word(self.length_match)} "
+            f"alexander={word(self.alexander_match)}"
+        )
+
 
 def endpoint_word(ref: TorusParams | BraidWord) -> BraidWord:
     """The braid word an endpoint refers to."""
@@ -206,22 +220,6 @@ def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = Tr
     )
 
 
-def _format_check(check: CertificateCheck | None) -> str:
-    if check is None:
-        return "skipped"
-
-    def word(flag) -> str:
-        if flag is None:
-            return "skipped"
-        return "match" if flag else "mismatch"
-
-    return (
-        f"strands={word(check.strands_match)} "
-        f"length={word(check.length_match)} "
-        f"alexander={word(check.alexander_match)}"
-    )
-
-
 def serialize_certificate(cert: AdjacencyCertificate, check: CertificateCheck | None = None) -> str:
     """Render a certificate: header lines, an embedded trace block, ``end``.
 
@@ -233,7 +231,7 @@ def serialize_certificate(cert: AdjacencyCertificate, check: CertificateCheck | 
         f"source: {format_endpoint(cert.source)}",
         f"target: {format_endpoint(cert.target)}",
         f"claimed_cc: {cert.claimed_cc}",
-        f"verification: {_format_check(check)}",
+        f"verification: {'skipped' if check is None else check.summary()}",
     ]
     return "\n".join(lines) + "\n" + serialize_trace(cert.trace) + "end\n"
 

@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from .adjacency import (
-    _format_check,
     adjacency_2_from_4,
     adjacency_3_from_4,
     adjacency_catalog,
@@ -105,7 +104,7 @@ def _emit_certificate(cert, out_path: str | None, no_verify: bool) -> int:
     else:
         print("u_gap: -")
     print(f"crossing_changes: {cert.claimed_cc}")
-    print(f"verification: {_format_check(check)}")
+    print(f"verification: {'skipped' if check is None else check.summary()}")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(serialize_certificate(cert, check))
@@ -203,8 +202,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, exit code 2."""
+
+    def error(self, message: str):
+        _print_err(f"{self.prog}: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gordian",
         description=(
             "Rewrite positive braid words with five traceable rules; "

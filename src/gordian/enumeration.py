@@ -16,6 +16,9 @@ count is checked against the ``(2m)^{4m}`` ceiling.
 :func:`positive_path_search` looks for an explicit five-rule path between two
 given words whose every intermediate stays a positive braid knot, and
 :func:`verify_positive_path` replays any trace and confirms that property.
+The search keys states by least rotation and expands each move of the closed
+word once, at the least rotation that makes it: about one candidate per
+letter, where listing every move of every rotation gives about ``L²``.
 """
 
 from __future__ import annotations
@@ -320,41 +323,38 @@ def format_enumeration_report(result: EnumerationResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _search_neighbours(word: BraidWord):
-    """Deterministic neighbour expansion: every rotation, then rule kinds in
-    fixed order with positions ascending.  Yields (steps, word) pairs where
-    ``steps`` is the (rotation?, move) recipe that produced the word."""
-    for r in range(word.length if word.length else 1):
-        if r == 0:
-            rotated = word
-            prefix: tuple[tuple, ...] = ()
-        else:
-            rotated = BraidWord(word.strands, word.letters[r:] + word.letters[:r])
-            prefix = ((CONJUGATE, r),)
-        letters = rotated.letters
-        for q in range(len(letters) - 1):
-            if abs(letters[q] - letters[q + 1]) >= 2:
-                yield prefix + ((DISTANT_SWAP, q),), BraidWord(
-                    word.strands, letters[:q] + (letters[q + 1], letters[q]) + letters[q + 2 :]
-                )
-        for q in range(len(letters) - 2):
-            a, b, c = letters[q : q + 3]
+def _cyclic_moves(strands: int, letters: tuple[int, ...]):
+    """Every move on the closed word once, at the least rotation that makes it.
+
+    A move at position q of rotation r is a rotation of the same move at
+    cyclic position (r + q) mod L.  Rotation 0 therefore carries every move
+    that does not wrap past the end, rotation 1 the pair at L − 2 and the
+    triple at L − 3, and rotation 2 the triple at L − 3.  Within a rotation
+    the kinds come in a fixed order (distant swaps, braid moves, the
+    destabilization, crossing changes), positions ascending.  Yields
+    ``(recipe, strands, letters)``; the recipe is the (rotation?, move)
+    sequence of ``(kind, arg)`` pairs that gives the letters.
+    """
+    length = len(letters)
+    top = strands - 1
+    for r in range(min(length, 3) or 1):
+        word = letters[r:] + letters[:r]
+        prefix = ((CONJUGATE, r),) if r else ()
+        pairs = range((0, length - 2, length - 1)[r], length - 1)
+        for q in pairs:
+            a, b = word[q], word[q + 1]
+            if abs(a - b) >= 2:
+                yield prefix + ((DISTANT_SWAP, q),), strands, word[:q] + (b, a) + word[q + 2 :]
+        for q in range(max(length - 3, 0) if r else 0, length - 2):
+            a, b, c = word[q : q + 3]
             if a == c and abs(a - b) == 1:
-                yield prefix + ((NEIGHBOR_BRAID, q),), BraidWord(
-                    word.strands, letters[:q] + (b, a, b) + letters[q + 3 :]
-                )
-        top = word.strands - 1
-        if top >= 1 and letters.count(top) == 1:
-            q = letters.index(top)
-            if all(letter < top for letter in letters[:q] + letters[q + 1 :]):
-                yield prefix + ((DESTABILIZE, None),), BraidWord(
-                    word.strands - 1, letters[:q] + letters[q + 1 :]
-                )
-        for q in range(len(letters) - 1):
-            if letters[q] == letters[q + 1]:
-                yield prefix + ((CROSSING_CHANGE, q),), BraidWord(
-                    word.strands, letters[:q] + letters[q + 2 :]
-                )
+                yield prefix + ((NEIGHBOR_BRAID, q),), strands, word[:q] + (b, a, b) + word[q + 3 :]
+        if not r and top >= 1 and word.count(top) == 1:
+            q = word.index(top)
+            yield ((DESTABILIZE, None),), top, word[:q] + word[q + 1 :]
+        for q in pairs:
+            if word[q] == word[q + 1]:
+                yield prefix + ((CROSSING_CHANGE, q),), strands, word[:q] + word[q + 2 :]
 
 
 def _replay_recipe(tb: TraceBuilder, steps: tuple[tuple, ...]) -> None:
@@ -379,9 +379,11 @@ def positive_path_search(
 ) -> RewriteTrace:
     """Breadth-first search for a five-rule path from ``source`` to ``target``.
 
-    States are deduplicated by strand count plus canonical rotation; states
-    whose unknotting number falls below the target's or whose length exceeds
-    the source's are pruned.  The returned trace ends at ``target`` letter for
+    States are deduplicated by strand count plus canonical rotation, and each
+    expanded state lists every move on its closed word once (about one per
+    letter), on plain letter tuples; only the path found is built as words.
+    States whose unknotting number falls below the target's are pruned; no
+    move lengthens a word.  The returned trace ends at ``target`` letter for
     letter.  Raises :class:`NotFoundWithinBudget` when the limits are hit —
     which is not a nonexistence proof.
     """
@@ -394,14 +396,14 @@ def positive_path_search(
             "unknotting number can only decrease along a positive path"
         )
 
-    def key(word: BraidWord) -> tuple[int, tuple[int, ...]]:
-        return (word.strands, min(_rotations(word.letters)))
+    def key(strands: int, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return (strands, min(_rotations(letters)))
 
-    goal = key(target)
-    start_key = key(source)
+    goal = key(target.strands, target.letters)
+    start_key = key(source.strands, source.letters)
     parents: dict[tuple, tuple | None] = {start_key: None}
-    recipes: dict[tuple, tuple[tuple[tuple, ...], BraidWord]] = {
-        start_key: ((), source)
+    recipes: dict[tuple, tuple[tuple[tuple, ...], int, tuple[int, ...]]] = {
+        start_key: ((), source.strands, source.letters)
     }
     frontier: deque[tuple] = deque([start_key])
     depth_of = {start_key: 0}
@@ -416,17 +418,16 @@ def positive_path_search(
             raise NotFoundWithinBudget(
                 f"no path found within {max_nodes} expanded states"
             )
-        word = recipes[state][1]
-        for steps, neighbour in _search_neighbours(word):
-            if neighbour.length > source.length:
+        _, strands, letters = recipes[state]
+        for steps, n, neighbour in _cyclic_moves(strands, letters):
+            # Every move keeps the closure's cycle type; check it anyway.
+            if unknotting_number(BraidWord._trusted(n, neighbour)) < u_target:
                 continue
-            if unknotting_number(neighbour) < u_target:
-                continue
-            nkey = key(neighbour)
+            nkey = key(n, neighbour)
             if nkey in parents:
                 continue
             parents[nkey] = state
-            recipes[nkey] = (steps, neighbour)
+            recipes[nkey] = (steps, n, neighbour)
             depth_of[nkey] = depth_of[state] + 1
             if nkey == goal:
                 found = True

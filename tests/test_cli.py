@@ -1,11 +1,14 @@
 """Command-line surface: outputs, file emission, exit codes."""
 
 import re
+from pathlib import Path
 
 import pytest
 
-from gordian import TraceBuilder, format_word, parse_word, serialize_trace, unknot
+from gordian import TraceBuilder, format_word, parse_word, serialize_trace, torus_braid, unknot
 from gordian.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -194,6 +197,34 @@ class TestSearch:
         code, _, err = run(capsys, "search", "3: 2 1 2 1 2 1 2 1 2 1", "1:", "--nodes", "5")
         assert code == 3
         assert err.startswith("error:")
+
+    # Frozen outputs: the README example T(3,4) → T(2,5), T(3,7) → T(2,7),
+    # and a 4-strand, 21-letter word one crossing change above its target.
+    @pytest.mark.parametrize(
+        "name, source, target",
+        [
+            ("search_t34_t25", "3: 2 1 2 1 2 1 2 1", "2: 1 1 1 1 1"),
+            ("search_t37_t27", format_word(torus_braid(3, 7)), format_word(torus_braid(2, 7))),
+            (
+                "search_4x21",
+                "4: 1 3 2 3 2 3 2 1 3 2 3 1 2 1 2 3 2 3 2 1 3",
+                "4: 3 3 2 3 2 3 2 1 3 2 3 1 2 1 2 3 2 3 2",
+            ),
+        ],
+    )
+    def test_matches_golden(self, capsys, tmp_path, monkeypatch, name, source, target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", source, target, "--trace", "search.trace")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        assert (tmp_path / "search.trace").read_bytes() == (GOLDEN / f"{name}.trace").read_bytes()
+
+    def test_hard_pair_fails_within_default_budgets(self, capsys):
+        """T(4,5) → T(2,7) has a positive path, but not within depth 16."""
+        source, target = format_word(torus_braid(4, 5)), format_word(torus_braid(2, 7))
+        code, out, err = run(capsys, "search", source, target)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: no path found within depth 16 and 50000 states"]
 
 
 def v1_text(trace) -> str:
@@ -385,3 +416,18 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_bad_argument_is_one_line(self, capsys):
+        code, out, err = run(capsys, "torus", "x", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: gordian torus: argument p: invalid int value: 'x'\n"
+
+    def test_unknown_option_is_one_line(self, capsys):
+        code, out, err = run(capsys, "torus", "3", "4", "--bogus")
+        assert (code, out) == (2, "")
+        assert err == "error: gordian: unrecognized arguments: --bogus\n"
+
+    def test_missing_argument_in_subcommand_is_one_line(self, capsys):
+        code, _, err = run(capsys, "adjacency", "ci", "2")
+        assert code == 2
+        assert err == "error: gordian adjacency ci: the following arguments are required: k\n"

@@ -41,7 +41,7 @@ from gordian.rules import (
     NEIGHBOR_BRAID,
     TraceBuilder,
 )
-from gordian.enumeration import _commutation_least
+from gordian.enumeration import _commutation_least, _cyclic_moves
 
 
 @st.composite
@@ -146,6 +146,53 @@ def greedy_commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
                 best = idx
         out.append(remaining.pop(best))
     return tuple(out)
+
+
+def search_neighbours(word: BraidWord):
+    """Oracle: every move at every rotation of the word, rule kinds in fixed
+    order with positions ascending.  Yields (steps, word) pairs where
+    ``steps`` is the (rotation?, move) recipe that produced the word."""
+    for r in range(word.length if word.length else 1):
+        if r == 0:
+            rotated = word
+            prefix: tuple[tuple, ...] = ()
+        else:
+            rotated = BraidWord(word.strands, word.letters[r:] + word.letters[:r])
+            prefix = ((CONJUGATE, r),)
+        letters = rotated.letters
+        for q in range(len(letters) - 1):
+            if abs(letters[q] - letters[q + 1]) >= 2:
+                yield prefix + ((DISTANT_SWAP, q),), BraidWord(
+                    word.strands, letters[:q] + (letters[q + 1], letters[q]) + letters[q + 2 :]
+                )
+        for q in range(len(letters) - 2):
+            a, b, c = letters[q : q + 3]
+            if a == c and abs(a - b) == 1:
+                yield prefix + ((NEIGHBOR_BRAID, q),), BraidWord(
+                    word.strands, letters[:q] + (b, a, b) + letters[q + 3 :]
+                )
+        top = word.strands - 1
+        if top >= 1 and letters.count(top) == 1:
+            q = letters.index(top)
+            if all(letter < top for letter in letters[:q] + letters[q + 1 :]):
+                yield prefix + ((DESTABILIZE, None),), BraidWord(
+                    word.strands - 1, letters[:q] + letters[q + 1 :]
+                )
+        for q in range(len(letters) - 1):
+            if letters[q] == letters[q + 1]:
+                yield prefix + ((CROSSING_CHANGE, q),), BraidWord(
+                    word.strands, letters[:q] + letters[q + 2 :]
+                )
+
+
+def first_hits(moves) -> list[tuple[tuple, tuple]]:
+    """Each search key (strands, least rotation) with the recipe that first
+    reaches it, in order of first hit."""
+    hits: dict[tuple, tuple] = {}
+    for recipe, strands, letters in moves:
+        least = min((letters[r:] + letters[:r] for r in range(len(letters))), default=())
+        hits.setdefault((strands, least), recipe)
+    return list(hits.items())
 
 
 def _identity(size: int) -> list[list[LaurentPoly]]:
@@ -272,6 +319,25 @@ class TestKernelsMatchOracles:
     @settings(max_examples=500)
     def test_commutation_least_matches_greedy_scan(self, word):
         assert _commutation_least(word.letters) == greedy_commutation_least(word.letters)
+
+    # Words of 0 to 3 letters reach the wrap-around moves: the crossing change
+    # and the distant swap on the pair at L − 2 of rotation 1, and the braid
+    # moves on the triple at L − 3 of rotations 1 and 2.
+    @given(braid_words(max_strands=7, max_length=16))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(3, ()))
+    @example(parse_word("2: 1"))
+    @example(parse_word("3: 2"))
+    @example(parse_word("2: 1 1"))
+    @example(parse_word("4: 3 1"))
+    @example(parse_word("3: 1 2 1"))
+    @example(parse_word("4: 1 2 3"))
+    @example(parse_word("3: 1 1 2"))
+    @example(parse_word("3: 2 1 1"))
+    @settings(max_examples=500)
+    def test_cyclic_moves_meet_keys_as_every_rotation_does(self, word):
+        oracle = ((steps, w.strands, w.letters) for steps, w in search_neighbours(word))
+        assert first_hits(_cyclic_moves(word.strands, word.letters)) == first_hits(oracle)
 
 
 class TestFormatRoundTrips:
@@ -425,7 +491,8 @@ class TestCliExitCodes:
     def test_exit_code_and_one_line_error(self, verify_dir, data):
         command = data.draw(st.sampled_from(("info", "alexander", "unknot", "torus", "verify")))
         if command == "torus":
-            args = [str(data.draw(st.integers(-3, 12))) for _ in range(2)]
+            number = st.integers(-3, 12).map(str)
+            args = [data.draw(st.one_of(number, st.text(ARGV_CHARS, max_size=5))) for _ in range(2)]
         elif command == "verify":
             path = verify_dir / "input"
             content = data.draw(
@@ -442,10 +509,10 @@ class TestCliExitCodes:
             args = [str(data.draw(st.sampled_from((path, verify_dir, verify_dir / "absent"))))]
         else:
             args = [data.draw(word_arguments())]
-        # "--" keeps junk that starts with "-" from being read as an option:
-        # argparse's own usage errors are two lines, usage and message.
+        # Junk that starts with "-" is read as an option, and its usage error
+        # must be one line too.
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--", *args])
+            code = main([command, *args])
         assert code in (0, 1, 2, 3)
         assert len(err.getvalue().splitlines()) <= 1
