@@ -19,20 +19,13 @@ from .adjacency import (
     adjacency_catalog,
     adjacency_ci,
     adjacency_cin,
-    decompose_twists,
     delete_link_subword,
-    endpoint_word,
-    format_endpoint,
-    full_twist,
     parse_certificate,
-    peel_full_twist,
     serialize_certificate,
     strip_top_strand,
     verify_certificate,
-    wrap_commute,
 )
 from .alexander import (
-    EquivalenceEvidence,
     LaurentPoly,
     alexander,
     closures_equivalent_evidence,
@@ -42,7 +35,6 @@ from .enumeration import (
     EnumerationResult,
     KnotClass,
     canonical_form,
-    canonical_rotation,
     enumerate_positive_knots,
     format_enumeration_report,
     minimize_word,
@@ -75,8 +67,7 @@ from .rules import (
     apply_destabilize,
     apply_distant_swap,
     apply_neighbor_braid,
-    apply_step,
-    neighbor_braid_direction,
+    legal_moves,
     parse_trace,
     replay,
     serialize_trace,
@@ -84,7 +75,6 @@ from .rules import (
 from .unknotting import (
     generator_support_check,
     reduce_single_generator,
-    reduce_subword,
     unknot,
     unknotting_sequence,
 )
@@ -136,13 +126,11 @@ __all__ = [
     "apply_destabilize",
     "apply_distant_swap",
     "apply_neighbor_braid",
-    "apply_step",
-    "neighbor_braid_direction",
+    "legal_moves",
     "parse_trace",
     "replay",
     "serialize_trace",
     # invariants
-    "EquivalenceEvidence",
     "LaurentPoly",
     "alexander",
     "closures_equivalent_evidence",
@@ -150,7 +138,6 @@ __all__ = [
     # unknotting
     "generator_support_check",
     "reduce_single_generator",
-    "reduce_subword",
     "unknot",
     "unknotting_sequence",
     # adjacency
@@ -164,22 +151,15 @@ __all__ = [
     "adjacency_catalog",
     "adjacency_ci",
     "adjacency_cin",
-    "decompose_twists",
     "delete_link_subword",
-    "endpoint_word",
-    "format_endpoint",
-    "full_twist",
     "parse_certificate",
-    "peel_full_twist",
     "serialize_certificate",
     "strip_top_strand",
     "verify_certificate",
-    "wrap_commute",
     # enumeration and search
     "EnumerationResult",
     "KnotClass",
     "canonical_form",
-    "canonical_rotation",
     "enumerate_positive_knots",
     "format_enumeration_report",
     "minimize_word",

@@ -405,7 +405,7 @@ def delete_link_subword(beta_prime: BraidWord, w: BraidWord) -> AdjacencyCertifi
     region_len = w.length
     for level in range(combined.strands - 1, 0, -1):
         region_len = _reduce(tb, beta_prime.length, region_len, level)
-        region = tb.word.letters[beta_prime.length : beta_prime.length + region_len]
+        region = tb.letters[beta_prime.length : beta_prime.length + region_len]
         if level in region:
             raise AssertionError(
                 f"σ_{level} survived reduction of an identity-permutation region"
@@ -487,7 +487,7 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
         [("wrap", n), ("twist", n)] * c,
         [("twist", n)] * c + [("wrap", n)] * c,
     )
-    tb.conjugate(tb.word.length - n * (n - 1))
+    tb.conjugate(len(tb.letters) - n * (n - 1))
     arrange_blocks(
         tb,
         (c + 1) * n * (n - 1),
@@ -534,7 +534,7 @@ def _three_from_four_8k5(k: int) -> AdjacencyCertificate:
     tb.destabilize()
     cascade(tb, 6 * c + 4 * (k + 1), 2, k)
     tb.crossing_change(6 * c + 4 * (k + 1) - 1)
-    ell = tb.word.length  # 18k + 10, preserved from here on
+    ell = len(tb.letters)  # 18k + 10, preserved from here on
     tb.conjugate(ell - (2 * k + 1))
     ones = ("run", (1,) * (2 * k + 1))
     arrange_blocks(
@@ -564,7 +564,7 @@ def _three_from_four_8k7(k: int) -> AdjacencyCertificate:
     target = TorusParams(3, 9 * k + 8)
     tb = TraceBuilder(torus_braid(source.p, source.q))
     run_program(tb, ext_prog(3, 3), 12 * c)
-    tb.conjugate(tb.word.length - 6)
+    tb.conjugate(len(tb.letters) - 6)
     for t in range(c):
         run_program(tb, peel_prog(4), 6 + t * 12)
     arrange_blocks(
@@ -585,7 +585,7 @@ def _three_from_four_8k7(k: int) -> AdjacencyCertificate:
         tb,
         full_twist_letters(3) * (c + 1) + (1,) * (2 * k + 3) + (2,) + wrap(2) * k,
     )
-    ell = tb.word.length  # 18k + 16, preserved from here on
+    ell = len(tb.letters)  # 18k + 16, preserved from here on
     arrange_blocks(
         tb,
         0,
@@ -660,7 +660,7 @@ def _two_from_four_4k1(k: int) -> AdjacencyCertificate:
         [("wrap", 2)] * k + [("run", (1,) * (2 * k + 1))],
         [("run", (1,) * (2 * k + 1))] + [("wrap", 2)] * k,
     )
-    tb.conjugate(tb.word.length - 1)
+    tb.conjugate(len(tb.letters) - 1)
     cascade(tb, 4 * k + 2, 2, k)
     tb.destabilize()
     expect_word(tb, (1,) * (6 * k + 3))
@@ -673,7 +673,7 @@ def _two_from_four_4k3(k: int) -> AdjacencyCertificate:
     target = TorusParams(2, 6 * k + 5)
     tb = TraceBuilder(torus_braid(source.p, source.q))
     run_program(tb, ext_prog(3, 3), 12 * k)
-    tb.conjugate(tb.word.length - 6)
+    tb.conjugate(len(tb.letters) - 6)
     for t in range(k):
         run_program(tb, peel_prog(4), 6 + t * 12)
     arrange_blocks(
@@ -703,14 +703,14 @@ def _two_from_four_4k3(k: int) -> AdjacencyCertificate:
         [("run", (1, 1))] + [("wrap", 2)] * k,
         [("wrap", 2)] * k + [("run", (1, 1))],
     )
-    tb.conjugate(tb.word.length - 2)
+    tb.conjugate(len(tb.letters) - 2)
     arrange_blocks(
         tb,
         2,
         [("wrap", 2), ("wrap", 1)] * k + [("run", (1, 1, 1))],
         [("run", (1, 1, 1))] + [("wrap", 2), ("wrap", 1)] * k,
     )
-    tb.conjugate(tb.word.length - 4 * k)
+    tb.conjugate(len(tb.letters) - 4 * k)
     arrange_blocks(
         tb,
         0,

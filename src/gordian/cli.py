@@ -9,6 +9,7 @@ enumeration budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .adjacency import (
@@ -210,7 +211,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(
         prog="gordian",
         description=(

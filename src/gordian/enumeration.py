@@ -36,13 +36,12 @@ from .errors import (
     TraceCorrupt,
 )
 from .rules import (
-    CONJUGATE,
     CROSSING_CHANGE,
-    DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
     RewriteTrace,
     TraceBuilder,
+    legal_moves,
     replay,
 )
 from .unknotting import generator_support_check, reduce_single_generator
@@ -75,9 +74,14 @@ def _rotations(letters: tuple[int, ...]):
         yield letters[r:] + letters[:r]
 
 
+def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation: the key of a rotation class."""
+    return min(_rotations(letters))
+
+
 def canonical_rotation(word: BraidWord) -> BraidWord:
     """The lexicographically least rotation — a cheap conjugacy-stable key."""
-    return BraidWord(word.strands, min(_rotations(word.letters)))
+    return BraidWord(word.strands, _least_rotation(word.letters))
 
 
 def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,31 +128,22 @@ def _reducible(strands: int, letters: tuple[int, ...]) -> bool:
 
 
 def _orbit_search_reduce(word: BraidWord, node_cap: int) -> BraidWord | None:
-    """Bounded BFS over rotation/braid/swap neighbours for a reducible word."""
-    seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque()
-    for rot in _rotations(word.letters):
-        if rot not in seen:
-            seen.add(rot)
-            queue.append(rot)
+    """Bounded BFS over rotation classes, through braid moves and distant
+    swaps, for a reducible word; a class is keyed by its least rotation."""
+    strands = word.strands
+    start = _least_rotation(word.letters)
+    seen = {start}
+    queue = deque([start])
     while queue and len(seen) <= node_cap:
         letters = queue.popleft()
-        if _reducible(word.strands, letters):
-            return reduce_single_generator(BraidWord._trusted(word.strands, letters))
-        neighbours: list[tuple[int, ...]] = []
-        for q in range(len(letters) - 2):
-            a, b, c = letters[q : q + 3]
-            if a == c and abs(a - b) == 1:
-                neighbours.append(letters[:q] + (b, a, b) + letters[q + 3 :])
-        for q in range(len(letters) - 1):
-            a, b = letters[q : q + 2]
-            if abs(a - b) >= 2:
-                neighbours.append(letters[:q] + (b, a) + letters[q + 2 :])
-        for neighbour in neighbours:
-            for rot in _rotations(neighbour):
-                if rot not in seen:
-                    seen.add(rot)
-                    queue.append(rot)
+        if _reducible(strands, letters):
+            return reduce_single_generator(BraidWord._trusted(strands, letters))
+        for recipe, _, neighbour in legal_moves(strands, letters):
+            if recipe[-1].kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
+                key = _least_rotation(neighbour)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(key)
     return None
 
 
@@ -157,7 +152,8 @@ def minimize_word(word: BraidWord, node_cap: int = 20000) -> BraidWord:
 
     Alternates greedy single-occurrence generator removal with a bounded
     search through rotations, braid moves, and distant swaps for a word where
-    the greedy step applies again.
+    the greedy step applies again.  ``node_cap`` bounds the rotation classes
+    one search visits.
     """
     current = word
     while True:
@@ -286,7 +282,7 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
             if not is_knot(candidate):
                 continue
             knot_words += 1
-            if letters == min(_rotations(letters)):
+            if letters == _least_rotation(letters):
                 raw_forms.add(canonical_form(candidate))
     return build()
 
@@ -323,54 +319,6 @@ def format_enumeration_report(result: EnumerationResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_moves(strands: int, letters: tuple[int, ...]):
-    """Every move on the closed word once, at the least rotation that makes it.
-
-    A move at position q of rotation r is a rotation of the same move at
-    cyclic position (r + q) mod L.  Rotation 0 therefore carries every move
-    that does not wrap past the end, rotation 1 the pair at L − 2 and the
-    triple at L − 3, and rotation 2 the triple at L − 3.  Within a rotation
-    the kinds come in a fixed order (distant swaps, braid moves, the
-    destabilization, crossing changes), positions ascending.  Yields
-    ``(recipe, strands, letters)``; the recipe is the (rotation?, move)
-    sequence of ``(kind, arg)`` pairs that gives the letters.
-    """
-    length = len(letters)
-    top = strands - 1
-    for r in range(min(length, 3) or 1):
-        word = letters[r:] + letters[:r]
-        prefix = ((CONJUGATE, r),) if r else ()
-        pairs = range((0, length - 2, length - 1)[r], length - 1)
-        for q in pairs:
-            a, b = word[q], word[q + 1]
-            if abs(a - b) >= 2:
-                yield prefix + ((DISTANT_SWAP, q),), strands, word[:q] + (b, a) + word[q + 2 :]
-        for q in range(max(length - 3, 0) if r else 0, length - 2):
-            a, b, c = word[q : q + 3]
-            if a == c and abs(a - b) == 1:
-                yield prefix + ((NEIGHBOR_BRAID, q),), strands, word[:q] + (b, a, b) + word[q + 3 :]
-        if not r and top >= 1 and word.count(top) == 1:
-            q = word.index(top)
-            yield ((DESTABILIZE, None),), top, word[:q] + word[q + 1 :]
-        for q in pairs:
-            if word[q] == word[q + 1]:
-                yield prefix + ((CROSSING_CHANGE, q),), strands, word[:q] + word[q + 2 :]
-
-
-def _replay_recipe(tb: TraceBuilder, steps: tuple[tuple, ...]) -> None:
-    for kind, arg in steps:
-        if kind == CONJUGATE:
-            tb.conjugate(arg)
-        elif kind == DISTANT_SWAP:
-            tb.distant_swap(arg)
-        elif kind == NEIGHBOR_BRAID:
-            tb.neighbor_braid(arg)
-        elif kind == DESTABILIZE:
-            tb.destabilize()
-        else:
-            tb.crossing_change(arg)
-
-
 def positive_path_search(
     source: BraidWord,
     target: BraidWord,
@@ -381,7 +329,8 @@ def positive_path_search(
 
     States are deduplicated by strand count plus canonical rotation, and each
     expanded state lists every move on its closed word once (about one per
-    letter), on plain letter tuples; only the path found is built as words.
+    letter, by :func:`~gordian.rules.legal_moves`), on plain letter tuples;
+    only the path found is built as words.
     States whose unknotting number falls below the target's are pruned; no
     move lengthens a word.  The returned trace ends at ``target`` letter for
     letter.  Raises :class:`NotFoundWithinBudget` when the limits are hit —
@@ -397,7 +346,7 @@ def positive_path_search(
         )
 
     def key(strands: int, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return (strands, min(_rotations(letters)))
+        return (strands, _least_rotation(letters))
 
     goal = key(target.strands, target.letters)
     start_key = key(source.strands, source.letters)
@@ -419,7 +368,7 @@ def positive_path_search(
                 f"no path found within {max_nodes} expanded states"
             )
         _, strands, letters = recipes[state]
-        for steps, n, neighbour in _cyclic_moves(strands, letters):
+        for steps, n, neighbour in legal_moves(strands, letters):
             # Every move keeps the closure's cycle type; check it anyway.
             if unknotting_number(BraidWord._trusted(n, neighbour)) < u_target:
                 continue
@@ -437,7 +386,7 @@ def positive_path_search(
         raise NotFoundWithinBudget(
             f"no path found within depth {max_depth} and {max_nodes} states"
         )
-    chain: list[tuple[tuple, ...]] = []
+    chain: list[tuple] = []
     cursor: tuple | None = goal
     while cursor is not None and parents[cursor] is not None:
         chain.append(recipes[cursor][0])
@@ -445,10 +394,12 @@ def positive_path_search(
     chain.reverse()
     tb = TraceBuilder(source)
     for steps in chain:
-        _replay_recipe(tb, steps)
+        for step in steps:
+            tb.apply(step)
     # Land on the target letters exactly, not just its rotation class.
-    for r in range(tb.word.length if tb.word.length else 1):
-        if tb.word.letters[r:] + tb.word.letters[:r] == target.letters:
+    letters = tuple(tb.letters)
+    for r in range(len(letters) or 1):
+        if letters[r:] + letters[:r] == target.letters:
             tb.conjugate(r)
             break
     else:

@@ -14,18 +14,19 @@ patterns on ``n`` strands (letters are generator indices, 1-based):
 
 Two layers are built on top:
 
-* **Step programs** — plain lists of relative steps (``("ds", q)``,
-  ``("nb", q)``, …) that can be shifted to an offset, inverted, or mirrored,
-  and then run through a builder.  The named programs (``move_b_prog``,
-  ``move_d_prog``, ``move_z_prog``, ``ext_prog``, ``peel_prog``,
-  ``conv_prog``) realize the letter-commutation identities the larger
-  constructions are made of.
-* **Regional programs** — step programs extended with a subword-rotation
-  instruction, describing a rewrite of a suffix region *abstractly* so the
-  same program can be replayed inside different ambient words
-  (:func:`run_regional`).  The rotation is realized by walking letters around
-  the closure, so the ambient prefix must be described by *block
-  descriptors* the moving letters are known to commute past.
+* **Step programs** — lists of :class:`~gordian.rules.RewriteStep` with
+  relative positions, which can be shifted to an offset, inverted, or
+  mirrored, and then run through a builder.  The named programs
+  (``move_b_prog``, ``move_d_prog``, ``move_z_prog``, ``ext_prog``,
+  ``peel_prog``, ``conv_prog``) realize the letter-commutation identities
+  the larger constructions are made of.
+* **Regional programs** — step programs with one more instruction, the
+  subword rotation ``("rconj", L, LB, RB)``, describing a rewrite of a
+  suffix region *abstractly* so the same program can be replayed inside
+  different ambient words (:func:`run_regional`).  The rotation is realized
+  by walking letters around the closure, so the ambient prefix must be
+  described by *block descriptors* the moving letters are known to commute
+  past.
 
 Block descriptors are tuples: ``("letter", m)`` a single letter,
 ``("wrap", j)`` the 2j-letter wrap, ``("twist", a)`` the full twist on ``a``
@@ -38,10 +39,21 @@ legally commute past the other.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from .errors import IllegalStep
-from .rules import TraceBuilder
+from .rules import (
+    CONJUGATE,
+    CROSSING_CHANGE,
+    DISTANT_SWAP,
+    NEIGHBOR_BRAID,
+    RewriteStep,
+    TraceBuilder,
+)
 from .words import ascending_run, descending_run
+
+_swap = partial(RewriteStep, DISTANT_SWAP)  # _swap(q): the pair at q commutes
+_braid = partial(RewriteStep, NEIGHBOR_BRAID)  # _braid(q): braid move on the triple at q
 
 __all__ = [
     "wrap",
@@ -115,48 +127,59 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 # step programs
 # ---------------------------------------------------------------------------
 #
-# A program is a list of tuples with relative positions:
-#   ("ds", q)   distant swap with the pair starting at q
-#   ("nb", q)   braid-relation rewrite of the triple starting at q
-#   ("cc", q)   crossing change deleting the equal pair at q
-#   ("conj", a) whole-word rotation (only legal at offset 0)
-#   ("destab",) destabilization (only legal at offset 0)
+# A program is a list of RewriteSteps whose positions are relative to an
+# offset chosen when the program runs.  A neighbor-braid step carries no
+# direction: the builder reads it off the word.  Rotations and the
+# destabilization act on the whole word, so they run only at offset 0.
 
 
-def shift_program(prog: list[tuple], offset: int) -> list[tuple]:
-    """Translate the positional steps of a program by ``offset``."""
-    out = []
-    for step in prog:
-        kind = step[0]
-        if kind in ("ds", "nb", "cc"):
-            out.append((kind, step[1] + offset))
-        elif offset == 0:
-            out.append(step)
-        else:
-            raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
-    return out
+def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
+    """``step`` with its position translated by ``offset``."""
+    if step.position is not None:
+        return RewriteStep(step.kind, step.position + offset, step.direction)
+    if offset:
+        raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
+    return step
 
 
-def invert_program(prog: list[tuple]) -> list[tuple]:
-    """Reverse an isotopy program (no crossing changes, no destabilization).
+def _invert_step(step: RewriteStep) -> RewriteStep:
+    """The isotopy step that undoes ``step`` on the word ``step`` produced.
 
     Distant swaps are self-inverse in place; braid-relation rewrites invert in
     place because the opposite pattern sits at the same position afterwards;
     rotations invert by negating the amount.
     """
-    out = []
-    for step in reversed(prog):
-        kind = step[0]
-        if kind in ("ds", "nb"):
-            out.append(step)
-        elif kind == "conj":
-            out.append(("conj", -step[1]))
-        else:
-            raise IllegalStep(f"a {kind} step cannot be inverted")
-    return out
+    if step.kind == DISTANT_SWAP:
+        return step
+    if step.kind == NEIGHBOR_BRAID:
+        return RewriteStep(NEIGHBOR_BRAID, step.position)
+    if step.kind == CONJUGATE:
+        return RewriteStep(CONJUGATE, amount=-step.amount)
+    raise IllegalStep(f"a {step.kind} step cannot be inverted")
 
 
-def mirror_program(prog: list[tuple], length: int) -> list[tuple]:
+def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
+    """``step`` conjugated by reversal of a word of ``length`` letters."""
+    if step.kind == NEIGHBOR_BRAID:
+        return RewriteStep(NEIGHBOR_BRAID, length - 3 - step.position)
+    if step.kind in (DISTANT_SWAP, CROSSING_CHANGE):
+        return RewriteStep(step.kind, length - 2 - step.position)
+    if step.kind == CONJUGATE:
+        return RewriteStep(CONJUGATE, amount=length - step.amount)
+    raise IllegalStep(f"a {step.kind} step cannot be mirrored")
+
+
+def shift_program(prog: list[RewriteStep], offset: int) -> list[RewriteStep]:
+    """Translate the positional steps of a program by ``offset``."""
+    return [_step_at(step, offset) for step in prog]
+
+
+def invert_program(prog: list[RewriteStep]) -> list[RewriteStep]:
+    """Reverse an isotopy program (no crossing changes, no destabilization)."""
+    return [_invert_step(step) for step in reversed(prog)]
+
+
+def mirror_program(prog: list[RewriteStep], length: int) -> list[RewriteStep]:
     """Conjugate a program by letter-order reversal.
 
     If ``prog`` rewrites a word ``w`` of the given length into ``w'``, the
@@ -165,49 +188,24 @@ def mirror_program(prog: list[tuple], length: int) -> list[tuple]:
     """
     out = []
     for step in prog:
-        kind = step[0]
-        if kind == "ds":
-            out.append(("ds", length - 2 - step[1]))
-        elif kind == "nb":
-            out.append(("nb", length - 3 - step[1]))
-        elif kind == "cc":
-            out.append(("cc", length - 2 - step[1]))
+        out.append(_mirror_step(step, length))
+        if step.kind == CROSSING_CHANGE:
             length -= 2
-        elif kind == "conj":
-            out.append(("conj", length - step[1]))
-        else:
-            raise IllegalStep(f"a {kind} step cannot be mirrored")
     return out
 
 
-def run_program(tb: TraceBuilder, prog: list[tuple], offset: int = 0) -> None:
+def run_program(tb: TraceBuilder, prog: list[RewriteStep], offset: int = 0) -> None:
     """Apply a program through the builder, translating positions by ``offset``."""
     for step in prog:
-        kind = step[0]
-        if kind == "ds":
-            tb.distant_swap(step[1] + offset)
-        elif kind == "nb":
-            tb.neighbor_braid(step[1] + offset)
-        elif kind == "cc":
-            tb.crossing_change(step[1] + offset)
-        elif kind == "conj":
-            if offset:
-                raise IllegalStep("rotation steps are only legal at offset 0")
-            tb.conjugate(step[1])
-        elif kind == "destab":
-            if offset:
-                raise IllegalStep("destabilization steps are only legal at offset 0")
-            tb.destabilize()
-        else:
-            raise IllegalStep(f"unknown program step {step!r}")
+        tb.apply(_step_at(step, offset) if offset else step)
 
 
 def expect_word(tb: TraceBuilder, letters) -> None:
     """Assert the builder's whole current word equals ``letters``."""
     letters = tuple(letters)
-    if tb.word.letters != letters:
+    if tuple(tb.letters) != letters:
         raise AssertionError(
-            f"expected word {letters}, found {tb.word.letters} on {tb.word.strands} strands"
+            f"expected word {letters}, found {tuple(tb.letters)} on {tb.strands} strands"
         )
 
 
@@ -216,7 +214,7 @@ def expect_word(tb: TraceBuilder, letters) -> None:
 # ---------------------------------------------------------------------------
 
 
-def move_b_prog(m: int, i: int) -> list[tuple]:
+def move_b_prog(m: int, i: int) -> list[RewriteStep]:
     """``R_m σ_i → σ_{i-1} R_m`` for ``2 ≤ i ≤ m`` (region of m+1 letters).
 
     The trailing letter rides left through the ascending tail of ``R_m`` by
@@ -225,13 +223,13 @@ def move_b_prog(m: int, i: int) -> list[tuple]:
     """
     if not 2 <= i <= m:
         raise IllegalStep(f"move-b needs 2 <= i <= m, got i={i}, m={m}")
-    prog: list[tuple] = [("ds", q) for q in range(m - 1, m - i + 1, -1)]
-    prog.append(("nb", m - i))
-    prog += [("ds", q) for q in range(m - i - 1, -1, -1)]
+    prog: list[RewriteStep] = [_swap(q) for q in range(m - 1, m - i + 1, -1)]
+    prog.append(_braid(m - i))
+    prog += [_swap(q) for q in range(m - i - 1, -1, -1)]
     return prog
 
 
-def move_b1_prog(m: int) -> list[tuple]:
+def move_b1_prog(m: int) -> list[RewriteStep]:
     """``R_m R_m σ_1 → σ_m R_m R_m`` (region of 2m+1 letters).
 
     The trailing ``σ_1`` cannot lower any further, so it climbs: two braid
@@ -243,16 +241,16 @@ def move_b1_prog(m: int) -> list[tuple]:
     if m == 1:
         return []
     if m == 2:
-        return [("nb", 1)]
-    prog: list[tuple] = [("ds", q) for q in range(m - 1, 1, -1)]
-    prog.append(("nb", 0))
+        return [_braid(1)]
+    prog: list[RewriteStep] = [_swap(q) for q in range(m - 1, 1, -1)]
+    prog.append(_braid(0))
     prog += shift_program(move_b1_prog(m - 1), 2)
-    prog += [("nb", 0), ("nb", 1)]
-    prog += [("ds", q) for q in range(3, m + 1)]
+    prog += [_braid(0), _braid(1)]
+    prog += [_swap(q) for q in range(3, m + 1)]
     return prog
 
 
-def move_d_prog(j: int, i: int) -> list[tuple]:
+def move_d_prog(j: int, i: int) -> list[RewriteStep]:
     """``V_j σ_i → σ_i V_j`` for ``i ≤ j-1`` or ``i ≥ j+2`` (region 2j+1).
 
     A wrap commutes with every generator of the braid group it closes over;
@@ -260,18 +258,18 @@ def move_d_prog(j: int, i: int) -> list[tuple]:
     relation each, or by distant swaps alone when its index clears the wrap.
     """
     if i >= j + 2:
-        return [("ds", q) for q in range(2 * j - 1, -1, -1)]
+        return [_swap(q) for q in range(2 * j - 1, -1, -1)]
     if not 1 <= i <= j - 1:
         raise IllegalStep(f"move-d needs i <= j-1 or i >= j+2, got i={i}, j={j}")
-    prog: list[tuple] = [("ds", q) for q in range(2 * j - 1, j + i, -1)]
-    prog.append(("nb", j + i - 1))
-    prog += [("ds", q) for q in range(j + i - 2, j - i, -1)]
-    prog.append(("nb", j - i - 1))
-    prog += [("ds", q) for q in range(j - i - 2, -1, -1)]
+    prog: list[RewriteStep] = [_swap(q) for q in range(2 * j - 1, j + i, -1)]
+    prog.append(_braid(j + i - 1))
+    prog += [_swap(q) for q in range(j + i - 2, j - i, -1)]
+    prog.append(_braid(j - i - 1))
+    prog += [_swap(q) for q in range(j - i - 2, -1, -1)]
     return prog
 
 
-def move_z_prog(a: int, i: int) -> list[tuple]:
+def move_z_prog(a: int, i: int) -> list[RewriteStep]:
     """``Δ²_a σ_i → σ_i Δ²_a`` for ``i ≤ a-1`` (region a(a-1)+1 letters).
 
     The full twist is central: the letter lowers once per descending run it
@@ -281,7 +279,7 @@ def move_z_prog(a: int, i: int) -> list[tuple]:
     if not 1 <= i <= a - 1:
         raise IllegalStep(f"move-z needs 1 <= i <= a-1, got i={i}, a={a}")
     m = a - 1
-    prog: list[tuple] = []
+    prog: list[RewriteStep] = []
     idx = i
     copy = a - 1
     for _ in range(i - 1):
@@ -298,7 +296,7 @@ def move_z_prog(a: int, i: int) -> list[tuple]:
     return prog
 
 
-def ext_prog(m: int, r: int) -> list[tuple]:
+def ext_prog(m: int, r: int) -> list[RewriteStep]:
     """``R_m^r → (σ_{m-r+1} ⋯ σ_{m-1}) R_m R_{m-1}^{r-1}`` for ``1 ≤ r ≤ m``.
 
     The leading letter of the last run is pulled all the way to the front,
@@ -316,7 +314,7 @@ def ext_prog(m: int, r: int) -> list[tuple]:
     return prog
 
 
-def peel_prog(n: int) -> list[tuple]:
+def peel_prog(n: int) -> list[RewriteStep]:
     """``Δ²_n → V_{n-1} Δ²_{n-1}`` in place (region n(n-1) letters).
 
     Peeling the outermost strand off a full twist leaves its wrap around the
@@ -327,7 +325,7 @@ def peel_prog(n: int) -> list[tuple]:
     return shift_program(ext_prog(n - 1, n - 1), n - 1)
 
 
-def conv_prog(m: int) -> list[tuple]:
+def conv_prog(m: int) -> list[RewriteStep]:
     """``Δ²_m`` (descending form) ``→ A_{m-1}^m`` (ascending form) in place.
 
     Peel a wrap, convert the inner twist recursively, slide the converted
@@ -389,13 +387,13 @@ def can_cross(desc: tuple, letter: int) -> bool:
     return False
 
 
-def cross_left_prog(desc: tuple, letter: int) -> list[tuple]:
+def cross_left_prog(desc: tuple, letter: int) -> list[RewriteStep]:
     """Program for ``<block> σ_letter → σ_letter <block>``, relative to the block."""
     kind = desc[0]
     if kind == "letter":
         if abs(letter - desc[1]) < 2:
             raise IllegalStep(f"σ_{letter} cannot pass σ_{desc[1]}")
-        return [("ds", 0)]
+        return [_swap(0)]
     if kind == "wrap":
         j = desc[1]
         if j == 1 and letter == 1:
@@ -404,12 +402,12 @@ def cross_left_prog(desc: tuple, letter: int) -> list[tuple]:
     if kind == "twist":
         a = desc[1]
         if letter >= a + 1:
-            return [("ds", q) for q in range(a * (a - 1) - 1, -1, -1)]
+            return [_swap(q) for q in range(a * (a - 1) - 1, -1, -1)]
         return move_z_prog(a, letter)
     raise IllegalStep(f"block {desc!r} cannot be crossed")
 
 
-def cross_right_prog(desc: tuple, letter: int) -> list[tuple]:
+def cross_right_prog(desc: tuple, letter: int) -> list[RewriteStep]:
     """Program for ``σ_letter <block> → <block> σ_letter``, relative to the letter."""
     return invert_program(cross_left_prog(desc, letter))
 
@@ -495,16 +493,18 @@ def cascade_mirror(tb: TraceBuilder, pos: int, j: int, count: int) -> None:
 # regional programs
 # ---------------------------------------------------------------------------
 #
-# A regional program rewrites a suffix region of a word using region-relative
-# steps ("ds", q) / ("nb", q) plus the rotation instruction
+# A regional program is a step program whose positions are relative to the
+# start of a suffix region, plus one more instruction, the rotation
 #
-#   ("rconj", L, LB, RB)
+#   (RCONJ, L, LB, RB)
 #
 # meaning: inside the region, whose first blocks match the descriptors LB and
 # whose last blocks match RB, rotate the subword strictly between them left by
 # L letters.  Running the program inside an ambient word realizes the
 # rotation by walking the moved letters around the closure, commuting them
 # through LB/RB and through the ambient prefix (also given as descriptors).
+
+RCONJ = "rconj"
 
 
 def decompose_region_prog(a: int, k: int) -> list[tuple]:
@@ -535,7 +535,7 @@ def decompose_region_prog(a: int, k: int) -> list[tuple]:
                     prog += shift_program(cross_left_prog(("wrap", ap - 1), letter), wstart + c)
                 pos = wstart
         if k * lt:
-            prog.append(("rconj", k * lt, tuple(stack), ()))
+            prog.append((RCONJ, k * lt, tuple(stack), ()))
         rtail = descending_run(ap - 2)
         bpos = base + k * lw + 1
         for _ in range(k if rtail else 0):
@@ -558,13 +558,11 @@ def regional_invert(prog: list[tuple], region_len: int) -> list[tuple]:
     """Reverse a regional program (length-preserving programs only)."""
     out = []
     for step in reversed(prog):
-        if step[0] in ("ds", "nb"):
-            out.append(step)
-        elif step[0] == "rconj":
+        if step[0] == RCONJ:
             _, amount, lb, rb = step
-            out.append(("rconj", _sub_length(region_len, lb, rb) - amount, lb, rb))
+            out.append((RCONJ, _sub_length(region_len, lb, rb) - amount, lb, rb))
         else:
-            raise IllegalStep(f"regional step {step!r} cannot be inverted")
+            out.append(_invert_step(step))
     return out
 
 
@@ -580,22 +578,15 @@ def regional_mirror(prog: list[tuple], region_len: int) -> list[tuple]:
     """Conjugate a regional program by reversal of the region's letters."""
     out = []
     for step in prog:
-        if step[0] == "ds":
-            out.append(("ds", region_len - 2 - step[1]))
-        elif step[0] == "nb":
-            out.append(("nb", region_len - 3 - step[1]))
-        elif step[0] == "rconj":
+        if step[0] == RCONJ:
             _, amount, lb, rb = step
-            out.append(
-                (
-                    "rconj",
-                    _sub_length(region_len, lb, rb) - amount,
-                    tuple(_mirror_desc(d) for d in reversed(rb)),
-                    tuple(_mirror_desc(d) for d in reversed(lb)),
-                )
-            )
+            mirrored_lb = tuple(_mirror_desc(d) for d in reversed(rb))
+            mirrored_rb = tuple(_mirror_desc(d) for d in reversed(lb))
+            out.append((RCONJ, _sub_length(region_len, lb, rb) - amount, mirrored_lb, mirrored_rb))
         else:
-            raise IllegalStep(f"regional step {step!r} cannot be mirrored")
+            out.append(_mirror_step(step, region_len))
+            if step.kind == CROSSING_CHANGE:
+                region_len -= 2
     return out
 
 
@@ -605,7 +596,7 @@ def _stack_legal(movers, descs) -> bool:
 
 def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
     """Realize one subword rotation inside the ambient word."""
-    ell = tb.word.length
+    ell = len(tb.letters)
     region_len = ell - region_start
     lb_len = sum(desc_len(d) for d in lb)
     rb_len = sum(desc_len(d) for d in rb)
@@ -615,14 +606,14 @@ def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
     if amount in (0, s):
         return
     sub_start = region_start + lb_len
-    letters = tb.word.letters
+    letters = tb.letters
     movers_left = letters[sub_start : sub_start + amount]
     movers_right = letters[sub_start + amount : sub_start + s]
     if _stack_legal(movers_left, list(lb) + list(prefix) + list(rb)):
         # The first `amount` letters exit leftwards around the closure.
         for t in range(amount):
             q = t + region_start + lb_len
-            letter = tb.word.letters[q]
+            letter = letters[q]
             for desc in list(reversed(list(lb))) + list(reversed(list(prefix))):
                 q -= desc_len(desc)
                 run_program(tb, cross_left_prog(desc, letter), q)
@@ -631,7 +622,7 @@ def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
         tb.conjugate(amount)
         for t in range(amount):
             q = sub_start + (s - amount) + t + rb_len
-            letter = tb.word.letters[q]
+            letter = letters[q]
             for desc in reversed(list(rb)):
                 q -= desc_len(desc)
                 run_program(tb, cross_left_prog(desc, letter), q)
@@ -640,14 +631,14 @@ def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
         back = s - amount
         for c in range(back - 1, -1, -1):
             q = sub_start + amount + c
-            letter = tb.word.letters[q]
+            letter = letters[q]
             for desc in rb:
                 run_program(tb, cross_right_prog(desc, letter), q)
                 q += desc_len(desc)
         tb.conjugate(ell - back)
         for c in range(back - 1, -1, -1):
             q = c
-            letter = tb.word.letters[q]
+            letter = letters[q]
             for desc in list(prefix) + list(lb):
                 run_program(tb, cross_right_prog(desc, letter), q)
                 q += desc_len(desc)
@@ -657,7 +648,7 @@ def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
         raise IllegalStep("neither side of the subword can walk around the closure")
 
 
-def run_regional(tb: TraceBuilder, prog: list[tuple], region_start: int, prefix) -> None:
+def run_regional(tb: TraceBuilder, prog: list[RewriteStep], region_start: int, prefix) -> None:
     """Run a regional program on the suffix region starting at ``region_start``.
 
     ``prefix`` is a list of block descriptors describing the whole word before
@@ -669,12 +660,7 @@ def run_regional(tb: TraceBuilder, prog: list[tuple], region_start: int, prefix)
     if plen != region_start:
         raise IllegalStep("prefix descriptors must cover the word before the region")
     for step in prog:
-        kind = step[0]
-        if kind == "ds":
-            tb.distant_swap(region_start + step[1])
-        elif kind == "nb":
-            tb.neighbor_braid(region_start + step[1])
-        elif kind == "rconj":
-            _lift_rotation(tb, region_start, prefix, step[1], step[2], step[3])
+        if step[0] == RCONJ:
+            _lift_rotation(tb, region_start, prefix, *step[1:])
         else:
-            raise IllegalStep(f"unknown regional step {step!r}")
+            tb.apply(_step_at(step, region_start))

@@ -43,6 +43,7 @@ still read; replay then also checks every recorded word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IllegalStep, ParseError, TraceCorrupt
 from .words import BraidWord, format_word, parse_word
@@ -63,6 +64,7 @@ __all__ = [
     "apply_destabilize",
     "apply_crossing_change",
     "apply_step",
+    "legal_moves",
     "replay",
     "serialize_trace",
     "parse_trace",
@@ -78,14 +80,14 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    """One rule application.
+class RewriteStep(NamedTuple):
+    """One rule application, the one step type of traces, programs and moves.
 
     ``position`` is meaningful for distant-swap / neighbor-braid /
     crossing-change, ``direction`` for neighbor-braid, ``amount`` for
     conjugate.  Positions always refer to the word *immediately before* the
-    step.
+    step.  A neighbor-braid step without a direction takes the one its
+    triple shows when a :class:`TraceBuilder` applies it.
     """
 
     kind: str
@@ -253,6 +255,45 @@ def apply_crossing_change(word: BraidWord, position: int) -> BraidWord:
     return apply_step(word, RewriteStep(CROSSING_CHANGE, position=position))
 
 
+_ROTATIONS = ((), (RewriteStep(CONJUGATE, amount=1),), (RewriteStep(CONJUGATE, amount=2),))
+
+
+def legal_moves(strands: int, letters: tuple[int, ...]):
+    """Every move on the closed word once, at the least rotation that makes it.
+
+    A move at position q of rotation r is a rotation of the same move at
+    cyclic position (r + q) mod L.  Rotation 0 therefore carries every move
+    that does not wrap past the end, rotation 1 the pair at L − 2 and the
+    triple at L − 3, and rotation 2 the triple at L − 3.  Within a rotation
+    the kinds come in a fixed order (distant swaps, braid moves, the
+    destabilization, crossing changes), positions ascending.  Yields
+    ``(recipe, strands, letters)``: the recipe is the tuple of steps (a
+    rotation, if any, then the move) that turns the word into ``letters`` on
+    ``strands`` strands.  Rotations by other amounts are not listed.
+    """
+    length = len(letters)
+    top = strands - 1
+    for r in range(min(length, 3) or 1):
+        word = letters[r:] + letters[:r]
+        prefix = _ROTATIONS[r]
+        pairs = range((0, length - 2, length - 1)[r], length - 1)
+        for q in pairs:
+            a, b = word[q], word[q + 1]
+            if abs(a - b) >= 2:
+                yield prefix + (RewriteStep(DISTANT_SWAP, q),), strands, word[:q] + (b, a) + word[q + 2 :]
+        for q in range(max(length - 3, 0) if r else 0, length - 2):
+            a, b, c = word[q : q + 3]
+            if a == c and abs(a - b) == 1:
+                step = RewriteStep(NEIGHBOR_BRAID, q, FORWARD if b > a else BACKWARD)
+                yield prefix + (step,), strands, word[:q] + (b, a, b) + word[q + 3 :]
+        if not r and top >= 1 and word.count(top) == 1:
+            q = word.index(top)
+            yield (RewriteStep(DESTABILIZE),), top, word[:q] + word[q + 1 :]
+        for q in pairs:
+            if word[q] == word[q + 1]:
+                yield prefix + (RewriteStep(CROSSING_CHANGE, q),), strands, word[:q] + word[q + 2 :]
+
+
 def _walk(trace: RewriteTrace):
     """Apply the steps in turn to one list of letters, yielding the strand
     count and that (mutated) list after each; an illegal step raises
@@ -297,44 +338,62 @@ def replay(trace: RewriteTrace) -> BraidWord:
 
 
 class TraceBuilder:
-    """Mutable helper that applies rules to a current word and records steps."""
+    """Applies rules in place to one mutable list of letters and records steps.
+
+    ``letters`` and ``strands`` are the current word; callers read them but
+    change them only through :meth:`apply`.  :attr:`word` builds a
+    :class:`BraidWord` of the current word on demand.
+    """
 
     def __init__(self, initial: BraidWord):
         self.initial = initial
-        self.word = initial
+        self.letters = list(initial.letters)
+        self.strands = initial.strands
         self.crossing_changes = 0
         self._steps: list[RewriteStep] = []
+
+    @property
+    def word(self) -> BraidWord:
+        return BraidWord._trusted(self.strands, tuple(self.letters))
 
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
         return tuple(self._steps)
 
-    def _record(self, step: RewriteStep) -> None:
-        self.word = apply_step(self.word, step)
+    def apply(self, step: RewriteStep) -> None:
+        """Apply ``step`` to the current word and record it.
+
+        A neighbor-braid step without a direction is recorded with the one
+        its triple shows; a rotation is recorded modulo the length, and a
+        null rotation is not worth a step.
+        """
+        kind = step.kind
+        if kind == NEIGHBOR_BRAID and step.direction is None:
+            step = RewriteStep(kind, step.position, _braid_direction(self.letters, step.position))
+        elif kind == CONJUGATE:
+            amount = step.amount % len(self.letters) if self.letters else 0
+            if amount == 0:
+                return
+            step = RewriteStep(kind, amount=amount)
+        self.strands = _apply(self.letters, self.strands, step)
+        if kind == CROSSING_CHANGE:
+            self.crossing_changes += 1
         self._steps.append(step)
 
     def distant_swap(self, position: int) -> None:
-        self._record(RewriteStep(DISTANT_SWAP, position=position))
+        self.apply(RewriteStep(DISTANT_SWAP, position))
 
     def neighbor_braid(self, position: int) -> None:
-        direction = neighbor_braid_direction(self.word, position)
-        self._record(RewriteStep(NEIGHBOR_BRAID, position=position, direction=direction))
+        self.apply(RewriteStep(NEIGHBOR_BRAID, position))
 
     def conjugate(self, amount: int) -> None:
-        if self.word.length:
-            amount %= self.word.length
-        else:
-            amount = 0
-        if amount == 0:
-            return  # a null rotation is not worth a step
-        self._record(RewriteStep(CONJUGATE, amount=amount))
+        self.apply(RewriteStep(CONJUGATE, amount=amount))
 
     def destabilize(self) -> None:
-        self._record(RewriteStep(DESTABILIZE))
+        self.apply(RewriteStep(DESTABILIZE))
 
     def crossing_change(self, position: int) -> None:
-        self._record(RewriteStep(CROSSING_CHANGE, position=position))
-        self.crossing_changes += 1
+        self.apply(RewriteStep(CROSSING_CHANGE, position))
 
     def expect(self, letters: tuple[int, ...], at: int) -> None:
         """Assert that ``letters`` sits at position ``at`` of the current word.
@@ -342,7 +401,7 @@ class TraceBuilder:
         Composite maneuvers use this to pin the intermediate words they were
         derived with; a failure is a bug in the maneuver, not user error.
         """
-        actual = self.word.letters[at : at + len(letters)]
+        actual = tuple(self.letters[at : at + len(letters)])
         if actual != tuple(letters):
             raise AssertionError(
                 f"expected {letters} at position {at}, found {actual} in {format_word(self.word)}"

@@ -45,8 +45,8 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
     if n == 0:
         return length
     end = start + length
+    letters = tb.letters
     for s in range(end - 2, start - 1, -1):
-        letters = tb.word.letters
         if letters[s] != n:
             continue
         second = None
@@ -61,7 +61,6 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
         new_gamma_len = _reduce(tb, s + 1, gamma_len, n - 1)
         end -= gamma_len - new_gamma_len
         second = s + 1 + new_gamma_len
-        letters = tb.word.letters
         r = None
         for q in range(s + 1, second):
             if letters[q] == n - 1:
@@ -116,20 +115,20 @@ def unknot(word: BraidWord) -> RewriteTrace:
     """
     tb = TraceBuilder(word)
     guard = 2 * word.length + word.strands + 4
-    while tb.word.length:
+    while tb.letters:
         guard -= 1
         if guard < 0:  # pragma: no cover - the loop provably progresses
             raise AssertionError("reduction failed to make progress")
-        m = max(tb.word.letters)
-        _reduce(tb, 0, tb.word.length, m)
-        remaining = tb.word.letters.count(m)
+        m = max(tb.letters)
+        _reduce(tb, 0, len(tb.letters), m)
+        remaining = tb.letters.count(m)
         if remaining == 0:
             continue
-        if m == tb.word.strands - 1:
+        if m == tb.strands - 1:
             tb.destabilize()
         else:
             raise BlockedByFreeStrand(
-                f"σ_{m} occurs once but strand {tb.word.strands} is free; "
+                f"σ_{m} occurs once but strand {tb.strands} is free; "
                 "the closure is a split link"
             )
     return tb.snapshot()

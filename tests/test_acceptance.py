@@ -4,6 +4,7 @@ Each criterion is exercised at its stated scale and tolerance; all checks are
 exact equalities unless the criterion itself names a time or search budget.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -12,24 +13,19 @@ from pathlib import Path
 
 from gordian import (
     BraidWord,
+    RewriteStep,
     ascending_run,
     adjacency_2_from_4,
     adjacency_3_from_4,
     adjacency_ci,
     adjacency_cin,
     alexander,
-    apply_conjugate,
-    apply_crossing_change,
-    apply_destabilize,
-    apply_distant_swap,
-    apply_neighbor_braid,
     canonical_form,
     closure_info,
     delete_link_subword,
-    endpoint_word,
     enumerate_positive_knots,
     format_enumeration_report,
-    full_twist,
+    legal_moves,
     minimize_word,
     replay,
     strip_top_strand,
@@ -41,12 +37,14 @@ from gordian import (
     verify_certificate,
     verify_positive_path,
 )
+from gordian.adjacency import endpoint_word, full_twist
 from gordian.rules import (
     CONJUGATE,
     CROSSING_CHANGE,
     DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
+    apply_step,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,26 +74,14 @@ def random_word(rng: random.Random, max_strands=5, max_length=12) -> BraidWord:
 
 
 def legal_steps(word: BraidWord, with_changes: bool):
-    steps = []
-    letters = word.letters
-    for pos in range(word.length - 1):
-        if abs(letters[pos] - letters[pos + 1]) >= 2:
-            steps.append((DISTANT_SWAP, lambda w, p=pos: apply_distant_swap(w, p)))
-        if with_changes and letters[pos] == letters[pos + 1]:
-            steps.append((CROSSING_CHANGE, lambda w, p=pos: apply_crossing_change(w, p)))
-    for pos in range(word.length - 2):
-        if letters[pos] == letters[pos + 2] and abs(letters[pos] - letters[pos + 1]) == 1:
-            steps.append((NEIGHBOR_BRAID, lambda w, p=pos: apply_neighbor_braid(w, p)))
-    for amount in range(1, word.length):
-        steps.append((CONJUGATE, lambda w, a=amount: apply_conjugate(w, a)))
-    if (
-        word.strands > 1
-        and letters
-        and max(letters) == word.strands - 1
-        and letters.count(word.strands - 1) == 1
-    ):
-        steps.append((DESTABILIZE, apply_destabilize))
-    return steps
+    """(kind, apply) for every recipe of ``legal_moves`` and every rotation."""
+    recipes = [recipe for recipe, _, _ in legal_moves(word.strands, word.letters)]
+    recipes += [(RewriteStep(CONJUGATE, amount=amount),) for amount in range(1, word.length)]
+    return [
+        (recipe[-1].kind, lambda w, r=recipe: functools.reduce(apply_step, r, w))
+        for recipe in recipes
+        if with_changes or recipe[-1].kind != CROSSING_CHANGE
+    ]
 
 
 def test_criterion_01_unknotting_count_exactness():

@@ -1,6 +1,5 @@
 """Certified crossing-change paths between torus knots and the claim catalog."""
 
-import dataclasses
 import math
 
 import pytest
@@ -21,12 +20,8 @@ from gordian import (
     adjacency_catalog,
     adjacency_ci,
     adjacency_cin,
-    decompose_twists,
     delete_link_subword,
-    endpoint_word,
-    full_twist,
     parse_certificate,
-    peel_full_twist,
     replay,
     serialize_certificate,
     strip_top_strand,
@@ -34,6 +29,12 @@ from gordian import (
     torus_braid,
     unknotting_number,
     verify_certificate,
+)
+from gordian.adjacency import (
+    decompose_twists,
+    endpoint_word,
+    full_twist,
+    peel_full_twist,
     wrap_commute,
 )
 from gordian.moves import form_letters, full_twist_letters, wrap
@@ -260,7 +261,7 @@ class TestCertificateFormat:
             for position in range(37):
                 if position == step.position:
                     continue
-                moved = dataclasses.replace(step, position=position)
+                moved = step._replace(position=position)
                 steps = trace.steps[:index] + (moved,) + trace.steps[index + 1 :]
                 with pytest.raises(TraceCorrupt):
                     replay(RewriteTrace(trace.initial, steps, trace.final))

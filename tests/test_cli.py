@@ -75,6 +75,16 @@ class TestUnknot:
         assert code == 0
         assert out.startswith("trace: valid")
 
+    def test_options_do_not_leak_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "first.trace"
+        code, out, _ = run(capsys, "unknot", "2: 1 1 1", "--trace", str(path))
+        assert code == 0
+        assert f"trace written: {path}" in out
+        path.unlink()
+        code, out, _ = run(capsys, "unknot", "3: 2 1 2 1 2 1 2 1")
+        assert (code, out) == (0, "crossing_changes: 3\n")
+        assert not path.exists()
+
     def test_split_link_blocked(self, capsys):
         code, _, err = run(capsys, "unknot", "3: 1")
         assert code == 1
@@ -133,6 +143,32 @@ class TestAdjacency:
         assert code == 0
         assert "source: torus 3 7" in out
         assert "crossing_changes: 2" in out
+
+    # Frozen outputs: every residue of the 3-from-4 family, both residues of
+    # the 2-from-4 family, both parametric families, a strip and a deletion.
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("t34_9", ["t34", "9"]),
+            ("t34_11", ["t34", "11"]),
+            ("t34_13", ["t34", "13"]),
+            ("t34_15", ["t34", "15"]),
+            ("t24_5", ["t24", "5"]),
+            ("t24_7", ["t24", "7"]),
+            ("ci_2_2", ["ci", "2", "2"]),
+            ("cin_2_2", ["cin", "2", "2"]),
+            ("cin_3_1", ["cin", "3", "1"]),
+            ("strip_3_7", ["strip", "3", "7"]),
+            ("delete_t35", ["delete-subword", "3: 2 1 2 1 2 1 2 1", "3: 2 1 2 1 2 1"]),
+        ],
+    )
+    def test_matches_golden(self, capsys, tmp_path, monkeypatch, name, args):
+        monkeypatch.chdir(tmp_path)
+        cert = f"adjacency_{name}.cert"
+        code, out, err = run(capsys, "adjacency", *args, "--out", cert)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"adjacency_{name}.out").read_text(encoding="utf-8")
+        assert (tmp_path / cert).read_bytes() == (GOLDEN / cert).read_bytes()
 
 
 class TestCatalog:

@@ -10,7 +10,6 @@ from gordian import (
     RewriteTrace,
     alexander,
     canonical_form,
-    canonical_rotation,
     enumerate_positive_knots,
     format_enumeration_report,
     minimize_word,
@@ -22,6 +21,7 @@ from gordian import (
     unknotting_number,
     verify_positive_path,
 )
+from gordian.enumeration import canonical_rotation
 
 
 class TestCanonicalForm:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gordian import BraidWord, IllegalStep, TraceBuilder, ascending_run, descending_run
+from gordian import BraidWord, IllegalStep, RewriteStep, TraceBuilder, ascending_run, descending_run
 from gordian.moves import (
     arrange_blocks,
     ascending_twist_letters,
@@ -30,6 +30,10 @@ from gordian.moves import (
     shift_program,
     wrap,
 )
+from gordian.rules import CONJUGATE, CROSSING_CHANGE, DESTABILIZE, DISTANT_SWAP, NEIGHBOR_BRAID
+
+SWAP_AT_0 = RewriteStep(DISTANT_SWAP, 0)
+BRAID_AT_2 = RewriteStep(NEIGHBOR_BRAID, 2)
 
 
 class TestLetterBuilders:
@@ -57,21 +61,21 @@ class TestRunProgram:
     def test_positional_steps_with_offset(self):
         word = BraidWord(4, (2, 1, 3, 1, 1))
         tb = TraceBuilder(word)
-        run_program(tb, [("ds", 0), ("cc", 1)], offset=1)
+        run_program(tb, [SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 1)], offset=1)
         assert tb.word.letters == (2, 3, 1)
         assert tb.crossing_changes == 1
 
     def test_global_steps_reject_offsets(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, [("conj", 1)], offset=2)
+            run_program(tb, [RewriteStep(CONJUGATE, amount=1)], offset=2)
         with pytest.raises(IllegalStep):
-            run_program(tb, [("destab",)], offset=2)
+            run_program(tb, [RewriteStep(DESTABILIZE)], offset=2)
 
     def test_unknown_step_rejected(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, [("zap", 0)])
+            run_program(tb, [RewriteStep("zap", 0)])
 
     def test_expect_word(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))
@@ -80,10 +84,13 @@ class TestRunProgram:
             expect_word(tb, (2, 1))
 
     def test_shift_and_invert(self):
-        assert shift_program([("ds", 0), ("nb", 2)], 5) == [("ds", 5), ("nb", 7)]
+        assert shift_program([SWAP_AT_0, BRAID_AT_2], 5) == [
+            RewriteStep(DISTANT_SWAP, 5),
+            RewriteStep(NEIGHBOR_BRAID, 7),
+        ]
         word = BraidWord(4, (1, 3, 1, 2, 1))
         tb = TraceBuilder(word)
-        prog = [("ds", 0), ("nb", 2)]
+        prog = [SWAP_AT_0, BRAID_AT_2]
         run_program(tb, prog)
         assert tb.word.letters == (3, 1, 2, 1, 2)
         run_program(tb, invert_program(prog))
@@ -93,7 +100,7 @@ class TestRunProgram:
         # conjugating by letter reversal: mirrored program does to the
         # reversed word what the original does to the word
         word = BraidWord(4, (1, 3, 1, 2, 1))
-        prog = [("ds", 0), ("nb", 2)]
+        prog = [SWAP_AT_0, BRAID_AT_2]
         tb = TraceBuilder(word)
         run_program(tb, prog)
         mirrored = TraceBuilder(BraidWord(4, tuple(reversed(word.letters))))

@@ -11,13 +11,9 @@ from gordian import (
     BraidWord,
     LaurentPoly,
     ParseError,
+    RewriteStep,
     adjacency_ci,
     alexander,
-    apply_conjugate,
-    apply_crossing_change,
-    apply_destabilize,
-    apply_distant_swap,
-    apply_neighbor_braid,
     canonical_form,
     closure_info,
     parse_certificate,
@@ -25,6 +21,7 @@ from gordian import (
     parse_word,
     format_word,
     is_knot,
+    legal_moves,
     replay,
     serialize_certificate,
     serialize_trace,
@@ -40,8 +37,10 @@ from gordian.rules import (
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
     TraceBuilder,
+    apply_step,
+    neighbor_braid_direction,
 )
-from gordian.enumeration import _commutation_least, _cyclic_moves
+from gordian.enumeration import _commutation_least
 
 
 @st.composite
@@ -54,29 +53,17 @@ def braid_words(draw, max_strands=5, max_length=12):
     return BraidWord(strands, letters)
 
 
-def legal_steps(word: BraidWord):
-    """Every legal (kind, apply) pair available on ``word``."""
-    steps = []
-    letters = word.letters
-    for pos in range(word.length - 1):
-        if abs(letters[pos] - letters[pos + 1]) >= 2:
-            steps.append((DISTANT_SWAP, lambda w, p=pos: apply_distant_swap(w, p)))
-        if letters[pos] == letters[pos + 1]:
-            steps.append((CROSSING_CHANGE, lambda w, p=pos: apply_crossing_change(w, p)))
-    for pos in range(word.length - 2):
-        a, b, c = letters[pos : pos + 3]
-        if a == c and abs(a - b) == 1:
-            steps.append((NEIGHBOR_BRAID, lambda w, p=pos: apply_neighbor_braid(w, p)))
-    for amount in range(1, word.length):
-        steps.append((CONJUGATE, lambda w, a=amount: apply_conjugate(w, a)))
-    if (
-        word.strands > 1
-        and letters
-        and max(letters) == word.strands - 1
-        and letters.count(word.strands - 1) == 1
-    ):
-        steps.append((DESTABILIZE, apply_destabilize))
-    return steps
+def legal_steps(word: BraidWord) -> list[tuple[RewriteStep, ...]]:
+    """Every recipe of ``legal_moves`` on ``word``, plus every rotation."""
+    recipes = [recipe for recipe, _, _ in legal_moves(word.strands, word.letters)]
+    recipes += [(RewriteStep(CONJUGATE, amount=amount),) for amount in range(1, word.length)]
+    return recipes
+
+
+def apply_recipe(word: BraidWord, recipe) -> BraidWord:
+    for step in recipe:
+        word = apply_step(word, step)
+    return word
 
 
 ACCOUNTING = {
@@ -92,15 +79,16 @@ class TestRuleInvariants:
     @given(braid_words(), st.data())
     @settings(max_examples=300)
     def test_components_and_accounting(self, word, data):
-        steps = legal_steps(word)
-        if not steps:
+        recipes = legal_steps(word)
+        if not recipes:
             return
-        kind, apply_fn = data.draw(st.sampled_from(steps))
-        after = apply_fn(word)
-        d_len, d_strands = ACCOUNTING[kind]
+        *rotation, step = data.draw(st.sampled_from(recipes))
+        word = apply_recipe(word, rotation)
+        after = apply_step(word, step)
+        d_len, d_strands = ACCOUNTING[step.kind]
         assert after.length - word.length == d_len
         assert after.strands - word.strands == d_strands
-        if kind == CROSSING_CHANGE:
+        if step.kind == CROSSING_CHANGE:
             # deleting σ_i σ_i leaves the permutation untouched
             assert closure_info(after).permutation == closure_info(word).permutation
         else:
@@ -109,11 +97,11 @@ class TestRuleInvariants:
     @given(braid_words(), st.data())
     @settings(max_examples=200)
     def test_alexander_invariant_under_isotopy(self, word, data):
-        steps = [s for s in legal_steps(word) if s[0] != CROSSING_CHANGE]
-        if not steps:
+        recipes = [r for r in legal_steps(word) if r[-1].kind != CROSSING_CHANGE]
+        if not recipes:
             return
-        _kind, apply_fn = data.draw(st.sampled_from(steps))
-        assert alexander(apply_fn(word)) == alexander(word)
+        recipe = data.draw(st.sampled_from(recipes))
+        assert alexander(apply_recipe(word, recipe)) == alexander(word)
 
 
 class TestCanonicalFormProperties:
@@ -155,32 +143,33 @@ def search_neighbours(word: BraidWord):
     for r in range(word.length if word.length else 1):
         if r == 0:
             rotated = word
-            prefix: tuple[tuple, ...] = ()
+            prefix: tuple[RewriteStep, ...] = ()
         else:
             rotated = BraidWord(word.strands, word.letters[r:] + word.letters[:r])
-            prefix = ((CONJUGATE, r),)
+            prefix = (RewriteStep(CONJUGATE, amount=r),)
         letters = rotated.letters
         for q in range(len(letters) - 1):
             if abs(letters[q] - letters[q + 1]) >= 2:
-                yield prefix + ((DISTANT_SWAP, q),), BraidWord(
+                yield prefix + (RewriteStep(DISTANT_SWAP, q),), BraidWord(
                     word.strands, letters[:q] + (letters[q + 1], letters[q]) + letters[q + 2 :]
                 )
         for q in range(len(letters) - 2):
             a, b, c = letters[q : q + 3]
             if a == c and abs(a - b) == 1:
-                yield prefix + ((NEIGHBOR_BRAID, q),), BraidWord(
+                step = RewriteStep(NEIGHBOR_BRAID, q, neighbor_braid_direction(rotated, q))
+                yield prefix + (step,), BraidWord(
                     word.strands, letters[:q] + (b, a, b) + letters[q + 3 :]
                 )
         top = word.strands - 1
         if top >= 1 and letters.count(top) == 1:
             q = letters.index(top)
             if all(letter < top for letter in letters[:q] + letters[q + 1 :]):
-                yield prefix + ((DESTABILIZE, None),), BraidWord(
+                yield prefix + (RewriteStep(DESTABILIZE),), BraidWord(
                     word.strands - 1, letters[:q] + letters[q + 1 :]
                 )
         for q in range(len(letters) - 1):
             if letters[q] == letters[q + 1]:
-                yield prefix + ((CROSSING_CHANGE, q),), BraidWord(
+                yield prefix + (RewriteStep(CROSSING_CHANGE, q),), BraidWord(
                     word.strands, letters[:q] + letters[q + 2 :]
                 )
 
@@ -337,7 +326,20 @@ class TestKernelsMatchOracles:
     @settings(max_examples=500)
     def test_cyclic_moves_meet_keys_as_every_rotation_does(self, word):
         oracle = ((steps, w.strands, w.letters) for steps, w in search_neighbours(word))
-        assert first_hits(_cyclic_moves(word.strands, word.letters)) == first_hits(oracle)
+        assert first_hits(legal_moves(word.strands, word.letters)) == first_hits(oracle)
+
+    @given(braid_words(max_strands=7, max_length=16))
+    @example(parse_word("4: 3 1"))
+    @example(parse_word("3: 1 1 2"))
+    @example(parse_word("4: 1 2 1 3"))
+    @settings(max_examples=300)
+    def test_legal_moves_recipes_land_on_their_words(self, word):
+        for recipe, strands, letters in legal_moves(word.strands, word.letters):
+            tb = TraceBuilder(word)
+            for step in recipe:
+                tb.apply(step)
+            assert (tb.strands, tuple(tb.letters)) == (strands, letters), recipe
+            replay(tb.snapshot())
 
 
 class TestFormatRoundTrips:
@@ -351,36 +353,11 @@ class TestFormatRoundTrips:
     def test_trace_text_round_trip(self, word, data):
         tb = TraceBuilder(word)
         for _ in range(data.draw(st.integers(0, 6))):
-            steps = legal_steps(tb.word)
-            if not steps:
+            recipes = legal_steps(tb.word)
+            if not recipes:
                 break
-            kind, _ = data.draw(st.sampled_from(steps))
-            if kind == DISTANT_SWAP:
-                positions = [
-                    p
-                    for p in range(tb.word.length - 1)
-                    if abs(tb.word.letters[p] - tb.word.letters[p + 1]) >= 2
-                ]
-                tb.distant_swap(data.draw(st.sampled_from(positions)))
-            elif kind == NEIGHBOR_BRAID:
-                positions = [
-                    p
-                    for p in range(tb.word.length - 2)
-                    if tb.word.letters[p] == tb.word.letters[p + 2]
-                    and abs(tb.word.letters[p] - tb.word.letters[p + 1]) == 1
-                ]
-                tb.neighbor_braid(data.draw(st.sampled_from(positions)))
-            elif kind == CONJUGATE:
-                tb.conjugate(data.draw(st.integers(1, tb.word.length - 1)))
-            elif kind == DESTABILIZE:
-                tb.destabilize()
-            else:
-                positions = [
-                    p
-                    for p in range(tb.word.length - 1)
-                    if tb.word.letters[p] == tb.word.letters[p + 1]
-                ]
-                tb.crossing_change(data.draw(st.sampled_from(positions)))
+            for step in data.draw(st.sampled_from(recipes)):
+                tb.apply(step)
         trace = tb.snapshot()
         assert parse_trace(serialize_trace(trace)) == trace
 

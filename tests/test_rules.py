@@ -20,13 +20,12 @@ from gordian import (
     apply_destabilize,
     apply_distant_swap,
     apply_neighbor_braid,
-    apply_step,
-    neighbor_braid_direction,
     parse_trace,
     replay,
     serialize_trace,
     torus_braid,
 )
+from gordian.rules import apply_step, neighbor_braid_direction
 
 
 class TestDistantSwap:

@@ -12,13 +12,13 @@ from gordian import (
     delete_link_subword,
     generator_support_check,
     reduce_single_generator,
-    reduce_subword,
     replay,
     torus_braid,
     unknot,
     unknotting_number,
     unknotting_sequence,
 )
+from gordian.unknotting import reduce_subword
 
 
 class TestReduceSubword:
