@@ -3,15 +3,17 @@ bounded breadth-first search for crossing-change paths between words.
 
 A positive braid word on ``n`` strands with ``ℓ`` letters closes to a knot of
 unknotting number ``u = (ℓ − n + 1)/2``; fixing ``u = m`` therefore pins the
-length per strand count, and a knot representative needs every generator
-present plus at most ``2m + 1`` strands once single-occurrence generators are
-removed.  :func:`enumerate_positive_knots` walks exactly that finite space in
-lexicographic order and counts every word.  It computes the canonical form
-(least over rotations and distant commutations) once per rotation class, at
-the class's least rotation, which is the first member the walk meets.  It
-then minimizes each distinct form and groups the survivors by invariant key
-(unknotting number, Alexander polynomial, minimal strand count).  The class
-count is checked against the ``(2m)^{4m}`` ceiling.
+length per strand count, and a knot representative needs at most ``2m + 1``
+strands once single-occurrence generators are removed.  A word in which some
+generator occurs once destabilizes to a word on one strand fewer, which the
+census meets there, so :func:`enumerate_positive_knots` generates, in
+lexicographic order, only the words in which every generator occurs at least
+twice, and counts each.  It computes the canonical form (least over rotations
+and distant commutations) once per rotation class, at the class's least
+rotation, which is the first member the walk meets.  It then minimizes each
+distinct form and groups the survivors by invariant key (unknotting number,
+Alexander polynomial, minimal strand count).  The class count is checked
+against the ``(2m)^{4m}`` ceiling.
 
 :func:`positive_path_search` looks for an explicit five-rule path between two
 given words whose every intermediate stays a positive braid knot, and
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 from .alexander import LaurentPoly, alexander
 from .errors import (
@@ -44,7 +45,7 @@ from .rules import (
     legal_moves,
     replay,
 )
-from .unknotting import generator_support_check, reduce_single_generator
+from .unknotting import reduce_single_generator
 from .words import BraidWord, format_word, is_knot, unknotting_number
 
 __all__ = [
@@ -92,7 +93,9 @@ def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
     the greedy choice of the smallest available value is the unique optimum.
     A letter is available when no earlier remaining letter is within one of
     it; each pick is one scan that keeps those blocked values as bits of an
-    integer.
+    integer.  The scan stops once every value below the current pick is
+    blocked, since no later letter can then win: on ``σ1^L`` each pick reads
+    one letter.
     """
     remaining = list(letters)
     out: list[int] = []
@@ -100,18 +103,30 @@ def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
         blocked = 0
         best = 0
         least = remaining[0]
+        below = (1 << least) - 2
         for idx, letter in enumerate(remaining):
             if letter < least and not blocked >> letter & 1:
                 best = idx
                 least = letter
+                below = (1 << least) - 2
             blocked |= 0b111 << (letter - 1)
+            if blocked & below == below:
+                break
         out.append(remaining.pop(best))
     return tuple(out)
 
 
 def canonical_form(word: BraidWord) -> BraidWord:
-    """Least word over all rotations composed with commutation reordering."""
-    best = min(_commutation_least(rot) for rot in _rotations(word.letters))
+    """Least word over all rotations composed with commutation reordering.
+
+    When no two letters are distant, no two commute, and the form is the
+    least rotation.
+    """
+    letters = word.letters
+    if not letters or max(letters) - min(letters) <= 1:
+        best = _least_rotation(letters)
+    else:
+        best = min(_commutation_least(rot) for rot in _rotations(letters))
     return BraidWord(word.strands, best)
 
 
@@ -211,21 +226,68 @@ class EnumerationResult:
         return len(self.classes)
 
 
+def _census_words(strands: int, length: int):
+    """Words of ``length`` letters over ``1 … strands−1`` in which every
+    letter occurs at least twice, in lexicographic order.
+
+    ``deficit`` counts the occurrences still missing; a prefix is cut as soon
+    as the letters left cannot cover it.  The walk advances one array of
+    letters in place (``word[pos]`` is the letter last tried at ``pos``, 0
+    for none) instead of recursing, so no length meets the recursion limit.
+    """
+    top = strands - 1
+    counts = [0] * (top + 1)
+    deficit = 2 * top
+    if deficit > length:
+        return
+    if length == 0:
+        yield ()
+        return
+    word = [0] * length
+    pos = 0
+    while pos >= 0:
+        letter = word[pos]
+        if letter:
+            counts[letter] -= 1
+            if counts[letter] < 2:
+                deficit += 1
+        spare = length - pos - 1
+        letter += 1
+        while letter <= top and deficit - (counts[letter] < 2) > spare:
+            letter += 1
+        if letter > top:
+            word[pos] = 0
+            pos -= 1
+            continue
+        word[pos] = letter
+        if counts[letter] < 2:
+            deficit -= 1
+        counts[letter] += 1
+        if spare:
+            pos += 1
+        else:
+            yield tuple(word)
+
+
 def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResult:
     """Enumerate every positive braid knot with unknotting number ``m``.
 
-    Walks all words of length ``2m + n − 1`` over generator indices
-    ``1 … n−1`` for each strand count ``n`` up to ``2m + 1`` (the one-strand
-    empty word participates only when ``m = 0``), filters to knot words whose
-    generators all occur, dedups by canonical form, minimizes strand count,
-    and groups by invariant key.  Raises :class:`BudgetExceeded` carrying the
+    Walks the words of length ``2m + n − 1`` over generator indices
+    ``1 … n−1`` in which every generator occurs at least twice, for each
+    strand count ``n`` up to ``2m + 1`` (the one-strand empty word
+    participates only when ``m = 0``), keeps the knot words, dedups by
+    canonical form, minimizes strand count, and groups by invariant key.
+    The counters count the generated words (``words_examined``), the knot
+    words among them and their distinct canonical forms.  A word in which a
+    generator occurs once is left out: it destabilizes to a word the walk
+    meets on fewer strands.  Raises :class:`BudgetExceeded` carrying the
     partial result when more than ``budget`` words would be examined.
 
-    Both filters and the canonical form are the same on every rotation of a
-    word, and the walk is lexicographic, so each rotation class is first met
-    at its least rotation; the canonical form is computed there only.  Every
-    word is still counted, and a partial result holds the forms of exactly
-    the classes met so far.
+    The generated set, the knot check and the canonical form are the same on
+    every rotation of a word, and the walk is lexicographic, so each rotation
+    class is first met at its least rotation; the canonical form is computed
+    there only.  A partial result holds the forms of exactly the classes met
+    so far.
     """
     if m < 0:
         raise DomainError(f"unknotting number must be >= 0, got {m}")
@@ -269,7 +331,7 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
 
     for n in range(1, 2 * m + 2):
         length = 2 * m + n - 1
-        for letters in product(range(1, n), repeat=length):
+        for letters in _census_words(n, length):
             if words_examined >= budget:
                 raise BudgetExceeded(
                     f"enumeration budget of {budget} words exhausted at {n} strands",
@@ -277,8 +339,6 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
                 )
             words_examined += 1
             candidate = BraidWord._trusted(n, letters)
-            if not generator_support_check(candidate):
-                continue
             if not is_knot(candidate):
                 continue
             knot_words += 1

@@ -157,7 +157,9 @@ def _braid_direction(letters, position) -> str:
     raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
 
 
-def _neighbor_braid(letters: list[int], position, direction) -> None:
+def _neighbor_braid(letters: list[int], position, direction) -> str:
+    """Rewrite the triple at ``position``; return the direction its pattern
+    shows, which a recorded ``direction`` must match."""
     found = _braid_direction(letters, position)
     if direction is not None and direction != found:
         raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
@@ -165,6 +167,7 @@ def _neighbor_braid(letters: list[int], position, direction) -> None:
     b = a + 1 if found == FORWARD else a - 1
     letters[position] = letters[position + 2] = b
     letters[position + 1] = a
+    return found
 
 
 def _conjugate(letters: list[int], amount) -> None:
@@ -368,14 +371,17 @@ class TraceBuilder:
         null rotation is not worth a step.
         """
         kind = step.kind
-        if kind == NEIGHBOR_BRAID and step.direction is None:
-            step = RewriteStep(kind, step.position, _braid_direction(self.letters, step.position))
-        elif kind == CONJUGATE:
+        if kind == CONJUGATE:
             amount = step.amount % len(self.letters) if self.letters else 0
             if amount == 0:
                 return
             step = RewriteStep(kind, amount=amount)
-        self.strands = _apply(self.letters, self.strands, step)
+        if kind == NEIGHBOR_BRAID:
+            found = _neighbor_braid(self.letters, step.position, step.direction)
+            if step.direction is None:
+                step = RewriteStep(kind, step.position, found)
+        else:
+            self.strands = _apply(self.letters, self.strands, step)
         if kind == CROSSING_CHANGE:
             self.crossing_changes += 1
         self._steps.append(step)

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, file emission, exit codes."""
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,16 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "2", "--budget", "100")
         assert code == 3
         assert err.startswith("error:")
+
+    def test_large_m_stops_at_its_budget(self, capsys):
+        # Words of 1 201 letters and more: the walk keeps no recursion depth
+        # per letter, and canonical forms of long words cost O(L²), not O(L³).
+        start = time.perf_counter()
+        code, _, err = run(capsys, "enumerate", "600", "--budget", "10")
+        assert time.perf_counter() - start < 30
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: enumeration budget of 10 words exhausted")
 
 
 class TestSearch:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,16 +17,19 @@ from gordian import (
     alexander,
     canonical_form,
     closure_info,
+    enumerate_positive_knots,
     parse_certificate,
     parse_trace,
     parse_word,
     format_word,
     is_knot,
     legal_moves,
+    minimize_word,
     replay,
     serialize_certificate,
     serialize_trace,
     unknot,
+    unknotting_number,
     verify_certificate,
     verify_positive_path,
 )
@@ -40,7 +44,7 @@ from gordian.rules import (
     apply_step,
     neighbor_braid_direction,
 )
-from gordian.enumeration import _commutation_least
+from gordian.enumeration import _census_words, _commutation_least
 
 
 @st.composite
@@ -309,6 +313,17 @@ class TestKernelsMatchOracles:
     def test_commutation_least_matches_greedy_scan(self, word):
         assert _commutation_least(word.letters) == greedy_commutation_least(word.letters)
 
+    @given(braid_words(max_strands=6, max_length=14))
+    @example(BraidWord(1, ()))
+    @example(parse_word("3: 2 1 1 2 1"))
+    @example(parse_word("4: 3 1 3 2 1"))
+    @settings(max_examples=300)
+    def test_canonical_form_is_least_greedy_form_over_rotations(self, word):
+        letters = word.letters
+        rotations = [letters[r:] + letters[:r] for r in range(len(letters) or 1)]
+        best = min(greedy_commutation_least(rot) for rot in rotations)
+        assert canonical_form(word) == BraidWord(word.strands, best)
+
     # Words of 0 to 3 letters reach the wrap-around moves: the crossing change
     # and the distant swap on the pair at L − 2 of rotation 1, and the braid
     # moves on the triple at L − 3 of rotations 1 and 2.
@@ -340,6 +355,46 @@ class TestKernelsMatchOracles:
                 tb.apply(step)
             assert (tb.strands, tuple(tb.letters)) == (strands, letters), recipe
             replay(tb.snapshot())
+
+
+def every_twice_words(strands: int, length: int) -> list[tuple[int, ...]]:
+    """Oracle: the full lexicographic walk, filtered to words in which every
+    generator occurs at least twice."""
+    return [
+        letters
+        for letters in product(range(1, strands), repeat=length)
+        if all(letters.count(g) >= 2 for g in range(1, strands))
+    ]
+
+
+def full_walk_classes(m: int) -> dict[tuple, set[BraidWord]]:
+    """Oracle: the census over every word of the unfiltered walk that uses
+    all its generators, as invariant key -> member forms."""
+    forms = set()
+    for n in range(1, 2 * m + 2):
+        for letters in product(range(1, n), repeat=2 * m + n - 1):
+            word = BraidWord(n, letters)
+            if set(letters) == set(range(1, n)) and is_knot(word):
+                forms.add(canonical_form(word))
+    groups: dict[tuple, set[BraidWord]] = {}
+    for form in forms:
+        small = minimize_word(form)
+        key = (unknotting_number(small), alexander(small), small.strands)
+        groups.setdefault(key, set()).add(canonical_form(small))
+    return groups
+
+
+class TestCensusWalkMatchesOracles:
+    @pytest.mark.parametrize("strands", range(1, 6))
+    def test_generated_words_match_the_filtered_walk(self, strands):
+        for length in range(10):
+            assert list(_census_words(strands, length)) == every_twice_words(strands, length)
+
+    def test_classes_match_the_full_walk(self, census_m2):
+        censuses = (enumerate_positive_knots(0), enumerate_positive_knots(1), census_m2)
+        for m, result in enumerate(censuses):
+            found = {cls.invariant_key: set(cls.members) for cls in result}
+            assert found == full_walk_classes(m), m
 
 
 class TestFormatRoundTrips:

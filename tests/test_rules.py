@@ -158,6 +158,19 @@ class TestTraceBuilder:
         tb.conjugate(2)  # full length, also a no-op
         assert len(tb.snapshot().steps) == 0
 
+    def test_neighbor_braid_records_the_direction_it_finds(self):
+        tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
+        tb.neighbor_braid(1)
+        tb.apply(RewriteStep(NEIGHBOR_BRAID, 1, "forward"))
+        assert [step.direction for step in tb.steps] == ["backward", "forward"]
+        assert replay(tb.snapshot()) == BraidWord(3, (1, 2, 1, 2))
+
+    def test_neighbor_braid_rejects_a_wrong_direction(self):
+        tb = TraceBuilder(BraidWord(3, (1, 2, 1)))
+        with pytest.raises(IllegalStep):
+            tb.apply(RewriteStep(NEIGHBOR_BRAID, 0, "backward"))
+        assert tb.letters == [1, 2, 1] and not tb.steps
+
     def test_expect_checks_subword(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1)))
         tb.expect((2, 1), at=1)
