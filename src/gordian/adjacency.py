@@ -16,7 +16,8 @@ resulting blocks into cancelling positions (every block commutation is emitted
 as elementary steps), spend the crossing changes in cascades where wraps meet
 their own top letter head-on, destabilize away the freed top strand, and
 tidy the remainder back into a literal (or length/Alexander-verified) torus
-word one strand down.
+word one strand down.  Every family whose source has remainder one opens
+with the top-strand drop of :func:`strip_top_strand` (``_drop_top_strand``).
 
 :func:`adjacency_catalog` answers "is T(p₁,q₁) reachable this way from
 T(p₂,q₂)?" by matching the implemented families and, where only a cited
@@ -41,9 +42,9 @@ from .moves import (
     ext_prog,
     form_letters,
     full_twist_letters,
+    invert_program,
+    mirror_program,
     peel_prog,
-    regional_invert,
-    regional_mirror,
     revform_letters,
     run_program,
     run_regional,
@@ -345,6 +346,67 @@ def decompose_twists(n: int, k: int) -> RewriteTrace:
 # ---------------------------------------------------------------------------
 
 
+def _exchange(tb: TraceBuilder, pos: int, left: list, right: list) -> None:
+    """Exchange two adjacent rows of blocks, ``left`` starting at ``pos``."""
+    arrange_blocks(tb, pos, left + right, right + left)
+
+
+def _peel_and_gather(tb: TraceBuilder, start: int, a: int, c: int) -> None:
+    """``(Δ²_a)^c → (Δ²_{a-1})^c (V_{a-1})^c`` at ``start``: peel a wrap off
+    each full twist, then gather the inner twists ahead of the wraps."""
+    for t in range(c):
+        run_program(tb, peel_prog(a), start + t * a * (a - 1))
+    arrange_blocks(
+        tb,
+        start,
+        [("wrap", a - 1), ("twist", a - 1)] * c,
+        [("twist", a - 1)] * c + [("wrap", a - 1)] * c,
+    )
+
+
+def _drop_top_strand(tb: TraceBuilder, c: int, r: int) -> None:
+    """Rewrite the word ``(Δ²_a)^c R_{a-1}^r`` (``a`` = the strand count,
+    ``1 ≤ r ≤ a-1``) into ``(Δ²_{a-1})^c (σ_{a-r}⋯σ_{a-2}) (V_{a-2})^c
+    R_{a-2}^r`` on ``a − 1`` strands: ``c`` crossing changes, each cancelling
+    a σ_{a-1} pair, then one destabilization."""
+    a = tb.strands
+    run_program(tb, ext_prog(a - 1, r), c * a * (a - 1))
+    _peel_and_gather(tb, 0, a, c)
+    ahead = ("run", tuple(range(a - r, a - 1)))  # pulled out of the run power
+    _exchange(tb, c * (a - 1) * (a - 2), [("wrap", a - 1)] * c, [ahead])
+    # The wraps cascade into the top letter of the remainder's full run.
+    cascade(tb, c * (a - 1) * (a - 2) + r - 1, a - 1, c)
+    tb.destabilize()
+
+
+def _drop_top_strand_rotated(tb: TraceBuilder, c: int) -> None:
+    """Rewrite T(4, 4c+3) into ``(Δ²_3)^{c+1} σ_1σ_2 (V_2)^c`` on three
+    strands: ``c`` crossing changes, then one destabilization.
+
+    The remainder ``R_3^3`` regroups as ``σ_1σ_2 σ_3 Δ²_3``; its twist
+    rotates to the front, and the drop proceeds behind it.
+    """
+    run_program(tb, ext_prog(3, 3), 12 * c)
+    tb.conjugate(len(tb.letters) - 6)
+    _peel_and_gather(tb, 6, 4, c)
+    _exchange(tb, 6 * (c + 1), [("wrap", 3)] * c, [("run", (1, 2))])
+    cascade(tb, 6 * (c + 1) + 2, 3, c)
+    tb.destabilize()
+
+
+def _close_wrap_pairs(tb: TraceBuilder, start: int, k: int) -> None:
+    """``(V_2)^k (V_1)^k → (Δ²_3)^k`` at ``start``: interleave the wraps, then
+    close each ``V_2 V_1`` pair into a full twist with one braid move."""
+    arrange_blocks(
+        tb,
+        start,
+        [("wrap", 2)] * k + [("wrap", 1)] * k,
+        [("wrap", 2), ("wrap", 1)] * k,
+    )
+    for t in range(k):
+        tb.neighbor_braid(start + 6 * t + 2)
+
+
 def strip_top_strand(params: TorusParams) -> AdjacencyCertificate:
     """Drop the top strand of T(a, b): exactly ``⌊b/a⌋`` crossing changes, each
     cancelling a σ_{a-1} pair, then one destabilization.
@@ -359,26 +421,7 @@ def strip_top_strand(params: TorusParams) -> AdjacencyCertificate:
         raise DomainError(f"T({a}, {b}) is a link, not a knot")
     c, r = divmod(b, a)  # coprimality gives 1 <= r <= a-1
     tb = TraceBuilder(torus_braid(a, b))
-    run_program(tb, ext_prog(a - 1, r), c * a * (a - 1))
-    for t in range(c):
-        run_program(tb, peel_prog(a), t * a * (a - 1))
-    if a >= 3 and c:
-        arrange_blocks(
-            tb,
-            0,
-            [("wrap", a - 1), ("twist", a - 1)] * c,
-            [("twist", a - 1)] * c + [("wrap", a - 1)] * c,
-        )
-    ahead = tuple(range(a - r, a - 1))  # ascending block pulled out of the run power
-    if ahead and c:
-        arrange_blocks(
-            tb,
-            c * (a - 1) * (a - 2),
-            [("wrap", a - 1)] * c + [("run", ahead)],
-            [("run", ahead)] + [("wrap", a - 1)] * c,
-        )
-    cascade(tb, c * (a - 1) * (a - 2) + len(ahead), a - 1, c)
-    tb.destabilize()
+    _drop_top_strand(tb, c, r)
     return _certify(params, tb.word, tb, c)
 
 
@@ -431,19 +474,9 @@ def adjacency_ci(n: int, k: int) -> AdjacencyCertificate:
     source = TorusParams(n + 1, (n * n - 1) * k + 1)
     target = TorusParams(n, n * n * k + 1)
     tb = TraceBuilder(torus_braid(source.p, source.q))
-    # Peel the c full twists and gather them in front of their wraps.
-    for t in range(c):
-        run_program(tb, peel_prog(n + 1), t * n * (n + 1))
-    arrange_blocks(
-        tb,
-        0,
-        [("wrap", n), ("twist", n)] * c,
-        [("twist", n)] * c + [("wrap", n)] * c,
-    )
-    # The wraps cascade into the run remainder's top letter and the freed top
-    # strand comes off; then each level sheds its surplus wraps one index down.
-    cascade(tb, c * n * (n - 1), n, c)
-    tb.destabilize()
+    # The top strand comes off; then each level sheds its surplus wraps one
+    # index down.
+    _drop_top_strand(tb, c, 1)
     tail = c * n * (n - 1)
     for j in range(n - 1, 1, -1):
         cascade(tb, tail + 2 * j * k, j, (j - 1) * k)
@@ -451,13 +484,8 @@ def adjacency_ci(n: int, k: int) -> AdjacencyCertificate:
     expect_word(tb, full_twist_letters(n) * c + form_letters(n, k))
     # Reassemble the layered remainder into a run power; with the twists it is
     # the literal target torus word.
-    flen = (n - 1) * (n * k + 1)
-    run_regional(
-        tb,
-        regional_invert(decompose_region_prog(n, k), flen),
-        c * n * (n - 1),
-        [("twist", n)] * c,
-    )
+    prog = invert_program(decompose_region_prog(n, k))
+    run_regional(tb, prog, c * n * (n - 1), [("twist", n)] * c)
     expect_word(tb, torus_braid(target.p, target.q).letters)
     return _certify(source, target, tb, n * (n - 1) * k // 2)
 
@@ -479,21 +507,9 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
     # The trailing run power R_n^n regroups literally as A_n Δ²_n; the closing
     # twist rotates to the front to join the peeled stack.
     run_program(tb, ext_prog(n, n), c * n * (n + 1))
-    for t in range(c):
-        run_program(tb, peel_prog(n + 1), t * n * (n + 1))
-    arrange_blocks(
-        tb,
-        0,
-        [("wrap", n), ("twist", n)] * c,
-        [("twist", n)] * c + [("wrap", n)] * c,
-    )
+    _peel_and_gather(tb, 0, n + 1, c)
     tb.conjugate(len(tb.letters) - n * (n - 1))
-    arrange_blocks(
-        tb,
-        (c + 1) * n * (n - 1),
-        [("wrap", n)] * c + [("run", ascending_run(n - 1))],
-        [("run", ascending_run(n - 1))] + [("wrap", n)] * c,
-    )
+    _exchange(tb, (c + 1) * n * (n - 1), [("wrap", n)] * c, [("run", ascending_run(n - 1))])
     cascade(tb, (c + 1) * n * (n - 1) + (n - 1), n, c)
     tb.destabilize()
     # Mirror-image cascades eat the ascending run into the wraps level by
@@ -503,7 +519,7 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
         cascade_mirror(tb, base + (j - 1), j, (j - 1) * k)
     expect_word(tb, full_twist_letters(n) * (c + 1) + revform_letters(n, k))
     flen = (n - 1) * (n * k + 1)
-    prog = regional_invert(regional_mirror(decompose_region_prog(n, k), flen), flen)
+    prog = invert_program(mirror_program(decompose_region_prog(n, k), flen))
     run_regional(tb, prog, (c + 1) * n * (n - 1), [("twist", n)] * (c + 1))
     expect_word(tb, full_twist_letters(n) * (c + 1) + ascending_run(n - 1) * (n * k + 1))
     # Every descending twist converts in place to ascending form, leaving one
@@ -525,33 +541,14 @@ def _three_from_four_8k5(k: int) -> AdjacencyCertificate:
     source = TorusParams(4, 8 * k + 5)
     target = TorusParams(3, 9 * k + 5)
     tb = TraceBuilder(torus_braid(source.p, source.q))
-    for t in range(c):
-        run_program(tb, peel_prog(4), t * 12)
-    arrange_blocks(
-        tb, 0, [("wrap", 3), ("twist", 3)] * c, [("twist", 3)] * c + [("wrap", 3)] * c
-    )
-    cascade(tb, 6 * c, 3, c)
-    tb.destabilize()
+    _drop_top_strand(tb, c, 1)
     cascade(tb, 6 * c + 4 * (k + 1), 2, k)
     tb.crossing_change(6 * c + 4 * (k + 1) - 1)
     ell = len(tb.letters)  # 18k + 10, preserved from here on
     tb.conjugate(ell - (2 * k + 1))
     ones = ("run", (1,) * (2 * k + 1))
-    arrange_blocks(
-        tb,
-        0,
-        [ones] + [("twist", 3)] * c + [("wrap", 2)] * k,
-        [("twist", 3)] * c + [("wrap", 2)] * k + [ones],
-    )
-    arrange_blocks(
-        tb,
-        6 * c,
-        [("wrap", 2)] * k + [("wrap", 1)] * k,
-        [("wrap", 2), ("wrap", 1)] * k,
-    )
-    # Each interleaved wrap pair closes into a full twist with one braid move.
-    for t in range(k):
-        tb.neighbor_braid(6 * c + 6 * t + 2)
+    _exchange(tb, 0, [ones], [("twist", 3)] * c + [("wrap", 2)] * k)
+    _close_wrap_pairs(tb, 6 * c, k)
     tb.neighbor_braid(ell - 4)
     expect_word(tb, torus_braid(target.p, target.q).letters)
     return _certify(source, target, tb, 3 * k + 2)
@@ -563,21 +560,7 @@ def _three_from_four_8k7(k: int) -> AdjacencyCertificate:
     source = TorusParams(4, 8 * k + 7)
     target = TorusParams(3, 9 * k + 8)
     tb = TraceBuilder(torus_braid(source.p, source.q))
-    run_program(tb, ext_prog(3, 3), 12 * c)
-    tb.conjugate(len(tb.letters) - 6)
-    for t in range(c):
-        run_program(tb, peel_prog(4), 6 + t * 12)
-    arrange_blocks(
-        tb, 6, [("wrap", 3), ("twist", 3)] * c, [("twist", 3)] * c + [("wrap", 3)] * c
-    )
-    arrange_blocks(
-        tb,
-        6 * (c + 1),
-        [("wrap", 3)] * c + [("run", (1, 2))],
-        [("run", (1, 2))] + [("wrap", 3)] * c,
-    )
-    cascade(tb, 6 * (c + 1) + 2, 3, c)
-    tb.destabilize()
+    _drop_top_strand_rotated(tb, c)
     p_mid = 6 * (c + 1) + 1
     cascade_mirror(tb, p_mid, 2, k)
     tb.crossing_change(p_mid + 2 * k)
@@ -586,37 +569,15 @@ def _three_from_four_8k7(k: int) -> AdjacencyCertificate:
         full_twist_letters(3) * (c + 1) + (1,) * (2 * k + 3) + (2,) + wrap(2) * k,
     )
     ell = len(tb.letters)  # 18k + 16, preserved from here on
-    arrange_blocks(
-        tb,
-        0,
-        [("twist", 3)] * (c + 1) + [("wrap", 1)] * k,
-        [("wrap", 1)] * k + [("twist", 3)] * (c + 1),
-    )
+    _exchange(tb, 0, [("twist", 3)] * (c + 1), [("wrap", 1)] * k)
     tb.conjugate(2 * k)
-    arrange_blocks(
-        tb,
-        6 * (c + 1) + 4,
-        [("wrap", 2)] * k + [("wrap", 1)] * k,
-        [("wrap", 2), ("wrap", 1)] * k,
-    )
-    for t in range(k):
-        tb.neighbor_braid(6 * (c + 1) + 4 + 6 * t + 2)
+    _close_wrap_pairs(tb, 6 * (c + 1) + 4, k)
     tb.conjugate(ell - 6 * k)
     big = 3 * k + 2
-    arrange_blocks(
-        tb,
-        0,
-        [("twist", 3)] * big + [("run", (1,))],
-        [("run", (1,))] + [("twist", 3)] * big,
-    )
+    _exchange(tb, 0, [("twist", 3)] * big, [("run", (1,))])
     tb.conjugate(1)
     tb.neighbor_braid(6 * big + 1)
-    arrange_blocks(
-        tb,
-        0,
-        [("twist", 3)] * big + [("run", (1, 2, 1))],
-        [("run", (1, 2, 1))] + [("twist", 3)] * big,
-    )
+    _exchange(tb, 0, [("twist", 3)] * big, [("run", (1, 2, 1))])
     tb.conjugate(3)
     expect_word(tb, torus_braid(target.p, target.q).letters)
     return _certify(source, target, tb, 3 * k + 2)
@@ -627,13 +588,7 @@ def _two_from_four_4k1(k: int) -> AdjacencyCertificate:
     source = TorusParams(4, 4 * k + 1)
     target = TorusParams(2, 6 * k + 3)
     tb = TraceBuilder(torus_braid(source.p, source.q))
-    for t in range(k):
-        run_program(tb, peel_prog(4), t * 12)
-    arrange_blocks(
-        tb, 0, [("wrap", 3), ("twist", 3)] * k, [("twist", 3)] * k + [("wrap", 3)] * k
-    )
-    cascade(tb, 6 * k, 3, k)
-    tb.destabilize()
+    _drop_top_strand(tb, k, 1)
     for t in range(k):
         run_program(tb, peel_prog(3), t * 6)
     arrange_blocks(
@@ -654,12 +609,7 @@ def _two_from_four_4k1(k: int) -> AdjacencyCertificate:
         [("wrap", 1), ("wrap", 2), ("wrap", 1)] * k,
         [("wrap", 1)] * k + [("wrap", 2)] * k + [("wrap", 1)] * k,
     )
-    arrange_blocks(
-        tb,
-        2 * k,
-        [("wrap", 2)] * k + [("run", (1,) * (2 * k + 1))],
-        [("run", (1,) * (2 * k + 1))] + [("wrap", 2)] * k,
-    )
+    _exchange(tb, 2 * k, [("wrap", 2)] * k, [("run", (1,) * (2 * k + 1))])
     tb.conjugate(len(tb.letters) - 1)
     cascade(tb, 4 * k + 2, 2, k)
     tb.destabilize()
@@ -672,51 +622,17 @@ def _two_from_four_4k3(k: int) -> AdjacencyCertificate:
     source = TorusParams(4, 4 * k + 3)
     target = TorusParams(2, 6 * k + 5)
     tb = TraceBuilder(torus_braid(source.p, source.q))
-    run_program(tb, ext_prog(3, 3), 12 * k)
-    tb.conjugate(len(tb.letters) - 6)
-    for t in range(k):
-        run_program(tb, peel_prog(4), 6 + t * 12)
-    arrange_blocks(
-        tb, 6, [("wrap", 3), ("twist", 3)] * k, [("twist", 3)] * k + [("wrap", 3)] * k
-    )
-    arrange_blocks(
-        tb,
-        6 * (k + 1),
-        [("wrap", 3)] * k + [("run", (1, 2))],
-        [("run", (1, 2))] + [("wrap", 3)] * k,
-    )
-    cascade(tb, 6 * (k + 1) + 2, 3, k)
-    tb.destabilize()
+    _drop_top_strand_rotated(tb, k)
     for t in range(k + 1):
         run_program(tb, peel_prog(3), t * 6)
-    arrange_blocks(
-        tb,
-        6 * k,
-        [("wrap", 2), ("run", (1, 1, 1))],
-        [("run", (1, 1, 1)), ("wrap", 2)],
-    )
+    _exchange(tb, 6 * k, [("wrap", 2)], [("run", (1, 1, 1))])
     tb.crossing_change(6 * k + 6)
     expect_word(tb, (wrap(2) + wrap(1)) * k + (1, 1, 1, 2, 1, 1) + wrap(2) * k)
-    arrange_blocks(
-        tb,
-        6 * k + 4,
-        [("run", (1, 1))] + [("wrap", 2)] * k,
-        [("wrap", 2)] * k + [("run", (1, 1))],
-    )
+    _exchange(tb, 6 * k + 4, [("run", (1, 1))], [("wrap", 2)] * k)
     tb.conjugate(len(tb.letters) - 2)
-    arrange_blocks(
-        tb,
-        2,
-        [("wrap", 2), ("wrap", 1)] * k + [("run", (1, 1, 1))],
-        [("run", (1, 1, 1))] + [("wrap", 2), ("wrap", 1)] * k,
-    )
+    _exchange(tb, 2, [("wrap", 2), ("wrap", 1)] * k, [("run", (1, 1, 1))])
     tb.conjugate(len(tb.letters) - 4 * k)
-    arrange_blocks(
-        tb,
-        0,
-        [("wrap", 2)] * k + [("run", (1,) * 5)],
-        [("run", (1,) * 5)] + [("wrap", 2)] * k,
-    )
+    _exchange(tb, 0, [("wrap", 2)] * k, [("run", (1,) * 5)])
     arrange_blocks(
         tb,
         5,

@@ -203,6 +203,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """Argument type of the budget flags: an integer, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget cannot be negative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line, exit code 2."""
 
@@ -278,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all positive braid knots of unknotting number m")
     p.add_argument("m", type=int)
-    p.add_argument("--budget", type=int, default=1_000_000, help="word-examination budget")
+    p.add_argument("--budget", type=_budget, default=1_000_000, help="word-examination budget")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("search", help="breadth-first path search between two knot words")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--nodes", type=int, default=50000, help="state expansion budget")
-    p.add_argument("--depth", type=int, default=16, help="depth budget")
+    p.add_argument("--nodes", type=_budget, default=50000, help="state expansion budget")
+    p.add_argument("--depth", type=_budget, default=16, help="depth budget")
     p.add_argument("--trace", metavar="FILE", help="write the found trace here")
     p.set_defaults(handler=cmd_search)
 

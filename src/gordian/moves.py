@@ -20,13 +20,13 @@ Two layers are built on top:
   (``move_b_prog``, ``move_d_prog``, ``move_z_prog``, ``ext_prog``,
   ``peel_prog``, ``conv_prog``) realize the letter-commutation identities
   the larger constructions are made of.
-* **Regional programs** — step programs with one more instruction, the
-  subword rotation ``("rconj", L, LB, RB)``, describing a rewrite of a
-  suffix region *abstractly* so the same program can be replayed inside
-  different ambient words (:func:`run_regional`).  The rotation is realized
-  by walking letters around the closure, so the ambient prefix must be
-  described by *block descriptors* the moving letters are known to commute
-  past.
+* **Regional programs** — step programs that may also hold a
+  :class:`Rotation` of a subword, describing a rewrite of a suffix region
+  *abstractly* so the same program can be replayed inside different ambient
+  words (:func:`run_regional`).  A rotation inverts and mirrors like any
+  other step; running it walks letters around the closure, so the ambient
+  prefix must be described by *block descriptors* the moving letters are
+  known to commute past.
 
 Block descriptors are tuples: ``("letter", m)`` a single letter,
 ``("wrap", j)`` the 2j-letter wrap, ``("twist", a)`` the full twist on ``a``
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
+from typing import NamedTuple
 
 from .errors import IllegalStep
 from .rules import (
@@ -82,9 +83,8 @@ __all__ = [
     "arrange_blocks",
     "cascade",
     "cascade_mirror",
+    "Rotation",
     "decompose_region_prog",
-    "regional_invert",
-    "regional_mirror",
     "run_regional",
     "expect_word",
 ]
@@ -129,8 +129,21 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 #
 # A program is a list of RewriteSteps whose positions are relative to an
 # offset chosen when the program runs.  A neighbor-braid step carries no
-# direction: the builder reads it off the word.  Rotations and the
+# direction: the builder reads it off the word.  Conjugate steps and the
 # destabilization act on the whole word, so they run only at offset 0.
+
+RCONJ = "rconj"
+
+
+class Rotation(NamedTuple):
+    """Rotate left by ``amount`` the ``length``-letter subword that lies
+    between a region's leading blocks ``lb`` and trailing blocks ``rb``."""
+
+    amount: int
+    length: int
+    lb: tuple = ()
+    rb: tuple = ()
+    kind = RCONJ
 
 
 def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
@@ -142,12 +155,20 @@ def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
     return step
 
 
+def _mirror_desc(desc: tuple) -> tuple:
+    if desc[0] in ("letter", "wrap"):
+        return desc
+    if desc[0] == "run":
+        return ("run", tuple(reversed(desc[1])))
+    raise IllegalStep(f"block {desc!r} cannot delimit a mirrored rotation")
+
+
 def _invert_step(step: RewriteStep) -> RewriteStep:
     """The isotopy step that undoes ``step`` on the word ``step`` produced.
 
     Distant swaps are self-inverse in place; braid-relation rewrites invert in
     place because the opposite pattern sits at the same position afterwards;
-    rotations invert by negating the amount.
+    rotations invert by rotating the rest of the way round.
     """
     if step.kind == DISTANT_SWAP:
         return step
@@ -155,6 +176,8 @@ def _invert_step(step: RewriteStep) -> RewriteStep:
         return RewriteStep(NEIGHBOR_BRAID, step.position)
     if step.kind == CONJUGATE:
         return RewriteStep(CONJUGATE, amount=-step.amount)
+    if step.kind == RCONJ:
+        return step._replace(amount=step.length - step.amount)
     raise IllegalStep(f"a {step.kind} step cannot be inverted")
 
 
@@ -166,6 +189,10 @@ def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
         return RewriteStep(step.kind, length - 2 - step.position)
     if step.kind == CONJUGATE:
         return RewriteStep(CONJUGATE, amount=length - step.amount)
+    if step.kind == RCONJ:
+        lb = tuple(_mirror_desc(d) for d in reversed(step.rb))
+        rb = tuple(_mirror_desc(d) for d in reversed(step.lb))
+        return Rotation(step.length - step.amount, step.length, lb, rb)
     raise IllegalStep(f"a {step.kind} step cannot be mirrored")
 
 
@@ -494,20 +521,13 @@ def cascade_mirror(tb: TraceBuilder, pos: int, j: int, count: int) -> None:
 # ---------------------------------------------------------------------------
 #
 # A regional program is a step program whose positions are relative to the
-# start of a suffix region, plus one more instruction, the rotation
-#
-#   (RCONJ, L, LB, RB)
-#
-# meaning: inside the region, whose first blocks match the descriptors LB and
-# whose last blocks match RB, rotate the subword strictly between them left by
-# L letters.  Running the program inside an ambient word realizes the
-# rotation by walking the moved letters around the closure, commuting them
-# through LB/RB and through the ambient prefix (also given as descriptors).
-
-RCONJ = "rconj"
+# start of a suffix region and which may hold Rotations.  Running it inside an
+# ambient word realizes each rotation by walking the moved letters around the
+# closure, commuting them through its delimiting blocks and through the
+# ambient prefix (also given as descriptors).
 
 
-def decompose_region_prog(a: int, k: int) -> list[tuple]:
+def decompose_region_prog(a: int, k: int) -> list[RewriteStep | Rotation]:
     """Regional program rewriting ``R_{a-1}^{ak+1}`` into the layered form.
 
     Level by level (``a' = a, a-1, …, 2``) the run power splits as
@@ -518,8 +538,9 @@ def decompose_region_prog(a: int, k: int) -> list[tuple]:
     """
     if a < 2 or k < 0:
         raise IllegalStep(f"decomposition needs a >= 2 and k >= 0, got a={a}, k={k}")
-    prog: list[tuple] = []
+    prog: list[RewriteStep | Rotation] = []
     stack: list[tuple] = []
+    region_len = (a - 1) * (a * k + 1)
     base = 0
     for ap in range(a, 1, -1):
         lw = 2 * (ap - 1)
@@ -535,7 +556,7 @@ def decompose_region_prog(a: int, k: int) -> list[tuple]:
                     prog += shift_program(cross_left_prog(("wrap", ap - 1), letter), wstart + c)
                 pos = wstart
         if k * lt:
-            prog.append((RCONJ, k * lt, tuple(stack), ()))
+            prog.append(Rotation(k * lt, region_len - base, tuple(stack)))
         rtail = descending_run(ap - 2)
         bpos = base + k * lw + 1
         for _ in range(k if rtail else 0):
@@ -547,60 +568,18 @@ def decompose_region_prog(a: int, k: int) -> list[tuple]:
     return prog
 
 
-def _sub_length(region_len: int, lb, rb) -> int:
-    s = region_len - sum(desc_len(d) for d in lb) - sum(desc_len(d) for d in rb)
-    if s <= 0:
-        raise IllegalStep("rotation delimiters leave no subword")
-    return s
-
-
-def regional_invert(prog: list[tuple], region_len: int) -> list[tuple]:
-    """Reverse a regional program (length-preserving programs only)."""
-    out = []
-    for step in reversed(prog):
-        if step[0] == RCONJ:
-            _, amount, lb, rb = step
-            out.append((RCONJ, _sub_length(region_len, lb, rb) - amount, lb, rb))
-        else:
-            out.append(_invert_step(step))
-    return out
-
-
-def _mirror_desc(desc: tuple) -> tuple:
-    if desc[0] in ("letter", "wrap"):
-        return desc
-    if desc[0] == "run":
-        return ("run", tuple(reversed(desc[1])))
-    raise IllegalStep(f"block {desc!r} cannot delimit a mirrored rotation")
-
-
-def regional_mirror(prog: list[tuple], region_len: int) -> list[tuple]:
-    """Conjugate a regional program by reversal of the region's letters."""
-    out = []
-    for step in prog:
-        if step[0] == RCONJ:
-            _, amount, lb, rb = step
-            mirrored_lb = tuple(_mirror_desc(d) for d in reversed(rb))
-            mirrored_rb = tuple(_mirror_desc(d) for d in reversed(lb))
-            out.append((RCONJ, _sub_length(region_len, lb, rb) - amount, mirrored_lb, mirrored_rb))
-        else:
-            out.append(_mirror_step(step, region_len))
-            if step.kind == CROSSING_CHANGE:
-                region_len -= 2
-    return out
-
-
 def _stack_legal(movers, descs) -> bool:
     return all(can_cross(d, i) for d in descs for i in movers)
 
 
-def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
+def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotation) -> None:
     """Realize one subword rotation inside the ambient word."""
+    amount, s, lb, rb = rotation
     ell = len(tb.letters)
-    region_len = ell - region_start
     lb_len = sum(desc_len(d) for d in lb)
     rb_len = sum(desc_len(d) for d in rb)
-    s = _sub_length(region_len, lb, rb)
+    if lb_len + s + rb_len != ell - region_start:
+        raise IllegalStep(f"a {s}-letter subword and its delimiters do not fill the region")
     if not 0 <= amount <= s:
         raise IllegalStep(f"rotation amount {amount} exceeds the subword length {s}")
     if amount in (0, s):
@@ -648,7 +627,7 @@ def _lift_rotation(tb, region_start, prefix, amount, lb, rb) -> None:
         raise IllegalStep("neither side of the subword can walk around the closure")
 
 
-def run_regional(tb: TraceBuilder, prog: list[RewriteStep], region_start: int, prefix) -> None:
+def run_regional(tb: TraceBuilder, prog: list, region_start: int, prefix) -> None:
     """Run a regional program on the suffix region starting at ``region_start``.
 
     ``prefix`` is a list of block descriptors describing the whole word before
@@ -660,7 +639,7 @@ def run_regional(tb: TraceBuilder, prog: list[RewriteStep], region_start: int, p
     if plen != region_start:
         raise IllegalStep("prefix descriptors must cover the word before the region")
     for step in prog:
-        if step[0] == RCONJ:
-            _lift_rotation(tb, region_start, prefix, *step[1:])
+        if step.kind == RCONJ:
+            _lift_rotation(tb, region_start, prefix, step)
         else:
             tb.apply(_step_at(step, region_start))

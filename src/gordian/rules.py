@@ -449,28 +449,38 @@ def _parse_int(key: str, value: str, line: str) -> int:
         raise ParseError(f"malformed {key} value {value!r} in step line {line!r}") from None
 
 
+# The parameters each rule's step line may carry.
+_STEP_PARAMETERS = {
+    DISTANT_SWAP: ("pos",),
+    NEIGHBOR_BRAID: ("pos", "direction"),
+    CONJUGATE: ("amount",),
+    DESTABILIZE: (),
+    CROSSING_CHANGE: ("pos",),
+}
+
+
 def _parse_step(line: str, body: str) -> RewriteStep:
     fields = body.split()
     if not fields:
         raise ParseError(f"step line names no rule: {line!r}")
     kind = fields[0]
-    if kind not in (DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE):
+    if kind not in _STEP_PARAMETERS:
         raise ParseError(f"unknown rule kind {kind!r}")
     position = direction = amount = None
     for piece in fields[1:]:
         key, eq, value = piece.partition("=")
         if not eq:
             raise ParseError(f"malformed step parameter {piece!r}")
+        if key not in _STEP_PARAMETERS[kind]:
+            raise ParseError(f"a {kind} step takes no {key!r} parameter: {line!r}")
         if key == "pos":
             position = _parse_int(key, value, line)
         elif key == "direction":
             if value not in (FORWARD, BACKWARD):
                 raise ParseError(f"unknown direction {value!r}")
             direction = value
-        elif key == "amount":
-            amount = _parse_int(key, value, line)
         else:
-            raise ParseError(f"unknown step parameter {key!r}")
+            amount = _parse_int(key, value, line)
     return RewriteStep(kind, position=position, direction=direction, amount=amount)
 
 

@@ -147,6 +147,9 @@ class TestAdjacency:
 
     # Frozen outputs: every residue of the 3-from-4 family, both residues of
     # the 2-from-4 family, both parametric families, a strip and a deletion.
+    # The k = 2 members of the congruence families run every per-twist loop
+    # more than once, and strip 5 13 (remainder 3) is the one strip that
+    # gathers an ascending block ahead of the wraps.
     @pytest.mark.parametrize(
         "name, args",
         [
@@ -161,6 +164,11 @@ class TestAdjacency:
             ("cin_3_1", ["cin", "3", "1"]),
             ("strip_3_7", ["strip", "3", "7"]),
             ("delete_t35", ["delete-subword", "3: 2 1 2 1 2 1 2 1", "3: 2 1 2 1 2 1"]),
+            ("t34_21", ["t34", "21"]),
+            ("t34_23", ["t34", "23"]),
+            ("t24_9", ["t24", "9"]),
+            ("t24_11", ["t24", "11"]),
+            ("strip_5_13", ["strip", "5", "13"]),
         ],
     )
     def test_matches_golden(self, capsys, tmp_path, monkeypatch, name, args):
@@ -218,6 +226,18 @@ class TestEnumerate:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "1", "--budget", "-5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: gordian enumerate: argument --budget: a budget cannot be negative, got -5\n"
+        )
+
+    def test_zero_budget_is_a_budget(self, capsys):
+        code, _, err = run(capsys, "enumerate", "1", "--budget", "0")
+        assert code == 3
+        assert err.startswith("error: enumeration budget of 0 words exhausted")
+
     def test_large_m_stops_at_its_budget(self, capsys):
         # Words of 1 201 letters and more: the walk keeps no recursion depth
         # per letter, and canonical forms of long words cost O(L²), not O(L³).
@@ -244,6 +264,22 @@ class TestSearch:
         code, _, err = run(capsys, "search", "3: 2 1 2 1 2 1 2 1 2 1", "1:", "--nodes", "5")
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag, value", [("--nodes", "-1"), ("--depth", "-3")])
+    def test_negative_budget_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "search", "2: 1 1 1", "2: 1", flag, value)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: gordian search: argument {flag}: a budget cannot be negative, got {value}\n"
+        )
+
+    def test_zero_budgets_are_budgets(self, capsys):
+        code, out, _ = run(capsys, "search", "2: 1 1 1", "2: 1 1 1", "--nodes", "0", "--depth", "0")
+        assert code == 0
+        assert "steps: 0" in out
+        code, _, err = run(capsys, "search", "2: 1 1 1", "2: 1", "--depth", "0")
+        assert code == 3
+        assert err.startswith("error: no path found within depth 0")
 
     # Frozen outputs: the README example T(3,4) → T(2,5), T(3,7) → T(2,7),
     # and a 4-strand, 21-letter word one crossing change above its target.
@@ -347,6 +383,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_parameter_the_rule_does_not_take_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "stray.trace"
+        text = "trace v2\ninitial: 2: 1\nstep: destabilize{}\nfinal: 1:\ncrossing_changes: 0\nend\n"
+        path.write_text(text.format(""))
+        assert run(capsys, "verify", str(path))[0] == 0
+        path.write_text(text.format(" pos=7 amount=3"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_parameter_the_rule_does_not_take_in_certificate_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "ci21.cert"
+        run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
+        edit_line(path, "step: destabilize", lambda line: line + " amount=3")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_out_of_domain_torus_endpoint_exits_2(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from gordian import BraidWord, IllegalStep, RewriteStep, TraceBuilder, ascending_run, descending_run
 from gordian.moves import (
+    Rotation,
     arrange_blocks,
     ascending_twist_letters,
     can_cross,
@@ -22,8 +23,6 @@ from gordian.moves import (
     move_d_prog,
     move_z_prog,
     peel_prog,
-    regional_invert,
-    regional_mirror,
     revform_letters,
     run_program,
     run_regional,
@@ -244,7 +243,7 @@ class TestRegionalPrograms:
         prog = decompose_region_prog(a, k)
         tb = TraceBuilder(word)
         run_regional(tb, prog, 0, [])
-        run_regional(tb, regional_invert(prog, word.length), 0, [])
+        run_regional(tb, invert_program(prog), 0, [])
         assert tb.word == word
 
     def test_regional_mirror_acts_on_reversed_region(self):
@@ -253,7 +252,7 @@ class TestRegionalPrograms:
         prog = decompose_region_prog(a, k)
         reversed_word = BraidWord(a, tuple(reversed(descending_run(a - 1) * (a * k + 1))))
         tb = TraceBuilder(reversed_word)
-        run_regional(tb, regional_mirror(prog, length), 0, [])
+        run_regional(tb, mirror_program(prog, length), 0, [])
         assert tb.word.letters == tuple(reversed(form_letters(a, k)))
 
     def test_run_regional_requires_matching_prefix(self):
@@ -275,3 +274,50 @@ class TestRegionalPrograms:
         tb = TraceBuilder(word)
         with pytest.raises(IllegalStep):
             run_regional(tb, decompose_region_prog(3, 1), 1, [("letter", 2)])
+
+
+class TestRotation:
+    def test_decomposition_carries_subword_lengths(self):
+        # R_3^9 has 27 letters; the second rotation skips 2 wraps V_3 and σ_3.
+        rotations = [step for step in decompose_region_prog(4, 2) if isinstance(step, Rotation)]
+        assert rotations == [
+            Rotation(12, 27),
+            Rotation(4, 27 - 13, (("wrap", 3),) * 2 + (("letter", 3),)),
+        ]
+
+    def test_invert_program_then_the_original_round_trips(self):
+        for a, k in [(3, 1), (3, 2), (4, 1)]:
+            word = BraidWord(a, form_letters(a, k))
+            prog = decompose_region_prog(a, k)
+            tb = TraceBuilder(word)
+            run_regional(tb, invert_program(prog), 0, [])
+            assert tb.word.letters == descending_run(a - 1) * (a * k + 1), (a, k)
+            run_regional(tb, prog, 0, [])
+            assert tb.word == word, (a, k)
+            assert tb.crossing_changes == 0
+
+    def test_mirror_rotation_acts_on_reversed_region(self):
+        rotation = Rotation(1, 4, (("wrap", 3),))
+        mirrored = mirror_program([rotation], 10)
+        assert mirrored == [Rotation(3, 4, (), (("wrap", 3),))]
+        word = BraidWord(4, wrap(3) + (1, 2, 1, 1))
+        tb = TraceBuilder(word)
+        run_regional(tb, [rotation], 0, [])
+        rotated = tb.word.letters
+        tb = TraceBuilder(BraidWord(4, tuple(reversed(word.letters))))
+        run_regional(tb, mirrored, 0, [])
+        assert tb.word.letters == tuple(reversed(rotated))
+
+    @pytest.mark.parametrize("length", [3, 5, 6])
+    def test_rotation_must_fill_the_region(self, length):
+        # lb + length + rb must equal the region's 6 letters: 2 + 4 here.
+        word = BraidWord(4, (1, 1, 3, 3, 3, 3))
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep):
+            run_regional(tb, [Rotation(1, length, (("wrap", 1),))], 0, [])
+        assert tb.word == word and tb.steps == ()
+
+    def test_rotation_that_fills_the_region_runs(self):
+        tb = TraceBuilder(BraidWord(4, (1, 1, 3, 2, 3, 3)))
+        run_regional(tb, [Rotation(1, 4, (("wrap", 1),))], 0, [])
+        assert tb.word.letters == (1, 1, 2, 3, 3, 3)

@@ -329,6 +329,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_trace("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "step: destabilize pos=7 amount=3",
+            "step: destabilize direction=forward",
+            "step: distant-swap pos=0 amount=1",
+            "step: distant-swap pos=0 direction=forward",
+            "step: crossing-change pos=0 direction=backward",
+            "step: conjugate amount=1 pos=0",
+            "step: neighbor-braid pos=0 direction=forward amount=2",
+        ],
+    )
+    def test_parameters_a_rule_does_not_take_are_parse_errors(self, line):
+        text = f"trace v2\ninitial: 2: 1\n{line}\nfinal: 1:\ncrossing_changes: 0\nend\n"
+        with pytest.raises(ParseError, match="takes no"):
+            parse_trace(text)
+
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ParseError):
             parse_trace("initial: 2: 1\nend\n")
