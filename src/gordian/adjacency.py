@@ -194,9 +194,10 @@ def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = Tr
     """Replay the trace and compare endpoints and accounting.
 
     The final word is matched to the target by strand count, length, and
-    (unless skipped) Alexander polynomial; the crossing-change count must
-    equal the claim and, when both endpoint closures are knots, the gap in
-    unknotting numbers.
+    (unless skipped) Alexander polynomial, computed only when the final word
+    differs from the target letter for letter; the crossing-change count
+    must equal the claim and, when both endpoint closures are knots, the gap
+    in unknotting numbers.
     """
     src = endpoint_word(cert.source)
     tgt = endpoint_word(cert.target)
@@ -210,7 +211,9 @@ def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = Tr
         return CertificateCheck(False, source_match, None, None, None, cc_match, exc.step_index)
     strands_match = final.strands == tgt.strands
     length_match = final.length == tgt.length
-    alexander_match = (alexander(final) == alexander(tgt)) if check_alexander else None
+    alexander_match = (
+        (final == tgt or alexander(final) == alexander(tgt)) if check_alexander else None
+    )
     return CertificateCheck(
         replay_ok=True,
         source_match=source_match,

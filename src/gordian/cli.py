@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all positive braid knots of unknotting number m")
     p.add_argument("m", type=int)
-    p.add_argument("--budget", type=_budget, default=1_000_000, help="word-examination budget")
+    p.add_argument("--budget", type=_budget, default=1_000_000, help="least-rotation word budget")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("search", help="breadth-first path search between two knot words")

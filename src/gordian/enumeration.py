@@ -7,10 +7,10 @@ length per strand count, and a knot representative needs at most ``2m + 1``
 strands once single-occurrence generators are removed.  A word in which some
 generator occurs once destabilizes to a word on one strand fewer, which the
 census meets there, so :func:`enumerate_positive_knots` generates, in
-lexicographic order, only the words in which every generator occurs at least
-twice, and counts each.  It computes the canonical form (least over rotations
-and distant commutations) once per rotation class, at the class's least
-rotation, which is the first member the walk meets.  It then minimizes each
+lexicographic order, only the least rotations of the words in which every
+generator occurs at least twice, and counts each: a prenecklace walk emits
+each rotation class once.  It computes the canonical form (least over
+rotations and distant commutations) of each knot among them, minimizes each
 distinct form and groups the survivors by invariant key (unknotting number,
 Alexander polynomial, minimal strand count).  The class count is checked
 against the ``(2m)^{4m}`` ceiling.
@@ -227,9 +227,16 @@ class EnumerationResult:
 
 
 def _census_words(strands: int, length: int):
-    """Words of ``length`` letters over ``1 … strands−1`` in which every
+    """Necklaces of ``length`` letters over ``1 … strands−1`` in which every
     letter occurs at least twice, in lexicographic order.
 
+    A necklace is a word equal to its least rotation, so each rotation class
+    is emitted once.  The walk is the prenecklace walk of Fredricksen, Kessler
+    and Maiorana (see Ruskey, Savage and Wang 1992): ``period[pos]`` is the
+    length p of the longest Lyndon prefix of ``word[:pos]``; the first letter
+    tried at ``pos`` is ``word[pos − p]`` (smaller ones cannot lead to a
+    least rotation), which keeps p, and a larger one sets p to ``pos + 1``.
+    A full word is a necklace exactly when p divides its length.
     ``deficit`` counts the occurrences still missing; a prefix is cut as soon
     as the letters left cannot cover it.  The walk advances one array of
     letters in place (``word[pos]`` is the letter last tried at ``pos``, 0
@@ -244,6 +251,7 @@ def _census_words(strands: int, length: int):
         yield ()
         return
     word = [0] * length
+    period = [1] * length
     pos = 0
     while pos >= 0:
         letter = word[pos]
@@ -251,8 +259,10 @@ def _census_words(strands: int, length: int):
             counts[letter] -= 1
             if counts[letter] < 2:
                 deficit += 1
+            letter += 1
+        else:
+            letter = word[pos - period[pos]] if pos else 1
         spare = length - pos - 1
-        letter += 1
         while letter <= top and deficit - (counts[letter] < 2) > spare:
             letter += 1
         if letter > top:
@@ -263,34 +273,37 @@ def _census_words(strands: int, length: int):
         if counts[letter] < 2:
             deficit -= 1
         counts[letter] += 1
+        p = period[pos] if pos and letter == word[pos - period[pos]] else pos + 1
         if spare:
             pos += 1
-        else:
+            period[pos] = p
+        elif length % p == 0:
             yield tuple(word)
 
 
 def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResult:
     """Enumerate every positive braid knot with unknotting number ``m``.
 
-    Walks the words of length ``2m + n − 1`` over generator indices
-    ``1 … n−1`` in which every generator occurs at least twice, for each
-    strand count ``n`` up to ``2m + 1`` (the one-strand empty word
-    participates only when ``m = 0``), keeps the knot words, dedups by
+    Walks the least rotations of the words of length ``2m + n − 1`` over
+    generator indices ``1 … n−1`` in which every generator occurs at least
+    twice, for each strand count ``n`` up to ``2m + 1`` (the one-strand empty
+    word participates only when ``m = 0``), keeps the knot words, dedups by
     canonical form, minimizes strand count, and groups by invariant key.
-    The counters count the generated words (``words_examined``), the knot
-    words among them and their distinct canonical forms.  A word in which a
-    generator occurs once is left out: it destabilizes to a word the walk
-    meets on fewer strands.  Raises :class:`BudgetExceeded` carrying the
-    partial result when more than ``budget`` words would be examined.
+    The counters count the generated least rotations (``words_examined``),
+    the knot words among them and their distinct canonical forms.  A word in
+    which a generator occurs once is left out: it destabilizes to a word the
+    walk meets on fewer strands.  The generated set, the knot check and the
+    canonical form are the same on every rotation of a word, so one word per
+    rotation class loses nothing.
 
-    The generated set, the knot check and the canonical form are the same on
-    every rotation of a word, and the walk is lexicographic, so each rotation
-    class is first met at its least rotation; the canonical form is computed
-    there only.  A partial result holds the forms of exactly the classes met
-    so far.
+    Raises :class:`BudgetExceeded` when more than ``budget`` least rotations
+    would be examined; its ``partial`` result, built only when read, holds
+    the forms of exactly the classes met so far.
     """
     if m < 0:
         raise DomainError(f"unknotting number must be >= 0, got {m}")
+    if budget < 0:
+        raise DomainError(f"a budget cannot be negative, got {budget}")
     words_examined = 0
     knot_words = 0
     raw_forms: set[BraidWord] = set()
@@ -335,14 +348,12 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
             if words_examined >= budget:
                 raise BudgetExceeded(
                     f"enumeration budget of {budget} words exhausted at {n} strands",
-                    partial=build(partial_ok=True),
+                    build_partial=lambda: build(partial_ok=True),
                 )
             words_examined += 1
             candidate = BraidWord._trusted(n, letters)
-            if not is_knot(candidate):
-                continue
-            knot_words += 1
-            if letters == _least_rotation(letters):
+            if is_knot(candidate):
+                knot_words += 1
                 raw_forms.add(canonical_form(candidate))
     return build()
 
@@ -396,6 +407,9 @@ def positive_path_search(
     letter.  Raises :class:`NotFoundWithinBudget` when the limits are hit —
     which is not a nonexistence proof.
     """
+    for name, value in (("max_nodes", max_nodes), ("max_depth", max_depth)):
+        if value < 0:
+            raise DomainError(f"{name} cannot be negative, got {value}")
     for name, word in (("source", source), ("target", target)):
         if not is_knot(word):
             raise DomainError(f"the {name} closure must be a knot")

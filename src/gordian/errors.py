@@ -8,6 +8,8 @@ preconditions, which are distinguished from exhausted search budgets.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class BraidError(Exception):
     """Base class for every error raised by this package."""
@@ -64,8 +66,16 @@ class NotFoundWithinBudget(BraidError):
 
 
 class BudgetExceeded(BraidError):
-    """Raised when enumeration runs out of budget; carries partial progress."""
+    """Raised when enumeration runs out of budget; carries partial progress.
 
-    def __init__(self, message: str, partial=None):
+    ``partial`` is built by ``build_partial`` the first time it is read, so a
+    caller that only reports the error pays nothing for it.
+    """
+
+    def __init__(self, message: str, build_partial=None):
         super().__init__(message)
-        self.partial = partial
+        self._build_partial = build_partial
+
+    @cached_property
+    def partial(self):
+        return None if self._build_partial is None else self._build_partial()

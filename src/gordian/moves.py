@@ -147,12 +147,13 @@ class Rotation(NamedTuple):
 
 
 def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
-    """``step`` with its position translated by ``offset``."""
-    if step.position is not None:
-        return RewriteStep(step.kind, step.position + offset, step.direction)
-    if offset:
-        raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
-    return step
+    """``step`` with its position translated by ``offset``; a rotation or a
+    whole-word step has no position and shifts only by 0."""
+    if isinstance(step, Rotation) or step.position is None:
+        if offset:
+            raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
+        return step
+    return RewriteStep(step.kind, step.position + offset, step.direction)
 
 
 def _mirror_desc(desc: tuple) -> tuple:

@@ -30,6 +30,7 @@ from gordian import (
     unknotting_number,
     verify_certificate,
 )
+from gordian import adjacency
 from gordian.adjacency import (
     decompose_twists,
     endpoint_word,
@@ -236,6 +237,18 @@ class TestCertificateFormat:
         check = verify_certificate(cert, check_alexander=False)
         assert check.alexander_match is None
         assert check.valid
+
+    @pytest.mark.parametrize("cert, calls", [(adjacency_ci(2, 1), 0), (adjacency_cin(3, 1), 2)])
+    def test_alexander_is_computed_only_off_the_target(self, monkeypatch, cert, calls):
+        # ci 2 1 ends on the target letter for letter; cin 3 1 ends on
+        # another word with the target's strands and length.
+        counted = []
+        real = adjacency.alexander
+        monkeypatch.setattr(adjacency, "alexander", lambda w: counted.append(w) or real(w))
+        check = verify_certificate(cert)
+        assert (replay(cert.trace) == endpoint_word(cert.target)) == (calls == 0)
+        assert len(counted) == calls
+        assert check.alexander_match and check.valid
 
     def test_replay_failure_keeps_the_step_index(self):
         cert = adjacency_ci(2, 1)

@@ -1,6 +1,7 @@
 """Knot census by unknotting number and the five-rule path search."""
 
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
@@ -19,23 +20,29 @@ from gordian import (
     positive_path_diagnostic,
     positive_path_search,
     replay,
+    torus_alexander,
     torus_braid,
     unknot,
     unknotting_number,
     verify_positive_path,
 )
+from gordian import enumeration
 from gordian.enumeration import canonical_rotation
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def filtered_walk_prefix(m, budget):
     """Oracle: ``(words_examined, knot_words, distinct_forms, classes)`` after
     the first ``budget`` words of every word in which each generator occurs at
-    least twice, in lexicographic order; every knot word's form is taken."""
+    least twice and which equals its least rotation, in lexicographic order;
+    every knot word's form is taken."""
     words = (
         BraidWord(n, letters)
         for n in range(1, 2 * m + 2)
         for letters in product(range(1, n), repeat=2 * m + n - 1)
         if all(letters.count(g) >= 2 for g in range(1, n))
+        and all(letters <= letters[r:] + letters[:r] for r in range(len(letters)))
     )
     examined = knot_words = 0
     forms = set()
@@ -123,6 +130,23 @@ class TestEnumeration:
         assert len(keys) == 2
         assert all(key[0] == 2 for key in keys)
 
+    def test_m3_matches_its_golden(self, census_m3):
+        assert format_enumeration_report(census_m3) == (GOLDEN / "enumerate_m3.txt").read_text()
+
+    def test_m3_classes_are_the_known_knots(self, census_m3):
+        # T(2,7), T(3,4), T(2,3)#T(2,5) and T(2,3)#T(2,3)#T(2,3); the
+        # Alexander polynomial is multiplicative under connected sum.
+        trefoil = torus_alexander(2, 3)
+        expected = [
+            torus_alexander(2, 7),
+            torus_alexander(3, 4),
+            trefoil * torus_alexander(2, 5),
+            trefoil * trefoil * trefoil,
+        ]
+        found = [cls.invariant_key[1] for cls in census_m3]
+        assert sorted(found, key=str) == sorted(expected, key=str)
+        assert all(cls.invariant_key[0] == 3 for cls in census_m3)
+
     def test_every_class_has_the_right_unknotting_number(self, census_m2):
         censuses = (enumerate_positive_knots(0), enumerate_positive_knots(1), census_m2)
         for m, result in enumerate(censuses):
@@ -139,16 +163,16 @@ class TestEnumeration:
 
     def test_budget_exhaustion_carries_partial_result(self):
         with pytest.raises(BudgetExceeded) as info:
-            enumerate_positive_knots(2, budget=500)
+            enumerate_positive_knots(2, budget=300)
         partial = info.value.partial
-        assert partial.budget == 500
-        assert partial.words_examined <= 500
+        assert partial.budget == 300
+        assert partial.words_examined <= 300
 
-    @pytest.mark.parametrize("budget", [3, 5, 100, 1_000, 3_200])
+    @pytest.mark.parametrize("budget", [3, 5, 100, 300, 418])
     def test_budget_partial_counts(self, budget):
-        # Forms are taken only at each rotation class's least rotation; a cut
-        # anywhere in the walk still holds every class met so far.  Budget 3
-        # stops before the second class is met, 3 200 one word before the end.
+        # The walk meets each rotation class once, at its least rotation; a
+        # cut anywhere in it still holds every class met so far.  Budget 3
+        # stops before the second class is met, 418 one word before the end.
         with pytest.raises(BudgetExceeded) as info:
             enumerate_positive_knots(2, budget=budget)
         partial = info.value.partial
@@ -159,6 +183,23 @@ class TestEnumeration:
             len(partial.classes),
         ) == filtered_walk_prefix(2, budget)
         assert len(partial.classes) == (1 if budget == 3 else 2)
+
+    def test_partial_is_built_when_first_read(self, monkeypatch):
+        calls = []
+        real = enumeration.minimize_word
+        monkeypatch.setattr(enumeration, "minimize_word", lambda w: calls.append(w) or real(w))
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_positive_knots(2, budget=100)
+        assert calls == []
+        partial = info.value.partial
+        assert len(calls) == partial.distinct_forms == 19
+        assert info.value.partial is partial  # built once
+        assert len(calls) == 19
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_is_a_domain_error(self, budget):
+        with pytest.raises(DomainError):
+            enumerate_positive_knots(1, budget=budget)
 
     def test_report_format(self):
         report = format_enumeration_report(enumerate_positive_knots(1))
@@ -202,6 +243,16 @@ class TestPathSearch:
     def test_budget_exhaustion(self):
         with pytest.raises(NotFoundWithinBudget):
             positive_path_search(torus_braid(3, 5), BraidWord(1, ()), max_nodes=10)
+
+    @pytest.mark.parametrize("limits", [{"max_nodes": -1}, {"max_depth": -1}])
+    def test_negative_budget_is_a_domain_error(self, limits):
+        with pytest.raises(DomainError):
+            positive_path_search(torus_braid(2, 3), BraidWord(2, (1,)), **limits)
+
+    def test_zero_budgets_are_budgets(self):
+        for limits in ({"max_nodes": 0}, {"max_depth": 0}):
+            with pytest.raises(NotFoundWithinBudget):
+                positive_path_search(torus_braid(2, 5), torus_braid(2, 3), **limits)
 
 
 class TestVerifyPositivePath:

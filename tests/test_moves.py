@@ -321,3 +321,12 @@ class TestRotation:
         tb = TraceBuilder(BraidWord(4, (1, 1, 3, 2, 3, 3)))
         run_regional(tb, [Rotation(1, 4, (("wrap", 1),))], 0, [])
         assert tb.word.letters == (1, 1, 2, 3, 3, 3)
+
+    def test_rotation_shifts_only_by_zero(self):
+        assert shift_program([Rotation(1, 2)], 0) == [Rotation(1, 2)]
+        with pytest.raises(IllegalStep):
+            shift_program([Rotation(1, 2)], 3)
+        tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
+        with pytest.raises(IllegalStep):
+            run_program(tb, [Rotation(1, 2)], offset=3)
+        assert tb.steps == ()
