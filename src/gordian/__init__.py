@@ -28,7 +28,6 @@ from .adjacency import (
 from .alexander import (
     LaurentPoly,
     alexander,
-    closures_equivalent_evidence,
     torus_alexander,
 )
 from .enumeration import (
@@ -73,7 +72,6 @@ from .rules import (
     serialize_trace,
 )
 from .unknotting import (
-    generator_support_check,
     reduce_single_generator,
     unknot,
     unknotting_sequence,
@@ -84,13 +82,11 @@ from .words import (
     TorusParams,
     ascending_run,
     closure_info,
-    components,
     descending_run,
     format_word,
     is_knot,
     parse_word,
     torus_braid,
-    torus_unknotting_number,
     unknotting_number,
 )
 
@@ -104,13 +100,11 @@ __all__ = [
     "TorusParams",
     "ascending_run",
     "closure_info",
-    "components",
     "descending_run",
     "format_word",
     "is_knot",
     "parse_word",
     "torus_braid",
-    "torus_unknotting_number",
     "unknotting_number",
     # rules
     "CONJUGATE",
@@ -133,10 +127,8 @@ __all__ = [
     # invariants
     "LaurentPoly",
     "alexander",
-    "closures_equivalent_evidence",
     "torus_alexander",
     # unknotting
-    "generator_support_check",
     "reduce_single_generator",
     "unknot",
     "unknotting_sequence",

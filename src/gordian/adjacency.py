@@ -30,13 +30,12 @@ import math
 from dataclasses import dataclass
 
 from .alexander import alexander
-from .errors import DomainError, IllegalStep, ParseError, TraceCorrupt
+from .errors import DomainError, ParseError, TraceCorrupt
 from .moves import (
     arrange_blocks,
     cascade,
     cascade_mirror,
     conv_prog,
-    cross_block_right,
     decompose_region_prog,
     expect_word,
     ext_prog,
@@ -66,10 +65,6 @@ from .words import (
 )
 
 __all__ = [
-    "full_twist",
-    "wrap_commute",
-    "peel_full_twist",
-    "decompose_twists",
     "strip_top_strand",
     "adjacency_ci",
     "adjacency_cin",
@@ -88,13 +83,6 @@ __all__ = [
     "CatalogAnswer",
     "adjacency_catalog",
 ]
-
-
-def full_twist(n: int) -> BraidWord:
-    """``Δ²_n = (σ_{n-1}⋯σ_1)^n`` on ``n`` strands — the central full twist."""
-    if n < 1:
-        raise DomainError(f"strand count must be >= 1, got {n}")
-    return BraidWord(n, full_twist_letters(n))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +113,7 @@ class CertificateCheck:
     When replay fails, ``failed_step`` is the index it failed at
     (``len(steps)`` when the steps end off the recorded final word) and the
     checks on the final word are not made: ``strands_match``,
-    ``length_match`` and ``alexander_match`` are None, as ``alexander_match``
-    also is when the polynomial comparison was skipped.
+    ``length_match`` and ``alexander_match`` are None, and only then.
     """
 
     replay_ok: bool
@@ -144,7 +131,7 @@ class CertificateCheck:
             and self.source_match
             and self.strands_match
             and self.length_match
-            and self.alexander_match is not False
+            and self.alexander_match
             and self.cc_match
         )
 
@@ -190,14 +177,13 @@ def _parse_endpoint(text: str) -> TorusParams | BraidWord:
     raise ParseError(f"endpoint must start with 'torus' or 'word': {text!r}")
 
 
-def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = True) -> CertificateCheck:
+def verify_certificate(cert: AdjacencyCertificate) -> CertificateCheck:
     """Replay the trace and compare endpoints and accounting.
 
     The final word is matched to the target by strand count, length, and
-    (unless skipped) Alexander polynomial, computed only when the final word
-    differs from the target letter for letter; the crossing-change count
-    must equal the claim and, when both endpoint closures are knots, the gap
-    in unknotting numbers.
+    Alexander polynomial, computed only when the final word differs from the
+    target letter for letter; the crossing-change count must equal the claim
+    and, when both endpoint closures are knots, the gap in unknotting numbers.
     """
     src = endpoint_word(cert.source)
     tgt = endpoint_word(cert.target)
@@ -211,15 +197,12 @@ def verify_certificate(cert: AdjacencyCertificate, *, check_alexander: bool = Tr
         return CertificateCheck(False, source_match, None, None, None, cc_match, exc.step_index)
     strands_match = final.strands == tgt.strands
     length_match = final.length == tgt.length
-    alexander_match = (
-        (final == tgt or alexander(final) == alexander(tgt)) if check_alexander else None
-    )
     return CertificateCheck(
         replay_ok=True,
         source_match=source_match,
         strands_match=strands_match,
         length_match=length_match,
-        alexander_match=alexander_match,
+        alexander_match=final == tgt or alexander(final) == alexander(tgt),
         cc_match=cc_match,
     )
 
@@ -280,68 +263,6 @@ def _certify(
             f"construction spent {tb.crossing_changes} crossing changes, claimed {claimed_cc}"
         )
     return AdjacencyCertificate(source, target, tb.snapshot(), claimed_cc)
-
-
-# ---------------------------------------------------------------------------
-# local maneuvers exposed as traced operations
-# ---------------------------------------------------------------------------
-
-
-def wrap_commute(word: BraidWord, pos: int, n: int) -> RewriteTrace:
-    """Commute the prefix block past the σ_n-wrap that starts at ``pos``.
-
-    The word must read ``β · σ_n⋯σ_1σ_1⋯σ_n · (rest)`` with the wrap at
-    ``pos = len(β)``; β may not contain σ_n (or σ_{n+1}, which cannot pass).
-    The trace turns it into ``σ_n⋯σ_1σ_1⋯σ_n · β · (rest)`` using only
-    distant swaps and braid relations.
-    """
-    if n < 1:
-        raise DomainError(f"wrap index must be >= 1, got {n}")
-    pattern = wrap(n)
-    if pos < 0 or pos + len(pattern) > word.length or word.letters[pos : pos + len(pattern)] != pattern:
-        raise IllegalStep(f"no σ_{n}-wrap at position {pos}")
-    beta = word.letters[:pos]
-    for letter in beta:
-        if letter in (n, n + 1):
-            raise IllegalStep(f"σ_{letter} cannot commute past a σ_{n}-wrap")
-    tb = TraceBuilder(word)
-    cross_block_right(tb, 0, ("wrap", n), beta)
-    tb.expect(pattern, at=0)
-    tb.expect(beta, at=len(pattern))
-    return tb.snapshot()
-
-
-def peel_full_twist(word: BraidWord, pos: int, n: int) -> RewriteTrace:
-    """Rewrite the full twist ``Δ²_n`` starting at ``pos`` into ``(σ_{n-1}⋯σ_1
-    σ_1⋯σ_{n-1}) Δ²_{n-1}`` in place, by isotopy steps only."""
-    if n < 1:
-        raise DomainError(f"twist index must be >= 1, got {n}")
-    pattern = full_twist_letters(n)
-    if pos < 0 or pos + len(pattern) > word.length or word.letters[pos : pos + len(pattern)] != pattern:
-        raise IllegalStep(f"no full twist on {n} strands at position {pos}")
-    tb = TraceBuilder(word)
-    run_program(tb, peel_prog(n), pos)
-    if n >= 2:
-        tb.expect(wrap(n - 1) + full_twist_letters(n - 1), at=pos)
-    return tb.snapshot()
-
-
-def decompose_twists(n: int, k: int) -> RewriteTrace:
-    """Rewrite ``(σ_{n-1}⋯σ_1)^{nk+1}`` into the layered form
-    ``(V_{n-1})^k σ_{n-1} ⋯ (V_1)^k σ_1`` with zero crossing changes.
-
-    ``V_j`` is the 2j-letter wrap σ_j⋯σ_1σ_1⋯σ_j.  The trace uses isotopy and
-    whole-word rotations only, so it is reversible step by step.
-    """
-    if n < 2 or k < 1:
-        raise DomainError(f"decomposition needs n >= 2 and k >= 1, got n={n}, k={k}")
-    tb = TraceBuilder(torus_braid(n, n * k + 1))
-    run_regional(tb, decompose_region_prog(n, k), 0, [])
-    expect_word(tb, form_letters(n, k))
-    trace = tb.snapshot()
-    if trace.crossing_changes:
-        raise AssertionError("twist decomposition must not spend crossing changes")
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .words import BraidWord, is_knot, unknotting_number
+from .words import BraidWord
 
 __all__ = [
     "LaurentPoly",
     "alexander",
     "torus_alexander",
-    "closures_equivalent_evidence",
-    "EquivalenceEvidence",
 ]
 
 
@@ -100,12 +98,6 @@ class LaurentPoly:
         if self.is_zero:
             raise DomainError("the zero polynomial has no exponents")
         return self.terms[0][0]
-
-    @property
-    def max_exponent(self) -> int:
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no exponents")
-        return self.terms[-1][0]
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises :class:`DomainError` on a nonzero remainder."""
@@ -264,45 +256,3 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
     numerator = (LaurentPoly.monomial(p * q) - one) * (LaurentPoly.monomial(1) - one)
     denominator = (LaurentPoly.monomial(p) - one) * (LaurentPoly.monomial(q) - one)
     return numerator.divide_exact(denominator).normalized()
-
-
-@dataclass(frozen=True)
-class EquivalenceEvidence:
-    """Invariant comparison of two knot closures.
-
-    ``verdict`` is ``"CONSISTENT"`` when both the Alexander polynomial and the
-    unknotting number agree — necessary but not sufficient for the closures to
-    be the same knot — and ``"DISTINCT"`` when either invariant separates them
-    (which *is* conclusive).
-    """
-
-    verdict: str
-    alexander_match: bool
-    unknotting_match: bool
-    alexander_a: LaurentPoly
-    alexander_b: LaurentPoly
-    unknotting_a: int
-    unknotting_b: int
-
-
-def closures_equivalent_evidence(word_a: BraidWord, word_b: BraidWord) -> EquivalenceEvidence:
-    """Compare two knot closures by Alexander polynomial and unknotting number."""
-    for word in (word_a, word_b):
-        if not is_knot(word):
-            raise DomainError("equivalence evidence is defined only for knot closures")
-    alex_a = alexander(word_a)
-    alex_b = alexander(word_b)
-    u_a = unknotting_number(word_a)
-    u_b = unknotting_number(word_b)
-    alexander_match = alex_a == alex_b
-    unknotting_match = u_a == u_b
-    verdict = "CONSISTENT" if (alexander_match and unknotting_match) else "DISTINCT"
-    return EquivalenceEvidence(
-        verdict=verdict,
-        alexander_match=alexander_match,
-        unknotting_match=unknotting_match,
-        alexander_a=alex_a,
-        alexander_b=alex_b,
-        unknotting_a=u_a,
-        unknotting_b=u_b,
-    )

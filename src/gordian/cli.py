@@ -2,8 +2,8 @@
 
 Every capability is exposed as a subcommand with line-stable output suitable
 for golden-file testing.  Exit codes: 0 success, 1 domain violation (the
-message names the broken precondition), 2 malformed input, 3 search or
-enumeration budget exhausted.
+message names the broken precondition, or a size too large to represent),
+2 malformed input, 3 search or enumeration budget exhausted.
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BraidError as exc:
         _print_err(str(exc))
+        return 1
+    except OverflowError as exc:
+        _print_err(f"too large to represent: {exc}")
         return 1
 
 

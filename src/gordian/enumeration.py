@@ -49,7 +49,6 @@ from .unknotting import reduce_single_generator
 from .words import BraidWord, format_word, is_knot, unknotting_number
 
 __all__ = [
-    "canonical_rotation",
     "canonical_form",
     "minimize_word",
     "KnotClass",
@@ -78,11 +77,6 @@ def _rotations(letters: tuple[int, ...]):
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least rotation: the key of a rotation class."""
     return min(_rotations(letters))
-
-
-def canonical_rotation(word: BraidWord) -> BraidWord:
-    """The lexicographically least rotation — a cheap conjugacy-stable key."""
-    return BraidWord(word.strands, _least_rotation(word.letters))
 
 
 def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,14 +136,17 @@ def _reducible(strands: int, letters: tuple[int, ...]) -> bool:
     return any(count == 1 for count in counts[1:])
 
 
-def _orbit_search_reduce(word: BraidWord, node_cap: int) -> BraidWord | None:
+_ORBIT_NODE_CAP = 20000
+
+
+def _orbit_search_reduce(word: BraidWord) -> BraidWord | None:
     """Bounded BFS over rotation classes, through braid moves and distant
     swaps, for a reducible word; a class is keyed by its least rotation."""
     strands = word.strands
     start = _least_rotation(word.letters)
     seen = {start}
     queue = deque([start])
-    while queue and len(seen) <= node_cap:
+    while queue and len(seen) <= _ORBIT_NODE_CAP:
         letters = queue.popleft()
         if _reducible(strands, letters):
             return reduce_single_generator(BraidWord._trusted(strands, letters))
@@ -162,13 +159,13 @@ def _orbit_search_reduce(word: BraidWord, node_cap: int) -> BraidWord | None:
     return None
 
 
-def minimize_word(word: BraidWord, node_cap: int = 20000) -> BraidWord:
+def minimize_word(word: BraidWord) -> BraidWord:
     """Drive a knot word to as few strands as the orbit search can reach.
 
     Alternates greedy single-occurrence generator removal with a bounded
     search through rotations, braid moves, and distant swaps for a word where
-    the greedy step applies again.  ``node_cap`` bounds the rotation classes
-    one search visits.
+    the greedy step applies again.  One search visits at most 20 000
+    rotation classes.
     """
     current = word
     while True:
@@ -177,7 +174,7 @@ def minimize_word(word: BraidWord, node_cap: int = 20000) -> BraidWord:
             continue
         except NoSingleGenerator:
             pass
-        found = _orbit_search_reduce(current, node_cap)
+        found = _orbit_search_reduce(current)
         if found is None:
             return current
         current = found

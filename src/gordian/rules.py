@@ -59,7 +59,6 @@ __all__ = [
     "TraceBuilder",
     "apply_distant_swap",
     "apply_neighbor_braid",
-    "neighbor_braid_direction",
     "apply_conjugate",
     "apply_destabilize",
     "apply_crossing_change",
@@ -233,11 +232,6 @@ def apply_distant_swap(word: BraidWord, position: int) -> BraidWord:
     return apply_step(word, RewriteStep(DISTANT_SWAP, position=position))
 
 
-def neighbor_braid_direction(word: BraidWord, position: int) -> str:
-    """Direction of the braid-relation rewrite available at ``position``."""
-    return _braid_direction(word.letters, position)
-
-
 def apply_neighbor_braid(word: BraidWord, position: int) -> BraidWord:
     """Rewrite ``(i, i+1, i) ↔ (i+1, i, i+1)`` at ``position`` (pattern inferred)."""
     return apply_step(word, RewriteStep(NEIGHBOR_BRAID, position=position))
@@ -400,18 +394,6 @@ class TraceBuilder:
 
     def crossing_change(self, position: int) -> None:
         self.apply(RewriteStep(CROSSING_CHANGE, position))
-
-    def expect(self, letters: tuple[int, ...], at: int) -> None:
-        """Assert that ``letters`` sits at position ``at`` of the current word.
-
-        Composite maneuvers use this to pin the intermediate words they were
-        derived with; a failure is a bug in the maneuver, not user error.
-        """
-        actual = tuple(self.letters[at : at + len(letters)])
-        if actual != tuple(letters):
-            raise AssertionError(
-                f"expected {letters} at position {at}, found {actual} in {format_word(self.word)}"
-            )
 
     def snapshot(self) -> RewriteTrace:
         return RewriteTrace(self.initial, tuple(self._steps), self.word)

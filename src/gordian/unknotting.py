@@ -22,11 +22,9 @@ from .rules import CROSSING_CHANGE, RewriteTrace, TraceBuilder, replay
 from .words import BraidWord, is_knot
 
 __all__ = [
-    "reduce_subword",
     "unknot",
     "unknotting_sequence",
     "reduce_single_generator",
-    "generator_support_check",
 ]
 
 
@@ -39,26 +37,41 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
 
     The region is walked right to left, keeping the invariant that the part
     from the current letter to the region's end holds at most one ``σ_n``.
-    Only the stretch between a pair is reduced recursively, one level down,
-    so the depth is bounded by ``n`` rather than by the length.
+    When the walk meets a pair, the stretch γ between them is reduced one
+    level down first: the walk at level ``n`` waits on an explicit stack
+    while γ is walked at level ``n - 1``, so the number of levels is not
+    limited by Python's recursion limit.  A γ of at most one letter, or at
+    level 0, is already reduced and is not walked.
     """
-    if n == 0:
-        return length
-    end = start + length
     letters = tb.letters
-    for s in range(end - 2, start - 1, -1):
-        if letters[s] != n:
-            continue
-        second = None
-        for q in range(s + 1, end):
-            if letters[q] == n:
-                second = q
-                break
-        if second is None:
-            continue
-        # The tail reads σ_n γ σ_n δ with γ, δ free of σ_n.  Tidy γ one level down.
-        gamma_len = second - (s + 1)
-        new_gamma_len = _reduce(tb, s + 1, gamma_len, n - 1)
+    waiting = []  # walks that wait for their γ: (start, end, n, s, length of γ)
+    end = start + length
+    s = end - 1
+    while True:
+        s -= 1
+        if s >= start:
+            if letters[s] != n:
+                continue
+            second = None
+            for q in range(s + 1, end):
+                if letters[q] == n:
+                    second = q
+                    break
+            if second is None:
+                continue
+            # The tail reads σ_n γ σ_n δ with γ, δ free of σ_n.  Tidy γ one level down.
+            gamma_len = second - (s + 1)
+            if gamma_len > 1 and n > 1:
+                waiting.append((start, end, n, s, gamma_len))
+                start, end, n, s = s + 1, second, n - 1, second - 1
+                continue
+            new_gamma_len = gamma_len
+        elif waiting:
+            # γ is reduced: resume the walk one level up, at its pair.
+            new_gamma_len = end - start
+            start, end, n, s, gamma_len = waiting.pop()
+        else:
+            return end - start
         end -= gamma_len - new_gamma_len
         second = s + 1 + new_gamma_len
         r = None
@@ -80,28 +93,6 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
         for q in range(second - 1, r, -1):
             tb.distant_swap(q)
         tb.neighbor_braid(r - 1)
-    return end - start
-
-
-def reduce_subword(word: BraidWord, start: int, length: int, level: int) -> RewriteTrace:
-    """Reduce a region of ``word`` at ``level``; return the rewrite trace.
-
-    The region ``word[start : start+length]`` must contain only letters
-    ``<= level``; afterwards it contains at most one ``σ_level``.  Steps never
-    touch letters outside the region.
-    """
-    if not 0 <= start <= word.length or not 0 <= length <= word.length - start:
-        raise DomainError(
-            f"region [{start}, {start + length}) does not fit a word of length {word.length}"
-        )
-    if level < 0:
-        raise DomainError(f"reduction level must be non-negative, got {level}")
-    region = word.letters[start : start + length]
-    if any(letter > level for letter in region):
-        raise DomainError(f"region contains letters above level {level}")
-    tb = TraceBuilder(word)
-    _reduce(tb, start, length, level)
-    return tb.snapshot()
 
 
 def unknot(word: BraidWord) -> RewriteTrace:
@@ -166,7 +157,3 @@ def reduce_single_generator(word: BraidWord) -> BraidWord:
             return BraidWord(word.strands - 1, letters)
     raise NoSingleGenerator("every generator used in the word occurs at least twice")
 
-
-def generator_support_check(word: BraidWord) -> bool:
-    """Whether every generator index ``1 … strands-1`` occurs in the word."""
-    return len(set(word.letters)) == word.strands - 1

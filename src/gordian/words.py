@@ -23,7 +23,6 @@ gcd(p, q) = 1, with ``u(T(p,q)) = (p-1)(q-1)/2``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
@@ -36,10 +35,8 @@ __all__ = [
     "format_word",
     "torus_braid",
     "closure_info",
-    "components",
     "is_knot",
     "unknotting_number",
-    "torus_unknotting_number",
     "descending_run",
     "ascending_run",
 ]
@@ -191,11 +188,6 @@ def closure_info(word: BraidWord) -> ClosureInfo:
     return ClosureInfo(permutation=tuple(image), cycles=tuple(cycles))
 
 
-def components(word: BraidWord) -> int:
-    """Number of components of the word's closure."""
-    return closure_info(word).components
-
-
 def is_knot(word: BraidWord) -> bool:
     """True when the closure has exactly one component.
 
@@ -229,10 +221,3 @@ def unknotting_number(word: BraidWord) -> int:
         raise DomainError(f"inconsistent accounting: length {word.length} on {word.strands} strands")
     return twice // 2
 
-
-def torus_unknotting_number(p: int, q: int) -> int:
-    """``(p-1)(q-1)/2`` for coprime (p, q); rejects non-coprime parameters."""
-    params = TorusParams(p, q)
-    if math.gcd(params.p, params.q) != 1:
-        raise DomainError(f"T({p}, {q}) is a link, not a knot: gcd divides both parameters")
-    return (params.p - 1) * (params.q - 1) // 2

@@ -37,7 +37,8 @@ from gordian import (
     verify_certificate,
     verify_positive_path,
 )
-from gordian.adjacency import endpoint_word, full_twist
+from gordian.adjacency import endpoint_word
+from gordian.moves import full_twist_letters
 from gordian.rules import (
     CONJUGATE,
     CROSSING_CHANGE,
@@ -176,7 +177,7 @@ def test_criterion_07_delete_full_twist():
                 if math.gcd(n, q) != 1:
                     continue
                 source = torus_braid(n, q)
-                cert = delete_link_subword(source, full_twist(n))
+                cert = delete_link_subword(source, BraidWord(n, full_twist_letters(n)))
                 assert cert.claimed_cc == n * (n - 1) // 2, (n, q)
                 final = replay(cert.trace)
                 assert final == source, (n, q)

@@ -14,7 +14,6 @@ from gordian import (
     apply_destabilize,
     apply_distant_swap,
     apply_neighbor_braid,
-    closures_equivalent_evidence,
     torus_alexander,
     torus_braid,
 )
@@ -109,25 +108,3 @@ class TestAlexander:
         trefoil = alexander(torus_braid(2, 3))
         assert alexander(granny) == (trefoil * trefoil).normalized()
 
-
-class TestEquivalenceEvidence:
-    def test_consistent_for_same_knot_in_two_presentations(self):
-        ev = closures_equivalent_evidence(torus_braid(2, 3), BraidWord(3, (1, 2, 1, 2)))
-        assert ev.verdict == "CONSISTENT"
-        assert ev.alexander_match and ev.unknotting_match
-
-    def test_distinct_knots_flagged(self):
-        ev = closures_equivalent_evidence(torus_braid(2, 3), torus_braid(2, 5))
-        assert ev.verdict == "DISTINCT"
-
-    def test_same_invariants_different_knots_stay_consistent(self):
-        # invariants are necessary, not sufficient: T(2,5) vs granny share u=2
-        # but differ in Alexander, so they separate here; use a genuinely
-        # indistinguishable pair instead: a knot vs itself rotated.
-        word = torus_braid(3, 4)
-        ev = closures_equivalent_evidence(word, apply_conjugate(word, 5))
-        assert ev.verdict == "CONSISTENT"
-
-    def test_rejects_links(self):
-        with pytest.raises(DomainError):
-            closures_equivalent_evidence(BraidWord(2, (1, 1)), torus_braid(2, 3))

@@ -6,7 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from gordian import TraceBuilder, format_word, parse_word, serialize_trace, torus_braid, unknot
+from gordian import (
+    BraidWord,
+    TraceBuilder,
+    adjacency_ci,
+    ascending_run,
+    descending_run,
+    format_word,
+    parse_word,
+    serialize_certificate,
+    serialize_trace,
+    torus_braid,
+    unknot,
+)
 from gordian.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +102,18 @@ class TestUnknot:
         code, _, err = run(capsys, "unknot", "3: 1")
         assert code == 1
         assert "free" in err
+
+    def test_knot_word_on_1201_strands(self, capsys, tmp_path):
+        # σ_m R_m A_m R_{m-1}: its reduction nests m levels deep
+        m = 1200
+        letters = (m,) + descending_run(m) + ascending_run(m) + descending_run(m - 1)
+        word = format_word(BraidWord(m + 1, letters))
+        path = tmp_path / "deep.trace"
+        code, out, err = run(capsys, "unknot", word, "--trace", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"crossing_changes: {m}"
+        code, out, _ = run(capsys, "verify", str(path))
+        assert (code, out) == (0, f"trace: valid ({2 * m} steps, {m} crossing changes)\n")
 
 
 class TestAdjacency:
@@ -503,6 +527,33 @@ class TestCertificateTamper:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert err.startswith("error:")
+
+
+HUGE = str(2**64 + 1)  # odd, and past any index: it fails before anything is allocated
+
+
+class TestTooLarge:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["torus", "2", HUGE],
+            ["catalog", "2", "3", "2", HUGE],
+            ["adjacency", "strip", "2", HUGE],
+            ["adjacency", "t24", HUGE],
+            ["adjacency", "ci", "2", HUGE],
+            ["enumerate", HUGE],
+            ["info", f"{HUGE}:"],
+            ["verify", "{certificate}"],
+        ],
+    )
+    def test_is_a_one_line_domain_error(self, capsys, tmp_path, argv):
+        certificate = tmp_path / "huge.cert"
+        text = serialize_certificate(adjacency_ci(2, 1))
+        certificate.write_text(re.sub(r"(?m)^source: .*$", f"source: torus 2 {HUGE}", text))
+        code, out, err = run(capsys, *(arg.format(certificate=certificate) for arg in argv))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: too large to represent")
+        assert "Traceback" not in err
 
 
 class TestParser:

@@ -42,7 +42,6 @@ from gordian.rules import (
     NEIGHBOR_BRAID,
     TraceBuilder,
     apply_step,
-    neighbor_braid_direction,
 )
 from gordian.enumeration import _census_words, _commutation_least
 
@@ -160,7 +159,7 @@ def search_neighbours(word: BraidWord):
         for q in range(len(letters) - 2):
             a, b, c = letters[q : q + 3]
             if a == c and abs(a - b) == 1:
-                step = RewriteStep(NEIGHBOR_BRAID, q, neighbor_braid_direction(rotated, q))
+                step = RewriteStep(NEIGHBOR_BRAID, q, "forward" if b > a else "backward")
                 yield prefix + (step,), BraidWord(
                     word.strands, letters[:q] + (b, a, b) + letters[q + 3 :]
                 )

@@ -1,16 +1,22 @@
 """Reduction to the trivial word and its crossing-change accounting."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gordian import (
     BlockedByFreeStrand,
     BraidWord,
     DomainError,
     NoSingleGenerator,
+    TraceBuilder,
+    ascending_run,
     delete_link_subword,
-    generator_support_check,
+    descending_run,
+    is_knot,
     reduce_single_generator,
     replay,
     torus_braid,
@@ -18,50 +24,129 @@ from gordian import (
     unknotting_number,
     unknotting_sequence,
 )
-from gordian.unknotting import reduce_subword
+from gordian import unknotting
+from gordian.unknotting import _reduce
+
+
+def reduce_recursive(tb: TraceBuilder, start: int, length: int, n: int) -> int:
+    """Oracle: the same reduction written recursively, one Python call per
+    level; ``_reduce`` must emit the same steps in the same order."""
+    if n == 0:
+        return length
+    end = start + length
+    letters = tb.letters
+    for s in range(end - 2, start - 1, -1):
+        if letters[s] != n:
+            continue
+        second = None
+        for q in range(s + 1, end):
+            if letters[q] == n:
+                second = q
+                break
+        if second is None:
+            continue
+        gamma_len = second - (s + 1)
+        new_gamma_len = reduce_recursive(tb, s + 1, gamma_len, n - 1)
+        end -= gamma_len - new_gamma_len
+        second = s + 1 + new_gamma_len
+        r = None
+        for q in range(s + 1, second):
+            if letters[q] == n - 1:
+                r = q
+                break
+        if r is None:
+            for q in range(s, second - 1):
+                tb.distant_swap(q)
+            tb.crossing_change(second - 1)
+            end -= 2
+            continue
+        for q in range(s, r - 1):
+            tb.distant_swap(q)
+        for q in range(second - 1, r, -1):
+            tb.distant_swap(q)
+        tb.neighbor_braid(r - 1)
+    return end - start
+
+
+def reduce_region(word: BraidWord, start: int, length: int, level: int, reduce=_reduce):
+    """Reduce ``word[start : start+length]`` at ``level``; the trace and the
+    region's new length."""
+    tb = TraceBuilder(word)
+    new_length = reduce(tb, start, length, level)
+    return tb.snapshot(), new_length
+
+
+@st.composite
+def words(draw, max_strands=7, max_length=24):
+    strands = draw(st.integers(2, max_strands))
+    letters = draw(st.lists(st.integers(1, strands - 1), max_size=max_length))
+    return BraidWord(strands, tuple(letters))
 
 
 class TestReduceSubword:
     def test_region_left_with_at_most_one_top_letter(self):
         word = BraidWord(3, (2, 1, 2, 1, 2, 1))
-        trace = reduce_subword(word, 0, word.length, 2)
+        trace, _ = reduce_region(word, 0, word.length, 2)
         final = replay(trace)
         assert final.letters.count(2) <= 1
 
     def test_steps_stay_inside_region(self):
         word = BraidWord(3, (2, 2, 1, 1, 2, 2))
-        trace = reduce_subword(word, 0, 2, 2)
+        trace, new_length = reduce_region(word, 0, 2, 2)
         final = replay(trace)
         assert final.letters[-4:] == (1, 1, 2, 2)
+        assert new_length == 0
         assert trace.crossing_changes == 1
 
     def test_zero_level_region_untouched(self):
         word = BraidWord(3, (1, 2, 1))
-        trace = reduce_subword(word, 1, 0, 0)
+        trace, new_length = reduce_region(word, 1, 0, 0)
         assert not trace.steps
-
-    def test_rejects_region_out_of_bounds(self):
-        word = BraidWord(3, (1, 2, 1))
-        with pytest.raises(DomainError):
-            reduce_subword(word, 2, 5, 2)
-
-    def test_rejects_letters_above_level(self):
-        word = BraidWord(3, (1, 2, 1))
-        with pytest.raises(DomainError):
-            reduce_subword(word, 0, 3, 1)
+        assert new_length == 0
 
     def test_costs_one_change_per_adjacent_pair(self):
         word = BraidWord(2, (1,) * 7)
-        trace = reduce_subword(word, 0, 7, 1)
+        trace, _ = reduce_region(word, 0, 7, 1)
         assert trace.crossing_changes == 3
         assert replay(trace).letters == (1,)
 
     def test_braid_relation_merges_separated_pair_for_free(self):
         # σ2 σ1 σ2 has a single σ1 between the pair: no crossing change
         word = BraidWord(3, (2, 1, 2))
-        trace = reduce_subword(word, 0, 3, 2)
+        trace, _ = reduce_region(word, 0, 3, 2)
         assert trace.crossing_changes == 0
         assert replay(trace).letters.count(2) == 1
+
+
+class TestExplicitStack:
+    """The reducer keeps its levels on a list; the recursive reduction is
+    the oracle for every step it emits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(words(), st.data())
+    def test_region_steps_match_the_recursive_reducer(self, word, data):
+        start = data.draw(st.integers(0, word.length))
+        length = data.draw(st.integers(0, word.length - start))
+        region = word.letters[start : start + length]
+        level = data.draw(st.integers(max(region, default=0), word.strands - 1))
+        got = reduce_region(word, start, length, level)
+        assert got == reduce_region(word, start, length, level, reduce_recursive)
+
+    @settings(max_examples=100, deadline=None)
+    @given(words().filter(is_knot))
+    def test_unknot_trace_matches_the_recursive_reducer(self, word):
+        trace = unknot(word)
+        with mock.patch.object(unknotting, "_reduce", reduce_recursive):
+            assert unknot(word) == trace
+
+    def test_knot_word_on_1201_strands(self):
+        # σ_m R_m A_m R_{m-1}: its reduction nests m levels deep
+        m = 1200
+        word = BraidWord(m + 1, (m,) + descending_run(m) + ascending_run(m) + descending_run(m - 1))
+        trace = unknot(word)
+        assert len(trace.steps) == 2 * m
+        assert trace.crossing_changes == m == unknotting_number(word)
+        assert replay(trace) == BraidWord(1, ())
 
 
 class TestUnknot:
@@ -162,12 +247,3 @@ class TestReduceSingleGenerator:
         with pytest.raises(NoSingleGenerator):
             reduce_single_generator(BraidWord(3, (1, 1, 2, 2)))
 
-
-class TestGeneratorSupport:
-    def test_full_support(self):
-        assert generator_support_check(BraidWord(3, (1, 2)))
-        assert generator_support_check(BraidWord(1, ()))
-
-    def test_missing_generator(self):
-        assert not generator_support_check(BraidWord(3, (1, 1)))
-        assert not generator_support_check(BraidWord(2, ()))

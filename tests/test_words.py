@@ -10,13 +10,11 @@ from gordian import (
     TorusParams,
     ascending_run,
     closure_info,
-    components,
     descending_run,
     format_word,
     is_knot,
     parse_word,
     torus_braid,
-    torus_unknotting_number,
     unknotting_number,
 )
 
@@ -102,11 +100,11 @@ class TestClosure:
 
     def test_torus_link_components(self):
         # T(2,4) closes to a 2-component link
-        assert components(BraidWord(2, (1, 1, 1, 1))) == 2
+        assert closure_info(BraidWord(2, (1, 1, 1, 1))).components == 2
         assert not is_knot(BraidWord(2, (1, 1, 1, 1)))
 
     def test_identity_word_components(self):
-        assert components(BraidWord(3, ())) == 3
+        assert closure_info(BraidWord(3, ())).components == 3
 
     def test_permutation_of_single_generator(self):
         info = closure_info(BraidWord(3, (1,)))
@@ -128,14 +126,6 @@ class TestUnknottingNumber:
         with pytest.raises(DomainError):
             unknotting_number(BraidWord(2, (1, 1)))
 
-    def test_torus_closed_form(self):
-        assert torus_unknotting_number(2, 3) == 1
-        assert torus_unknotting_number(4, 5) == 6
-
-    def test_torus_closed_form_rejects_links(self):
-        with pytest.raises(DomainError):
-            torus_unknotting_number(2, 4)
-
     def test_agreement_on_torus_words(self):
         import math
 
@@ -143,4 +133,4 @@ class TestUnknottingNumber:
             for q in range(p + 1, 8):
                 if math.gcd(p, q) != 1:
                     continue
-                assert unknotting_number(torus_braid(p, q)) == torus_unknotting_number(p, q)
+                assert unknotting_number(torus_braid(p, q)) == (p - 1) * (q - 1) // 2
