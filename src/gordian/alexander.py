@@ -3,14 +3,21 @@
 Two independent routes are provided and cross-checked in the tests:
 
 * ``alexander(word)`` evaluates the reduced Burau representation ρ(w) of the
-  word (a positive word needs only Z[t], held as dense coefficient lists)
-  one letter at a time: σ_i changes only three columns of ρ, so each letter
-  costs O(strands) polynomial additions, never a matrix product.  It then
-  applies the determinant formula
+  word one letter at a time: σ_i changes only three columns of ρ, so each
+  letter costs O(strands) polynomial additions, never a matrix product.  It
+  then applies the determinant formula
 
       det(I - ρ(w)) = Δ(t) · (1 - t^n) / (1 - t)
 
-  solving for Δ with exact polynomial division.
+  solving for Δ with exact polynomial division.  A positive word needs only
+  Z[t], and each polynomial is held as one integer, its value at t = 2^b
+  (Kronecker substitution), so sums, shifts by t and products run in
+  CPython's integer code.  The value is exact; reading the coefficients back
+  is exact while every coefficient lies below 2^(b-1) in absolute value.  A
+  letter at most doubles the largest L1 norm of an entry of ρ, so a bound
+  that doubles per letter says when to unpack, measure the exact norms and,
+  if needed, widen the slots; the determinant's slot width comes from a
+  bound on the coefficients of det(I - ρ).
 
 * ``torus_alexander(p, q)`` evaluates the closed form for torus knots,
 
@@ -29,6 +36,7 @@ Everything here is integer-exact; no floating point is involved anywhere.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -154,86 +162,168 @@ class LaurentPoly:
         return " ".join(pieces)
 
 
-def _add_into(acc: list[int], poly: list[int], shift: int = 0) -> None:
-    """``acc += t^shift · poly`` on dense coefficient lists, trailing zeros trimmed."""
-    need = len(poly) + shift
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for e, c in enumerate(poly, shift):
-        acc[e] += c
-    while acc and not acc[-1]:
-        acc.pop()
+# Slot width of the Burau pass before any widening.  Every width is a
+# multiple of 8, so each slot is whole bytes of the integer.
+_START_BITS = 64
 
 
-def _determinant(matrix: list[list[list[int]]]) -> list[int]:
-    """Cofactor expansion on dense coefficient lists, memoized over column subsets.
+def _halves(slots: int, width: int) -> int:
+    """The integer with a top bit alone in each of ``slots`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
-    Row ``r`` is expanded only under masks of ``size - r`` columns, so the memo
-    holds one entry per column subset reachable from the full set: up to
-    2^size entries, each built from at most ``size`` products.
+
+def _pack(coeffs: list[int], bits: int) -> int:
+    """Value at t = 2^bits of the polynomial with these coefficients.
+
+    Each slot is first written in two's complement; flipping its top bit adds
+    2^(bits-1) to the slot and removes the borrows, and subtracting the
+    halves takes that offset off again.  Linear time in the number of slots.
     """
-    size = len(matrix)
-    memo: dict[int, list[int]] = {}
+    width = bits // 8
+    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    half = _halves(len(coeffs), width)
+    return (int.from_bytes(raw, "little") ^ half) - half
 
-    def minor(row: int, mask: int) -> list[int]:
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Inverse of :func:`_pack`, trailing zeros trimmed.
+
+    Exact when every coefficient has absolute value below 2^(bits-1): adding
+    the halves makes every slot a digit in [0, 2^bits), flipping the top bit
+    of each slot turns it into the coefficient's two's complement.  With the
+    top coefficient nonzero, |value| > 2^(bits·(k-1) - 1) for k slots, so
+    bit_length // bits + 1 slots always suffice.
+    """
+    if not value:
+        return []
+    width = bits // 8
+    slots = value.bit_length() // bits + 1
+    half = _halves(slots, width)
+    raw = ((value + half) ^ half).to_bytes(slots * width, "little")
+    if width == 8:  # the common width, read by struct in one call
+        coeffs = list(struct.unpack(f"<{slots}q", raw))
+    else:
+        coeffs = [int.from_bytes(raw[i:i + width], "little", signed=True)
+                  for i in range(0, len(raw), width)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _determinant(matrix: tuple[list[list[int]], int]) -> list[int]:
+    """Coefficients of the determinant of a matrix of values at t = 2^bits.
+
+    ``matrix`` is (rows, bits), with ``bits`` wide enough for every
+    coefficient of the determinant.  The cofactor expansion is memoized over
+    column subsets: row ``r`` is expanded only under masks of ``size - r``
+    columns, so the memo holds one entry per column subset reachable from
+    the full set, up to 2^size entries, each built from at most ``size``
+    products.
+    """
+    rows, bits = matrix
+    size = len(rows)
+    memo: dict[int, int] = {}
+
+    def minor(row: int, mask: int) -> int:
         if row == size:
-            return [1]
+            return 1
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        total: list[int] = []
-        sign = 1
+        total = 0
+        negate = False
         for c in range(size):
             bit = 1 << c
             if not mask & bit:
                 continue
-            entry = matrix[row][c]
-            sub = minor(row + 1, mask & ~bit) if entry else None
-            if sub:
-                need = len(entry) + len(sub) - 1
-                if len(total) < need:
-                    total.extend([0] * (need - len(total)))
-                for e, a in enumerate(entry):
-                    if a:
-                        a *= sign
-                        for f, b in enumerate(sub, e):
-                            total[f] += a * b
-            sign = -sign
-        while total and not total[-1]:
-            total.pop()
+            entry = rows[row][c]
+            if entry:
+                term = entry * minor(row + 1, mask ^ bit)
+                total = total - term if negate else total + term
+            negate = not negate
         memo[mask] = total
         return total
 
-    return minor(0, (1 << size) - 1)
+    return _unpack(minor(0, (1 << size) - 1), bits)
+
+
+def _remeasure(rho: list[list[int]], bits: int) -> tuple[int, int]:
+    """Unpack every entry, widen the slots if needed, return (bits, exact bound).
+
+    The slots double once the largest L1 norm passes bits/4 bits, which
+    leaves room for about 3·bits/4 more letters before the next unpack.
+    """
+    coeffs = [[_unpack(x, bits) for x in row] for row in rho]
+    bound = max(sum(map(abs, entry)) for row in coeffs for entry in row)
+    wide = bits
+    while bound.bit_length() > wide // 4:
+        wide *= 2
+    if wide != bits:
+        for row, entries in zip(rho, coeffs):
+            row[:] = [_pack(entry, wide) for entry in entries]
+    return wide, bound
+
+
+def _cofactor_matrix(rho: list[list[int]], bits: int, bound: int) -> tuple[list[list[int]], int]:
+    """I - ρ at a slot width wide enough for every coefficient of det(I - ρ).
+
+    Every entry of ρ has L1 norm at most ``bound`` < 2^(bits-1), so every
+    entry of I - ρ at most bound + 1, and each of the (n-1)! products of the
+    determinant expansion at most (bound + 1)^(n-1).  When that does not fit
+    ``bits``, ρ is unpacked instead: the product of the exact row L1 norms of
+    I - ρ bounds the sum over all permutations, and I - ρ is repacked at the
+    width it needs unless ``bits`` already holds it.
+    """
+    size = len(rho)
+    matrix = [[(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(rho)]
+    if math.factorial(size) * (bound + 1) ** size < 1 << (bits - 1):
+        return matrix, bits
+    rows = [[[-a for a in _unpack(x, bits)] for x in row] for row in rho]
+    for r, row in enumerate(rows):
+        entry = row[r] or [0]
+        row[r] = [entry[0] + 1, *entry[1:]]
+    # A zero row counts as 1, so the product also bounds every entry's
+    # coefficients and the repacking cannot overflow a slot.
+    product = math.prod(max(sum(sum(map(abs, entry)) for entry in row), 1) for row in rows)
+    wide = -(-(product.bit_length() + 1) // 8) * 8
+    if wide <= bits:
+        return matrix, bits
+    return [[_pack(entry, wide) for entry in row] for row in rows], wide
 
 
 def alexander(word: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of the word's closure via reduced Burau.
 
-    ρ(w) is kept as rows of dense coefficient lists indexed by exponent (a
-    positive word has no negative powers of t).  Right-multiplying by σ_i
-    changes only columns r - 1, r, r + 1 (r = i - 1) of each row: with
-    x = row[r], row[r-1] += t·x, row[r+1] += x and row[r] = -t·x.
+    Each entry of ρ(w) is held as its value at t = 2^bits (a positive word has
+    no negative powers of t).  Right-multiplying by σ_i changes only columns
+    r - 1, r, r + 1 (r = i - 1) of each row: with x = row[r], row[r-1] += t·x,
+    row[r+1] += x and row[r] = -t·x.  Such a letter at most doubles the
+    largest L1 norm of an entry, so ``bound`` doubles per letter; before it can
+    reach 2^(bits-1) every entry is unpacked, which that bound makes exact,
+    and the bound restarts from the exact norms.
     """
     if word.strands == 1:
         return LaurentPoly.one()
     size = word.strands - 1
-    rho = [[[1] if r == c else [] for c in range(size)] for r in range(size)]
+    bits = _START_BITS
+    rho = [[int(r == c) for c in range(size)] for r in range(size)]
+    bound = 1
     for letter in word.letters:
+        if bound >= 1 << (bits - 2):
+            bits, bound = _remeasure(rho, bits)
+        bound <<= 1
         r = letter - 1
         for row in rho:
             x = row[r]
             if not x:
                 continue
+            shifted = x << bits
             if r > 0:
-                _add_into(row[r - 1], x, 1)
+                row[r - 1] += shifted
             if r + 1 < size:
-                _add_into(row[r + 1], x)
-            row[r] = [0] + [-c for c in x]
-    i_minus_rho = [[[-c for c in entry] for entry in row] for row in rho]
-    for r in range(size):
-        _add_into(i_minus_rho[r][r], [1])
-    det = _determinant(i_minus_rho)
+                row[r + 1] += x
+            row[r] = -shifted
+    det = _determinant(_cofactor_matrix(rho, bits, bound))
     # det(I - ρ) · (1 - t) = Δ · (1 - t^n).  Dividing from the constant term
     # up leaves Δ in the low coefficients; the top n must come out zero.
     n = word.strands

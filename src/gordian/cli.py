@@ -328,8 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     except BraidError as exc:
         _print_err(str(exc))
         return 1
-    except OverflowError as exc:
-        _print_err(f"too large to represent: {exc}")
+    except (OverflowError, MemoryError) as exc:
+        _print_err(f"too large to represent: {str(exc) or 'out of memory'}")
         return 1
 
 

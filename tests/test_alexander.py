@@ -77,6 +77,16 @@ class TestAlexander:
     def test_long_torus_words_match_closed_form(self, p, q):
         assert alexander(torus_braid(p, q)) == torus_alexander(p, q)
 
+    @pytest.mark.parametrize("p, q", [(2, 999), (3, 1000), (4, 257)])
+    def test_torus_words_of_a_thousand_letters_match_closed_form(self, p, q):
+        assert alexander(torus_braid(p, q)) == torus_alexander(p, q)
+
+    def test_determinant_width_counts_the_diagonal(self):
+        # ρ = (-127) fits 8-bit slots, but det(I - ρ) = 128 does not: the
+        # width must bound the entries of I - ρ, not those of ρ.
+        module = importlib.import_module("gordian.alexander")
+        assert module._determinant(module._cofactor_matrix([[-127]], 8, 127)) == [128]
+
     def test_division_remainder_raises(self, monkeypatch):
         # det(I - ρ)(1 - t) is always divisible by 1 - t^n; a determinant
         # that is not must raise instead of being rounded into a polynomial.

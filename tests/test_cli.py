@@ -555,6 +555,15 @@ class TestTooLarge:
         assert len(err.splitlines()) == 1 and err.startswith("error: too large to represent")
         assert "Traceback" not in err
 
+    def test_out_of_memory_is_a_one_line_domain_error(self, capsys, monkeypatch):
+        def exhausted(p, q):
+            raise MemoryError
+
+        monkeypatch.setattr("gordian.cli.torus_braid", exhausted)
+        code, out, err = run(capsys, "torus", "2", "100000000001")
+        assert (code, out) == (1, "")
+        assert err == "error: too large to represent: out of memory\n"
+
 
 class TestParser:
     def test_no_arguments(self, capsys):

@@ -1,8 +1,11 @@
 """Randomized invariants of the five rules, the oracle, the text formats and the CLI."""
 
 import contextlib
+import importlib
 import io
+import random
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +287,18 @@ TWELVE_STRAND_KNOT = BraidWord(12, (
 ))
 
 
+def seeded_knot_word(seed: int, strands: int, length: int) -> BraidWord:
+    """The first knot word of ``length`` uniform letters drawn from ``seed``."""
+    rng = random.Random(seed)
+    while True:
+        word = BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
+        if is_knot(word):
+            return word
+
+
+alexander_module = importlib.import_module("gordian.alexander")
+
+
 class TestKernelsMatchOracles:
     @given(braid_words(max_strands=9, max_length=40))
     @example(BraidWord(1, ()))
@@ -299,6 +314,33 @@ class TestKernelsMatchOracles:
     def test_alexander_matches_burau_product_on_twelve_strands(self):
         assert is_knot(TWELVE_STRAND_KNOT)
         assert alexander(TWELVE_STRAND_KNOT) == burau_product_alexander(TWELVE_STRAND_KNOT)
+
+    @pytest.mark.parametrize("strands, length", [(3, 300), (4, 151), (5, 200)])
+    def test_alexander_matches_burau_product_on_long_words(self, strands, length):
+        # Δ of these words has coefficients of 2^28-2^49, and the L1 norms of
+        # the entries of ρ outgrow 16 bits, so the 64-bit slots widen.
+        word = seeded_knot_word(length, strands, length)
+        remeasure = alexander_module._remeasure
+        widths = []
+
+        def recording(rho, bits):
+            bits, bound = remeasure(rho, bits)
+            widths.append(bits)
+            return bits, bound
+
+        with mock.patch.object(alexander_module, "_remeasure", recording):
+            delta = alexander(word)
+        assert max(widths) > 64
+        assert delta == burau_product_alexander(word)
+
+    @given(braid_words(max_strands=9, max_length=40))
+    @example(BraidWord(2, ()))
+    @settings(max_examples=200, deadline=None)
+    def test_alexander_matches_burau_product_from_narrow_slots(self, word):
+        # 8-bit slots are unpacked every six letters and widen as soon as an
+        # entry's L1 norm reaches 4, so both run within most words.
+        with mock.patch.object(alexander_module, "_START_BITS", 8):
+            assert alexander(word) == burau_product_alexander(word)
 
     @given(braid_words(max_strands=9, max_length=30))
     @example(BraidWord(1, ()))
