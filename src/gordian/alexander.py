@@ -269,8 +269,9 @@ def _cofactor_matrix(rho: list[list[int]], bits: int, bound: int) -> tuple[list[
 
     Every entry of ρ has L1 norm at most ``bound`` < 2^(bits-1), so every
     entry of I - ρ at most bound + 1, and each of the (n-1)! products of the
-    determinant expansion at most (bound + 1)^(n-1).  When that does not fit
-    ``bits``, ρ is unpacked instead: the product of the exact row L1 norms of
+    determinant expansion at most (bound + 1)^(n-1).  That test needs no
+    unpack, which keeps short words fast.  When it does not fit ``bits``, ρ
+    is unpacked instead: the product of the exact row L1 norms of
     I - ρ bounds the sum over all permutations, and I - ρ is repacked at the
     width it needs unless ``bits`` already holds it.
     """

@@ -73,12 +73,10 @@ class TestAlexander:
                     continue
                 assert alexander(torus_braid(p, q)) == torus_alexander(p, q), (p, q)
 
-    @pytest.mark.parametrize("p, q", [(2, 301), (3, 200), (4, 101), (5, 76), (9, 13)])
+    @pytest.mark.parametrize("p, q", [
+        (2, 301), (3, 200), (4, 101), (5, 76), (9, 13), (2, 999), (3, 1000), (4, 257),
+    ])
     def test_long_torus_words_match_closed_form(self, p, q):
-        assert alexander(torus_braid(p, q)) == torus_alexander(p, q)
-
-    @pytest.mark.parametrize("p, q", [(2, 999), (3, 1000), (4, 257)])
-    def test_torus_words_of_a_thousand_letters_match_closed_form(self, p, q):
         assert alexander(torus_braid(p, q)) == torus_alexander(p, q)
 
     def test_determinant_width_counts_the_diagonal(self):
@@ -86,6 +84,22 @@ class TestAlexander:
         # width must bound the entries of I - ρ, not those of ρ.
         module = importlib.import_module("gordian.alexander")
         assert module._determinant(module._cofactor_matrix([[-127]], 8, 127)) == [128]
+
+    def test_short_words_read_back_only_the_determinant(self, monkeypatch):
+        # (n-1)!(bound+1)^(n-1) fits 64-bit slots on a short word, so the
+        # determinant width needs no unpack of ρ, which keeps census-size
+        # words fast: the only unpack is that of det(I - ρ) itself.
+        module = importlib.import_module("gordian.alexander")
+        unpack = module._unpack
+        widths = []
+
+        def recording(value, bits):
+            widths.append(bits)
+            return unpack(value, bits)
+
+        monkeypatch.setattr(module, "_unpack", recording)
+        assert alexander(BraidWord(4, (1, 2, 3) * 5)) == torus_alexander(4, 5)
+        assert widths == [64]
 
     def test_division_remainder_raises(self, monkeypatch):
         # det(I - ρ)(1 - t) is always divisible by 1 - t^n; a determinant
