@@ -61,11 +61,7 @@ from .rules import (
     RewriteStep,
     RewriteTrace,
     TraceBuilder,
-    apply_conjugate,
-    apply_crossing_change,
-    apply_destabilize,
-    apply_distant_swap,
-    apply_neighbor_braid,
+    apply_step,
     legal_moves,
     parse_trace,
     replay,
@@ -115,11 +111,7 @@ __all__ = [
     "RewriteStep",
     "RewriteTrace",
     "TraceBuilder",
-    "apply_conjugate",
-    "apply_crossing_change",
-    "apply_destabilize",
-    "apply_distant_swap",
-    "apply_neighbor_braid",
+    "apply_step",
     "legal_moves",
     "parse_trace",
     "replay",

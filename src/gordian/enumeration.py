@@ -400,9 +400,10 @@ def positive_path_search(
     letter, by :func:`~gordian.rules.legal_moves`), on plain letter tuples;
     only the path found is built as words.
     States whose unknotting number falls below the target's are pruned; no
-    move lengthens a word.  The returned trace ends at ``target`` letter for
-    letter.  Raises :class:`NotFoundWithinBudget` when the limits are hit —
-    which is not a nonexistence proof.
+    move lengthens a word.  The path found is checked once by
+    :func:`positive_path_diagnostic`, and the returned trace ends at
+    ``target`` letter for letter.  Raises :class:`NotFoundWithinBudget` when
+    the limits are hit — which is not a nonexistence proof.
     """
     for name, value in (("max_nodes", max_nodes), ("max_depth", max_depth)):
         if value < 0:
@@ -440,8 +441,9 @@ def positive_path_search(
             )
         _, strands, letters = recipes[state]
         for steps, n, neighbour in legal_moves(strands, letters):
-            # Every move keeps the closure's cycle type; check it anyway.
-            if unknotting_number(BraidWord._trusted(n, neighbour)) < u_target:
+            # Every legal move keeps the closure a knot, whose unknotting
+            # number is (length - strands + 1) / 2; the path is checked below.
+            if len(neighbour) - n + 1 < 2 * u_target:
                 continue
             nkey = key(n, neighbour)
             if nkey in parents:
@@ -477,7 +479,11 @@ def positive_path_search(
         raise AssertionError("search endpoint is not a rotation of the target")
     if tb.word != target:
         raise AssertionError("search failed to land on the target word")
-    return tb.snapshot()
+    trace = tb.snapshot()
+    problem = positive_path_diagnostic(trace)
+    if problem is not None:
+        raise AssertionError(f"search found no positive path: {problem}")
+    return trace
 
 
 def positive_path_diagnostic(trace: RewriteTrace) -> str | None:

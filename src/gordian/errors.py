@@ -35,10 +35,9 @@ class IllegalStep(BraidError):
 class TraceCorrupt(BraidError):
     """Raised when replaying a trace detects a mismatch.
 
-    ``step_index`` is the zero-based index of the first step whose recorded
-    outcome disagrees with re-applying the rule (or whose rule application is
-    illegal); the recorded crossing-change total failing to match counts as a
-    mismatch at index ``len(steps)``.
+    ``step_index`` is the zero-based index of the first step whose rule
+    application is illegal, or ``len(steps)`` when every step applies but
+    they end off the recorded final word.
     """
 
     def __init__(self, message: str, step_index: int):

@@ -22,12 +22,15 @@ count:
   of a knot closure by exactly 1 (length drops by 2, strands unchanged).
   Recorded atomically — no negative letters ever materialize.
 
+A :class:`RewriteStep` is one rule application: :func:`apply_step` applies it
+to a word, and :class:`TraceBuilder` applies and records a sequence of them.
 A :class:`RewriteTrace` stores the initial word, the steps and the final word;
 the words in between are derived on demand.  :func:`replay` re-applies every
 step from the initial word and is the single source of truth for validity:
 each step must be legal and the last one must reach the recorded final word.
 
-Trace text, version 2 (written by :func:`serialize_trace`)::
+Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
+:func:`parse_trace` reads; text under any other header is malformed::
 
     trace v2
     initial: 2: 1 1 1
@@ -35,9 +38,6 @@ Trace text, version 2 (written by :func:`serialize_trace`)::
     final: 2: 1
     crossing_changes: 1
     end
-
-Version 1 text (a bare ``trace`` header and ``-> word`` after every step) is
-still read; replay then also checks every recorded word.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ __all__ = [
     "RewriteStep",
     "RewriteTrace",
     "TraceBuilder",
-    "apply_distant_swap",
-    "apply_neighbor_braid",
-    "apply_conjugate",
-    "apply_destabilize",
-    "apply_crossing_change",
     "apply_step",
     "legal_moves",
     "replay",
@@ -100,14 +95,12 @@ class RewriteTrace:
     """An initial word, the steps applied to it in order, and the final word.
 
     The words in between are not stored; :attr:`words` derives them by
-    replay.  ``recorded`` is set only for traces read from version-1 text,
-    which lists the word after every step; :func:`replay` checks those too.
+    replay.
     """
 
     initial: BraidWord
     steps: tuple[RewriteStep, ...]
     final: BraidWord
-    recorded: tuple[BraidWord, ...] | None = None
     crossing_changes: int = field(init=False)
 
     def __post_init__(self):
@@ -221,35 +214,12 @@ def _apply(letters: list[int], strands: int, step: RewriteStep) -> int:
 
 
 def apply_step(word: BraidWord, step: RewriteStep) -> BraidWord:
-    """Apply one recorded step, checking its recorded parameters."""
+    """Apply one step to ``word``, checking its parameters; an illegal step
+    raises :class:`IllegalStep`.  This is the one word-level entry point for
+    the five rules."""
     letters = list(word.letters)
     strands = _apply(letters, word.strands, step)
     return BraidWord._trusted(strands, tuple(letters))
-
-
-def apply_distant_swap(word: BraidWord, position: int) -> BraidWord:
-    """Swap the letters at ``position`` and ``position + 1`` when they commute."""
-    return apply_step(word, RewriteStep(DISTANT_SWAP, position=position))
-
-
-def apply_neighbor_braid(word: BraidWord, position: int) -> BraidWord:
-    """Rewrite ``(i, i+1, i) ↔ (i+1, i, i+1)`` at ``position`` (pattern inferred)."""
-    return apply_step(word, RewriteStep(NEIGHBOR_BRAID, position=position))
-
-
-def apply_conjugate(word: BraidWord, amount: int) -> BraidWord:
-    """Rotate left by ``amount`` (mod length); the empty word only admits 0."""
-    return apply_step(word, RewriteStep(CONJUGATE, amount=amount))
-
-
-def apply_destabilize(word: BraidWord) -> BraidWord:
-    """Remove the unique top-generator letter and drop the top strand."""
-    return apply_step(word, RewriteStep(DESTABILIZE))
-
-
-def apply_crossing_change(word: BraidWord, position: int) -> BraidWord:
-    """Delete the adjacent equal pair at ``position`` (one crossing change)."""
-    return apply_step(word, RewriteStep(CROSSING_CHANGE, position=position))
 
 
 _ROTATIONS = ((), (RewriteStep(CONJUGATE, amount=1),), (RewriteStep(CONJUGATE, amount=2),))
@@ -308,22 +278,13 @@ def _walk(trace: RewriteTrace):
 def replay(trace: RewriteTrace) -> BraidWord:
     """Re-apply every step from the initial word and check where it ends.
 
-    Raises :class:`TraceCorrupt` with the index of the first illegal step (or,
-    for version-1 traces, of the first step whose recorded word disagrees);
-    a replay that ends anywhere but the recorded final word fails at index
+    Raises :class:`TraceCorrupt` with the index of the first illegal step; a
+    replay that ends anywhere but the recorded final word fails at index
     ``len(steps)``.  Returns the final word.
     """
     strands, letters = trace.initial.strands, trace.initial.letters
-    recorded = trace.recorded
-    for index, (strands, letters) in enumerate(_walk(trace)):
-        if recorded is not None:
-            word = BraidWord._trusted(strands, tuple(letters))
-            if word != recorded[index]:
-                raise TraceCorrupt(
-                    f"step {index} ({trace.steps[index].kind}) produced {format_word(word)} "
-                    f"but the trace records {format_word(recorded[index])}",
-                    index,
-                )
+    for strands, letters in _walk(trace):
+        pass
     word = BraidWord._trusted(strands, tuple(letters))
     if word != trace.final:
         raise TraceCorrupt(
@@ -399,7 +360,6 @@ class TraceBuilder:
         return RewriteTrace(self.initial, tuple(self._steps), self.word)
 
 
-V1_HEADER = "trace"
 V2_HEADER = "trace v2"
 
 
@@ -441,20 +401,26 @@ _STEP_PARAMETERS = {
 }
 
 
-def _parse_step(line: str, body: str) -> RewriteStep:
-    fields = body.split()
+def _parse_step(line: str) -> RewriteStep:
+    if not line.startswith("step:"):
+        raise ParseError(f"unexpected line in trace body: {line!r}")
+    fields = line[len("step:") :].split()
     if not fields:
         raise ParseError(f"step line names no rule: {line!r}")
     kind = fields[0]
     if kind not in _STEP_PARAMETERS:
         raise ParseError(f"unknown rule kind {kind!r}")
     position = direction = amount = None
+    seen = set()
     for piece in fields[1:]:
         key, eq, value = piece.partition("=")
         if not eq:
             raise ParseError(f"malformed step parameter {piece!r}")
         if key not in _STEP_PARAMETERS[kind]:
             raise ParseError(f"a {kind} step takes no {key!r} parameter: {line!r}")
+        if key in seen:
+            raise ParseError(f"repeated {key!r} parameter in step line {line!r}")
+        seen.add(key)
         if key == "pos":
             position = _parse_int(key, value, line)
         elif key == "direction":
@@ -466,21 +432,14 @@ def _parse_step(line: str, body: str) -> RewriteStep:
     return RewriteStep(kind, position=position, direction=direction, amount=amount)
 
 
-def _step_body(line: str) -> str:
-    if not line.startswith("step:"):
-        raise ParseError(f"unexpected line in trace body: {line!r}")
-    return line[len("step:") :]
-
-
 def parse_trace(text: str) -> RewriteTrace:
-    """Parse trace text: version 2 as written by :func:`serialize_trace`, or
-    version 1, whose step lines also carry ``-> word``.
+    """Parse version-2 trace text, as written by :func:`serialize_trace`.
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or lines[0] not in (V1_HEADER, V2_HEADER):
-        raise ParseError("trace text must start with a 'trace v2' (or version-1 'trace') line")
+    if not lines or lines[0] != V2_HEADER:
+        raise ParseError("trace text must start with a 'trace v2' line")
     if lines[-1] != "end":
         raise ParseError("trace text must end with an 'end' line")
     if len(lines) < 4 or not lines[1].startswith("initial:"):
@@ -494,29 +453,18 @@ def parse_trace(text: str) -> RewriteTrace:
     except ValueError:
         raise ParseError(f"malformed crossing-change total: {count_line!r}") from None
     body = lines[2:-2]
-    if lines[0] == V1_HEADER:
-        steps, recorded = [], []
-        for line in body:
-            before, sep, after = _step_body(line).partition("->")
-            if not sep:
-                raise ParseError(f"step line has no '->' result: {line!r}")
-            steps.append(_parse_step(line, before))
-            recorded.append(parse_word(after.strip()))
-        final = recorded[-1] if recorded else initial
-        trace = RewriteTrace(initial, tuple(steps), final, tuple(recorded))
-    else:
-        if not body or not body[-1].startswith("final:"):
-            raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
-        final = parse_word(body[-1][len("final:") :].strip())
-        # Step lines repeat a lot; parse each distinct line once.
-        known: dict[str, RewriteStep] = {}
-        steps = []
-        for line in body[:-1]:
-            step = known.get(line)
-            if step is None:
-                step = known[line] = _parse_step(line, _step_body(line))
-            steps.append(step)
-        trace = RewriteTrace(initial, tuple(steps), final)
+    if not body or not body[-1].startswith("final:"):
+        raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
+    final = parse_word(body[-1][len("final:") :].strip())
+    # Step lines repeat a lot; parse each distinct line once.
+    known: dict[str, RewriteStep] = {}
+    steps = []
+    for line in body[:-1]:
+        step = known.get(line)
+        if step is None:
+            step = known[line] = _parse_step(line)
+        steps.append(step)
+    trace = RewriteTrace(initial, tuple(steps), final)
     if trace.crossing_changes != declared:
         raise ParseError(
             f"declared crossing-change total {declared} disagrees with steps "

@@ -9,11 +9,13 @@ from gordian import (
     BraidWord,
     DomainError,
     LaurentPoly,
+    CONJUGATE,
+    DESTABILIZE,
+    DISTANT_SWAP,
+    NEIGHBOR_BRAID,
+    RewriteStep,
     alexander,
-    apply_conjugate,
-    apply_destabilize,
-    apply_distant_swap,
-    apply_neighbor_braid,
+    apply_step,
     torus_alexander,
     torus_braid,
 )
@@ -116,16 +118,16 @@ class TestAlexander:
     def test_invariant_under_each_isotopy_rule(self):
         word = torus_braid(3, 5)
         base = alexander(word)
-        assert alexander(apply_conjugate(word, 3)) == base
-        braided = apply_neighbor_braid(word, 1)
+        assert alexander(apply_step(word, RewriteStep(CONJUGATE, amount=3))) == base
+        braided = apply_step(word, RewriteStep(NEIGHBOR_BRAID, 1))
         assert alexander(braided) == base
         # distant swap needs a 4-strand example
         word4 = BraidWord(4, (1, 3, 2, 1, 3, 2, 1, 3, 2))
-        assert alexander(apply_distant_swap(word4, 0)) == alexander(word4)
+        assert alexander(apply_step(word4, RewriteStep(DISTANT_SWAP, 0))) == alexander(word4)
 
     def test_invariant_under_destabilize(self):
         word = BraidWord(3, (1, 1, 1, 2))
-        assert alexander(apply_destabilize(word)) == alexander(word)
+        assert alexander(apply_step(word, RewriteStep(DESTABILIZE))) == alexander(word)
 
     def test_granny_is_trefoil_squared(self):
         granny = BraidWord(3, (1, 1, 1, 2, 2, 2))

@@ -17,7 +17,6 @@ from gordian import (
     serialize_certificate,
     serialize_trace,
     torus_braid,
-    unknot,
 )
 from gordian.cli import main
 
@@ -335,7 +334,8 @@ class TestSearch:
 
 
 def v1_text(trace) -> str:
-    """The trace as version-1 text: every step line ends in ``-> word``."""
+    """The trace in the retired version-1 syntax: a bare ``trace`` header and
+    ``-> word`` after every step line, with no ``final:`` line."""
     v2 = serialize_trace(trace).splitlines()
     steps = [line for line in v2 if line.startswith("step:")]
     body = [f"{line} -> {format_word(word)}" for line, word in zip(steps, trace.words[1:])]
@@ -350,22 +350,37 @@ def edit_line(path, startswith: str, edit) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class TestVerify:
-    def test_v1_trace_still_verifies(self, capsys, tmp_path):
-        path = tmp_path / "v1.trace"
-        path.write_text(v1_text(unknot(parse_word("2: 1 1 1 1 1"))))
-        code, out, _ = run(capsys, "verify", str(path))
-        assert code == 0
-        assert out == "trace: valid (3 steps, 2 crossing changes)\n"
+def assert_one_line_error(capsys, path, message: str) -> None:
+    """``gordian verify path`` exits 2 with one ``error:`` line naming ``message``."""
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
-    def test_corrupt_trace_names_step(self, capsys, tmp_path):
-        bad = tmp_path / "bad.trace"
-        bad.write_text(v1_text(unknot(parse_word("2: 1 1 1 1 1"))))
-        # swap the result word of the first step for a wrong one
-        edit_line(bad, "step:", lambda line: line.partition(" -> ")[0] + " -> 2: 1 1 1 1 1 1 1")
-        code, out, _ = run(capsys, "verify", str(bad))
-        assert code == 1
-        assert out.startswith("trace: invalid at step 0")
+
+class TestVerify:
+    @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
+    def test_version_1_text_exits_2(self, capsys, tmp_path, embedded):
+        cert = adjacency_ci(2, 1)
+        text = v1_text(cert.trace)
+        if embedded:
+            header = serialize_certificate(cert).partition("trace v2")[0]
+            text = header + text + "end\n"
+        path = tmp_path / "v1.txt"
+        path.write_text(text)
+        assert_one_line_error(capsys, path, "trace text must start with a 'trace v2' line")
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
+    def test_repeated_step_parameter_exits_2(self, capsys, tmp_path, embedded):
+        path = tmp_path / "repeated.txt"
+        if embedded:
+            run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
+            edit_line(path, "step: crossing-change", lambda line: line.replace("pos=", "pos=0 pos="))
+        else:
+            tb = TraceBuilder(parse_word("3: 1 1 1"))
+            tb.crossing_change(0)
+            path.write_text(serialize_trace(tb.snapshot()).replace("pos=0", "pos=2 pos=0"))
+        assert_one_line_error(capsys, path, "repeated 'pos' parameter")
 
     def test_corrupt_v2_step_names_step(self, capsys, tmp_path):
         bad = tmp_path / "bad.trace"
@@ -383,31 +398,23 @@ class TestVerify:
         assert code == 1
         assert out.startswith("trace: invalid at final")
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
     @pytest.mark.parametrize("key", ["pos", "amount"])
-    def test_malformed_step_number_exits_2(self, capsys, tmp_path, version, key):
+    def test_malformed_step_number_exits_2(self, capsys, tmp_path, key):
         tb = TraceBuilder(parse_word("2: 1 1 1"))
         tb.conjugate(1)
         tb.crossing_change(0)
-        trace = tb.snapshot()
         path = tmp_path / "bad.trace"
-        path.write_text(v1_text(trace) if version == "v1" else serialize_trace(trace))
+        path.write_text(serialize_trace(tb.snapshot()))
         edit_line(path, f"step: {'conjugate' if key == 'amount' else 'crossing-change'}",
                   lambda line: re.sub(key + r"=\d+", key + "=x", line))
         assert f"{key}=x" in path.read_text()
-        code, out, err = run(capsys, "verify", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_error(capsys, path, f"malformed {key} value")
 
     def test_malformed_step_number_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "step: neighbor-braid", lambda line: line.replace("pos=2", "pos=x"))
-        code, out, err = run(capsys, "verify", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_error(capsys, path, "malformed pos value")
 
     def test_parameter_the_rule_does_not_take_exits_2(self, capsys, tmp_path):
         path = tmp_path / "stray.trace"
@@ -415,26 +422,19 @@ class TestVerify:
         path.write_text(text.format(""))
         assert run(capsys, "verify", str(path))[0] == 0
         path.write_text(text.format(" pos=7 amount=3"))
-        code, out, err = run(capsys, "verify", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_error(capsys, path, "takes no")
 
     def test_parameter_the_rule_does_not_take_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "step: destabilize", lambda line: line + " amount=3")
-        code, out, err = run(capsys, "verify", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_error(capsys, path, "takes no")
 
     def test_out_of_domain_torus_endpoint_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "source:", lambda line: "source: torus 0 5")
-        code, out, err = run(capsys, "verify", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert_one_line_error(capsys, path, "torus")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.trace"))

@@ -227,6 +227,14 @@ class TestPathSearch:
         assert trace.crossing_changes == 1
         assert verify_positive_path(trace)
 
+    def test_knot_checks_scale_with_the_path_not_the_candidates(self, monkeypatch):
+        calls = []
+        real = enumeration.unknotting_number
+        monkeypatch.setattr(enumeration, "unknotting_number", lambda w: calls.append(w) or real(w))
+        trace = positive_path_search(torus_braid(3, 5), torus_braid(2, 5))
+        # The two endpoints, then two per step when the path is checked.
+        assert len(calls) <= 2 + 2 * len(trace.steps)
+
     def test_source_equal_target(self):
         word = torus_braid(2, 3)
         trace = positive_path_search(word, word)

@@ -31,6 +31,7 @@ from gordian import (
     replay,
     serialize_certificate,
     serialize_trace,
+    torus_braid,
     unknot,
     unknotting_number,
     verify_certificate,
@@ -493,7 +494,21 @@ class TestUnknotPathProperty:
         assert verify_positive_path(unknot(word))
 
 
-# The version-1 trace of ``unknot`` on T(3,4): every step line ends in ``-> word``.
+# The trace of ``unknot`` on T(3,4), as ``serialize_trace`` writes it.
+V2_TRACE_TEXT = """trace v2
+initial: 3: 2 1 2 1 2 1 2 1
+step: neighbor-braid pos=4 direction=backward
+step: crossing-change pos=3
+step: crossing-change pos=2
+step: destabilize
+step: crossing-change pos=1
+step: destabilize
+final: 1:
+crossing_changes: 3
+end
+"""
+# The same trace in the retired version-1 syntax, which is malformed input now:
+# every step line ends in ``-> word``.
 V1_TRACE_TEXT = """trace
 initial: 3: 2 1 2 1 2 1 2 1
 step: neighbor-braid pos=4 direction=backward -> 3: 2 1 2 1 1 2 1 1
@@ -505,11 +520,8 @@ step: destabilize -> 1:
 crossing_changes: 3
 end
 """
-SAMPLE_TEXTS = (
-    serialize_trace(parse_trace(V1_TRACE_TEXT)),
-    V1_TRACE_TEXT,
-    serialize_certificate(adjacency_ci(2, 1)),
-)
+SAMPLE_TEXTS = (V2_TRACE_TEXT, serialize_certificate(adjacency_ci(2, 1)))
+FUZZ_SEEDS = SAMPLE_TEXTS + (V1_TRACE_TEXT,)
 # Characters the formats are made of, so edits land near valid text.
 FORMAT_CHARS = " \n:=->0123456789-xtrace v2stepinitialfinalendcrossing_changestorusword"
 
@@ -544,7 +556,7 @@ def mutated_texts(draw, text: str) -> str:
 
 
 class TestParsersRaiseOnlyParseError:
-    @given(st.one_of(st.text(), *(mutated_texts(text) for text in SAMPLE_TEXTS)))
+    @given(st.one_of(st.text(), *(mutated_texts(text) for text in FUZZ_SEEDS)))
     @settings(max_examples=400)
     def test_every_parser_succeeds_or_raises_parse_error(self, text):
         for parse in (parse_word, parse_trace, parse_certificate):
@@ -554,10 +566,14 @@ class TestParsersRaiseOnlyParseError:
                 pass
 
     def test_samples_are_valid_texts(self):
-        v2, v1, cert = SAMPLE_TEXTS
-        assert v2.startswith("trace v2\n")
-        assert replay(parse_trace(v1)) == replay(parse_trace(v2)) == BraidWord(1, ())
+        trace, cert = SAMPLE_TEXTS
+        assert trace == serialize_trace(unknot(torus_braid(3, 4)))
+        assert replay(parse_trace(trace)) == BraidWord(1, ())
         assert verify_certificate(parse_certificate(cert)).valid
+
+    def test_version_1_seed_is_malformed(self):
+        with pytest.raises(ParseError, match="must start with a 'trace v2' line"):
+            parse_trace(V1_TRACE_TEXT)
 
 
 # What a command line or a text file can carry: no NUL, no lone surrogate.
@@ -598,7 +614,7 @@ class TestCliExitCodes:
                 st.one_of(
                     st.text(ARGV_CHARS, max_size=60),
                     st.binary(max_size=60),
-                    *(mutated_texts(text) for text in SAMPLE_TEXTS),
+                    *(mutated_texts(text) for text in FUZZ_SEEDS),
                 )
             )
             if isinstance(content, bytes):

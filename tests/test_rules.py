@@ -15,35 +15,30 @@ from gordian import (
     DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
-    apply_conjugate,
-    apply_crossing_change,
-    apply_destabilize,
-    apply_distant_swap,
-    apply_neighbor_braid,
+    apply_step,
     parse_trace,
     replay,
     serialize_trace,
     torus_braid,
 )
-from gordian.rules import apply_step
 
 
 class TestDistantSwap:
     def test_swaps_commuting_letters(self):
         word = BraidWord(4, (1, 3, 2))
-        assert apply_distant_swap(word, 0) == BraidWord(4, (3, 1, 2))
+        assert apply_step(word, RewriteStep(DISTANT_SWAP, 0)) == BraidWord(4, (3, 1, 2))
 
     def test_rejects_adjacent_indices(self):
         with pytest.raises(IllegalStep):
-            apply_distant_swap(BraidWord(3, (1, 2)), 0)
+            apply_step(BraidWord(3, (1, 2)), RewriteStep(DISTANT_SWAP, 0))
 
     def test_rejects_equal_indices(self):
         with pytest.raises(IllegalStep):
-            apply_distant_swap(BraidWord(2, (1, 1)), 0)
+            apply_step(BraidWord(2, (1, 1)), RewriteStep(DISTANT_SWAP, 0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(IllegalStep):
-            apply_distant_swap(BraidWord(4, (1, 3)), 1)
+            apply_step(BraidWord(4, (1, 3)), RewriteStep(DISTANT_SWAP, 1))
 
 
 def braid_direction(word: BraidWord) -> str:
@@ -57,69 +52,70 @@ class TestNeighborBraid:
     def test_forward(self):
         word = BraidWord(3, (1, 2, 1))
         assert braid_direction(word) == "forward"
-        assert apply_neighbor_braid(word, 0) == BraidWord(3, (2, 1, 2))
+        assert apply_step(word, RewriteStep(NEIGHBOR_BRAID, 0)) == BraidWord(3, (2, 1, 2))
 
     def test_backward(self):
         word = BraidWord(3, (2, 1, 2))
         assert braid_direction(word) == "backward"
-        assert apply_neighbor_braid(word, 0) == BraidWord(3, (1, 2, 1))
+        assert apply_step(word, RewriteStep(NEIGHBOR_BRAID, 0)) == BraidWord(3, (1, 2, 1))
 
     def test_involution(self):
         word = BraidWord(4, (3, 1, 2, 1, 3))
-        once = apply_neighbor_braid(word, 1)
-        assert apply_neighbor_braid(once, 1) == word
+        once = apply_step(word, RewriteStep(NEIGHBOR_BRAID, 1))
+        assert apply_step(once, RewriteStep(NEIGHBOR_BRAID, 1)) == word
 
     def test_rejects_non_pattern(self):
         with pytest.raises(IllegalStep):
-            apply_neighbor_braid(BraidWord(3, (1, 1, 2)), 0)
+            apply_step(BraidWord(3, (1, 1, 2)), RewriteStep(NEIGHBOR_BRAID, 0))
 
 
 class TestConjugate:
     def test_rotates_left(self):
         word = BraidWord(3, (1, 2, 2))
-        assert apply_conjugate(word, 1) == BraidWord(3, (2, 2, 1))
+        assert apply_step(word, RewriteStep(CONJUGATE, amount=1)) == BraidWord(3, (2, 2, 1))
 
     def test_amount_wraps_modulo_length(self):
         word = BraidWord(3, (1, 2, 2))
-        assert apply_conjugate(word, 4) == apply_conjugate(word, 1)
+        once = apply_step(word, RewriteStep(CONJUGATE, amount=1))
+        assert apply_step(word, RewriteStep(CONJUGATE, amount=4)) == once
 
     def test_full_rotation_is_identity(self):
         word = BraidWord(3, (1, 2, 2))
-        assert apply_conjugate(word, 3) == word
+        assert apply_step(word, RewriteStep(CONJUGATE, amount=3)) == word
 
 
 class TestDestabilize:
     def test_removes_unique_top_generator(self):
         word = BraidWord(3, (1, 2, 1))
-        assert apply_destabilize(word) == BraidWord(2, (1, 1))
+        assert apply_step(word, RewriteStep(DESTABILIZE)) == BraidWord(2, (1, 1))
 
     def test_rejects_repeated_top_generator(self):
         with pytest.raises(IllegalStep):
-            apply_destabilize(BraidWord(3, (2, 1, 2)))
+            apply_step(BraidWord(3, (2, 1, 2)), RewriteStep(DESTABILIZE))
 
     def test_rejects_missing_top_generator(self):
         with pytest.raises(IllegalStep):
-            apply_destabilize(BraidWord(3, (1, 1)))
+            apply_step(BraidWord(3, (1, 1)), RewriteStep(DESTABILIZE))
 
     def test_rejects_single_strand(self):
         with pytest.raises(IllegalStep):
-            apply_destabilize(BraidWord(1, ()))
+            apply_step(BraidWord(1, ()), RewriteStep(DESTABILIZE))
 
 
 class TestCrossingChange:
     def test_deletes_adjacent_equal_pair(self):
         word = BraidWord(2, (1, 1, 1))
-        assert apply_crossing_change(word, 0) == BraidWord(2, (1,))
+        assert apply_step(word, RewriteStep(CROSSING_CHANGE, 0)) == BraidWord(2, (1,))
 
     def test_rejects_unequal_pair(self):
         with pytest.raises(IllegalStep):
-            apply_crossing_change(BraidWord(3, (1, 2)), 0)
+            apply_step(BraidWord(3, (1, 2)), RewriteStep(CROSSING_CHANGE, 0))
 
     def test_preserves_permutation(self):
         from gordian import closure_info
 
         word = BraidWord(3, (2, 2, 1, 2))
-        after = apply_crossing_change(word, 0)
+        after = apply_step(word, RewriteStep(CROSSING_CHANGE, 0))
         assert closure_info(after).permutation == closure_info(word).permutation
 
 
@@ -129,22 +125,22 @@ class TestAccounting:
     def test_isotopy_rules_preserve_both(self):
         word = BraidWord(4, (1, 3, 2, 1, 2))
         for after in (
-            apply_distant_swap(word, 0),
-            apply_neighbor_braid(word, 2),
-            apply_conjugate(word, 2),
+            apply_step(word, RewriteStep(DISTANT_SWAP, 0)),
+            apply_step(word, RewriteStep(NEIGHBOR_BRAID, 2)),
+            apply_step(word, RewriteStep(CONJUGATE, amount=2)),
         ):
             assert after.length == word.length
             assert after.strands == word.strands
 
     def test_destabilize_drops_one_of_each(self):
         word = BraidWord(3, (1, 2, 1))
-        after = apply_destabilize(word)
+        after = apply_step(word, RewriteStep(DESTABILIZE))
         assert after.length == word.length - 1
         assert after.strands == word.strands - 1
 
     def test_crossing_change_drops_length_by_two(self):
         word = BraidWord(2, (1, 1, 1))
-        after = apply_crossing_change(word, 1)
+        after = apply_step(word, RewriteStep(CROSSING_CHANGE, 1))
         assert after.length == word.length - 2
         assert after.strands == word.strands
 
@@ -210,11 +206,11 @@ class TestTrustedResults:
     def test_rule_outputs_match_validated_words(self):
         word = BraidWord(4, (1, 2, 1, 3, 3, 1))
         for after in (
-            apply_neighbor_braid(word, 0),
-            apply_distant_swap(word, 2),
-            apply_conjugate(word, 4),
-            apply_crossing_change(word, 3),
-            apply_destabilize(BraidWord(4, (1, 2, 1, 3, 1))),
+            apply_step(word, RewriteStep(NEIGHBOR_BRAID, 0)),
+            apply_step(word, RewriteStep(DISTANT_SWAP, 2)),
+            apply_step(word, RewriteStep(CONJUGATE, amount=4)),
+            apply_step(word, RewriteStep(CROSSING_CHANGE, 3)),
+            apply_step(BraidWord(4, (1, 2, 1, 3, 1)), RewriteStep(DESTABILIZE)),
         ):
             assert BraidWord(after.strands, after.letters) == after
             assert isinstance(after.letters, tuple)
@@ -264,25 +260,6 @@ class TestSerialization:
             "end",
         ]
 
-    def test_reads_version_1(self):
-        text = (
-            "trace\n"
-            "initial: 3: 1 2 1 1\n"
-            "step: neighbor-braid pos=0 direction=forward -> 3: 2 1 2 1\n"
-            "step: conjugate amount=1 -> 3: 1 2 1 2\n"
-            "crossing_changes: 0\n"
-            "end\n"
-        )
-        trace = parse_trace(text)
-        assert trace.final == BraidWord(3, (1, 2, 1, 2))
-        assert replay(trace) == trace.final
-        again = parse_trace(serialize_trace(trace))
-        assert (again.initial, again.steps, again.final) == (
-            trace.initial,
-            trace.steps,
-            trace.final,
-        )
-
     def test_v2_wrong_final_detected_after_the_last_step(self):
         text = (
             "trace v2\n"
@@ -316,19 +293,15 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "line",
         [
-            "step: crossing-change pos=x -> 2: 1",
-            "step: conjugate amount=x -> 2: 1 1 1",
             "step: crossing-change pos=x",
+            "step: conjugate amount=x",
             "step: conjugate amount=1.5",
         ],
     )
     def test_malformed_numbers_are_parse_errors(self, line):
-        lines = ["trace" if "->" in line else "trace v2", "initial: 2: 1 1 1", line]
-        if "->" not in line:
-            lines.append("final: 2: 1")
-        lines += ["crossing_changes: 0", "end"]
-        with pytest.raises(ParseError):
-            parse_trace("\n".join(lines) + "\n")
+        text = f"trace v2\ninitial: 2: 1 1 1\n{line}\nfinal: 2: 1\ncrossing_changes: 0\nend\n"
+        with pytest.raises(ParseError, match="malformed"):
+            parse_trace(text)
 
     @pytest.mark.parametrize(
         "line",
@@ -347,42 +320,45 @@ class TestSerialization:
         with pytest.raises(ParseError, match="takes no"):
             parse_trace(text)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "step: crossing-change pos=2 pos=0",
+            "step: conjugate amount=1 amount=1",
+            "step: neighbor-braid direction=forward pos=0 direction=backward",
+        ],
+    )
+    def test_repeated_parameters_are_parse_errors(self, line):
+        text = f"trace v2\ninitial: 3: 1 1 1\n{line}\nfinal: 3: 1\ncrossing_changes: 1\nend\n"
+        with pytest.raises(ParseError, match="repeated"):
+            parse_trace(text)
+
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ParseError):
             parse_trace("initial: 2: 1\nend\n")
 
-    def test_corrupt_result_word_detected_with_step_index(self):
+    def test_corrupt_count_detected(self):
         text = (
-            "trace\n"
+            "trace v2\n"
             "initial: 2: 1 1 1\n"
-            "step: crossing-change pos=1 -> 2: 1 1\n"
-            "crossing_changes: 1\n"
+            "step: crossing-change pos=1\n"
+            "final: 2: 1\n"
+            "crossing_changes: 2\n"
+            "end\n"
+        )
+        with pytest.raises(ParseError, match="crossing-change total"):
+            parse_trace(text)
+
+    def test_illegal_recorded_step_detected(self):
+        text = (
+            "trace v2\n"
+            "initial: 3: 1 2\n"
+            "step: distant-swap pos=0\n"
+            "final: 3: 2 1\n"
+            "crossing_changes: 0\n"
             "end\n"
         )
         trace = parse_trace(text)
         with pytest.raises(TraceCorrupt) as info:
             replay(trace)
         assert info.value.step_index == 0
-
-    def test_corrupt_count_detected(self):
-        text = (
-            "trace\n"
-            "initial: 2: 1 1 1\n"
-            "step: crossing-change pos=1 -> 2: 1\n"
-            "crossing_changes: 2\n"
-            "end\n"
-        )
-        with pytest.raises((TraceCorrupt, ParseError)):
-            replay(parse_trace(text))
-
-    def test_illegal_recorded_step_detected(self):
-        text = (
-            "trace\n"
-            "initial: 3: 1 2\n"
-            "step: distant-swap pos=0 -> 3: 2 1\n"
-            "crossing_changes: 0\n"
-            "end\n"
-        )
-        trace = parse_trace(text)
-        with pytest.raises(TraceCorrupt):
-            replay(trace)
