@@ -14,12 +14,14 @@ patterns on ``n`` strands (letters are generator indices, 1-based):
 
 Two layers are built on top:
 
-* **Step programs** — lists of :class:`~gordian.rules.RewriteStep` with
-  relative positions, which can be shifted to an offset, inverted, or
-  mirrored, and then run through a builder.  The named programs
-  (``move_b_prog``, ``move_d_prog``, ``move_z_prog``, ``ext_prog``,
-  ``peel_prog``, ``conv_prog``) realize the letter-commutation identities
-  the larger constructions are made of.
+* **Step programs** — sequences of :class:`~gordian.rules.RewriteStep`
+  with relative positions, which can be shifted to an offset, inverted, or
+  mirrored, and then run through a builder by :func:`run_program`, which
+  shifts each step as it applies it.  The named programs (``move_b_prog``, ``move_d_prog``,
+  ``move_z_prog``, ``ext_prog``, ``peel_prog``, ``conv_prog`` and the block
+  crossings ``cross_left_prog`` / ``cross_right_prog``) realize the
+  letter-commutation identities the larger constructions are made of; each
+  is built once per parameter set and cached as a tuple.
 * **Regional programs** — step programs that may also hold a
   :class:`Rotation` of a subword, describing a rewrite of a suffix region
   *abstractly* so the same program can be replayed inside different ambient
@@ -39,7 +41,8 @@ legally commute past the other.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from collections.abc import Sequence
+from functools import cache, partial
 from typing import NamedTuple
 
 from .errors import IllegalStep
@@ -127,11 +130,15 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 # step programs
 # ---------------------------------------------------------------------------
 #
-# A program is a list of RewriteSteps whose positions are relative to an
-# offset chosen when the program runs.  A neighbor-braid step carries no
-# direction: the builder reads it off the word.  Conjugate steps and the
-# destabilization act on the whole word, so they run only at offset 0.
+# A program is a sequence of RewriteSteps whose positions are relative to an
+# offset chosen when the program runs: run_program shifts each step as it
+# applies it.  A neighbor-braid step carries no direction: the builder reads
+# it off the word.  Conjugate steps and the destabilization act on the whole
+# word, so they run only at offset 0.  The named programs below depend only on
+# arguments bounded by the strand count, so each is built once per process
+# and cached as a tuple, which no caller can change.
 
+Program = tuple[RewriteStep, ...]
 RCONJ = "rconj"
 
 
@@ -197,17 +204,17 @@ def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
     raise IllegalStep(f"a {step.kind} step cannot be mirrored")
 
 
-def shift_program(prog: list[RewriteStep], offset: int) -> list[RewriteStep]:
+def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]:
     """Translate the positional steps of a program by ``offset``."""
     return [_step_at(step, offset) for step in prog]
 
 
-def invert_program(prog: list[RewriteStep]) -> list[RewriteStep]:
+def invert_program(prog: Sequence[RewriteStep]) -> list[RewriteStep]:
     """Reverse an isotopy program (no crossing changes, no destabilization)."""
     return [_invert_step(step) for step in reversed(prog)]
 
 
-def mirror_program(prog: list[RewriteStep], length: int) -> list[RewriteStep]:
+def mirror_program(prog: Sequence[RewriteStep], length: int) -> list[RewriteStep]:
     """Conjugate a program by letter-order reversal.
 
     If ``prog`` rewrites a word ``w`` of the given length into ``w'``, the
@@ -222,7 +229,7 @@ def mirror_program(prog: list[RewriteStep], length: int) -> list[RewriteStep]:
     return out
 
 
-def run_program(tb: TraceBuilder, prog: list[RewriteStep], offset: int = 0) -> None:
+def run_program(tb: TraceBuilder, prog: Sequence[RewriteStep], offset: int = 0) -> None:
     """Apply a program through the builder, translating positions by ``offset``."""
     for step in prog:
         tb.apply(_step_at(step, offset) if offset else step)
@@ -242,7 +249,8 @@ def expect_word(tb: TraceBuilder, letters) -> None:
 # ---------------------------------------------------------------------------
 
 
-def move_b_prog(m: int, i: int) -> list[RewriteStep]:
+@cache
+def move_b_prog(m: int, i: int) -> Program:
     """``R_m σ_i → σ_{i-1} R_m`` for ``2 ≤ i ≤ m`` (region of m+1 letters).
 
     The trailing letter rides left through the ascending tail of ``R_m`` by
@@ -254,10 +262,11 @@ def move_b_prog(m: int, i: int) -> list[RewriteStep]:
     prog: list[RewriteStep] = [_swap(q) for q in range(m - 1, m - i + 1, -1)]
     prog.append(_braid(m - i))
     prog += [_swap(q) for q in range(m - i - 1, -1, -1)]
-    return prog
+    return tuple(prog)
 
 
-def move_b1_prog(m: int) -> list[RewriteStep]:
+@cache
+def move_b1_prog(m: int) -> Program:
     """``R_m R_m σ_1 → σ_m R_m R_m`` (region of 2m+1 letters).
 
     The trailing ``σ_1`` cannot lower any further, so it climbs: two braid
@@ -267,18 +276,19 @@ def move_b1_prog(m: int) -> list[RewriteStep]:
     if m < 1:
         raise IllegalStep(f"move-b1 needs m >= 1, got {m}")
     if m == 1:
-        return []
+        return ()
     if m == 2:
-        return [_braid(1)]
+        return (_braid(1),)
     prog: list[RewriteStep] = [_swap(q) for q in range(m - 1, 1, -1)]
     prog.append(_braid(0))
     prog += shift_program(move_b1_prog(m - 1), 2)
     prog += [_braid(0), _braid(1)]
     prog += [_swap(q) for q in range(3, m + 1)]
-    return prog
+    return tuple(prog)
 
 
-def move_d_prog(j: int, i: int) -> list[RewriteStep]:
+@cache
+def move_d_prog(j: int, i: int) -> Program:
     """``V_j σ_i → σ_i V_j`` for ``i ≤ j-1`` or ``i ≥ j+2`` (region 2j+1).
 
     A wrap commutes with every generator of the braid group it closes over;
@@ -286,7 +296,7 @@ def move_d_prog(j: int, i: int) -> list[RewriteStep]:
     relation each, or by distant swaps alone when its index clears the wrap.
     """
     if i >= j + 2:
-        return [_swap(q) for q in range(2 * j - 1, -1, -1)]
+        return tuple(_swap(q) for q in range(2 * j - 1, -1, -1))
     if not 1 <= i <= j - 1:
         raise IllegalStep(f"move-d needs i <= j-1 or i >= j+2, got i={i}, j={j}")
     prog: list[RewriteStep] = [_swap(q) for q in range(2 * j - 1, j + i, -1)]
@@ -294,10 +304,11 @@ def move_d_prog(j: int, i: int) -> list[RewriteStep]:
     prog += [_swap(q) for q in range(j + i - 2, j - i, -1)]
     prog.append(_braid(j - i - 1))
     prog += [_swap(q) for q in range(j - i - 2, -1, -1)]
-    return prog
+    return tuple(prog)
 
 
-def move_z_prog(a: int, i: int) -> list[RewriteStep]:
+@cache
+def move_z_prog(a: int, i: int) -> Program:
     """``Δ²_a σ_i → σ_i Δ²_a`` for ``i ≤ a-1`` (region a(a-1)+1 letters).
 
     The full twist is central: the letter lowers once per descending run it
@@ -321,10 +332,11 @@ def move_z_prog(a: int, i: int) -> list[RewriteStep]:
         prog += shift_program(move_b_prog(m, idx), copy * m)
         idx -= 1
         copy -= 1
-    return prog
+    return tuple(prog)
 
 
-def ext_prog(m: int, r: int) -> list[RewriteStep]:
+@cache
+def ext_prog(m: int, r: int) -> Program:
     """``R_m^r → (σ_{m-r+1} ⋯ σ_{m-1}) R_m R_{m-1}^{r-1}`` for ``1 ≤ r ≤ m``.
 
     The leading letter of the last run is pulled all the way to the front,
@@ -334,26 +346,28 @@ def ext_prog(m: int, r: int) -> list[RewriteStep]:
     if not 1 <= r <= m:
         raise IllegalStep(f"run extraction needs 1 <= r <= m, got r={r}, m={m}")
     if r == 1:
-        return []
+        return ()
     prog = shift_program(move_b_prog(m, m), (r - 2) * m)
     for j in range(r - 2, 0, -1):
         prog += shift_program(move_b_prog(m, m - r + 1 + j), (j - 1) * m)
     prog += shift_program(ext_prog(m, r - 1), 1)
-    return prog
+    return tuple(prog)
 
 
-def peel_prog(n: int) -> list[RewriteStep]:
+@cache
+def peel_prog(n: int) -> Program:
     """``Δ²_n → V_{n-1} Δ²_{n-1}`` in place (region n(n-1) letters).
 
     Peeling the outermost strand off a full twist leaves its wrap around the
     others in front of the full twist one strand down.
     """
     if n <= 2:
-        return []
-    return shift_program(ext_prog(n - 1, n - 1), n - 1)
+        return ()
+    return tuple(shift_program(ext_prog(n - 1, n - 1), n - 1))
 
 
-def conv_prog(m: int) -> list[RewriteStep]:
+@cache
+def conv_prog(m: int) -> Program:
     """``Δ²_m`` (descending form) ``→ A_{m-1}^m`` (ascending form) in place.
 
     Peel a wrap, convert the inner twist recursively, slide the converted
@@ -361,13 +375,13 @@ def conv_prog(m: int) -> list[RewriteStep]:
     the mirror image of peeling.
     """
     if m <= 2:
-        return []
+        return ()
     prog = list(peel_prog(m))
     prog += shift_program(conv_prog(m - 1), 2 * (m - 1))
     for c, letter in enumerate(ascending_twist_letters(m - 1)):
         prog += shift_program(cross_left_prog(("wrap", m - 1), letter), c)
     prog += invert_program(mirror_program(peel_prog(m), m * (m - 1)))
-    return prog
+    return tuple(prog)
 
 
 # ---------------------------------------------------------------------------
@@ -415,29 +429,31 @@ def can_cross(desc: tuple, letter: int) -> bool:
     return False
 
 
-def cross_left_prog(desc: tuple, letter: int) -> list[RewriteStep]:
+@cache
+def cross_left_prog(desc: tuple, letter: int) -> Program:
     """Program for ``<block> σ_letter → σ_letter <block>``, relative to the block."""
     kind = desc[0]
     if kind == "letter":
         if abs(letter - desc[1]) < 2:
             raise IllegalStep(f"σ_{letter} cannot pass σ_{desc[1]}")
-        return [_swap(0)]
+        return (_swap(0),)
     if kind == "wrap":
         j = desc[1]
         if j == 1 and letter == 1:
-            return []  # σ_1 σ_1 σ_1 reads the same from either side
+            return ()  # σ_1 σ_1 σ_1 reads the same from either side
         return move_d_prog(j, letter)
     if kind == "twist":
         a = desc[1]
         if letter >= a + 1:
-            return [_swap(q) for q in range(a * (a - 1) - 1, -1, -1)]
+            return tuple(_swap(q) for q in range(a * (a - 1) - 1, -1, -1))
         return move_z_prog(a, letter)
     raise IllegalStep(f"block {desc!r} cannot be crossed")
 
 
-def cross_right_prog(desc: tuple, letter: int) -> list[RewriteStep]:
+@cache
+def cross_right_prog(desc: tuple, letter: int) -> Program:
     """Program for ``σ_letter <block> → <block> σ_letter``, relative to the letter."""
-    return invert_program(cross_left_prog(desc, letter))
+    return tuple(invert_program(cross_left_prog(desc, letter)))
 
 
 def cross_block_left(tb: TraceBuilder, obstacle_pos: int, desc: tuple, letters) -> None:

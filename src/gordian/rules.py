@@ -139,24 +139,16 @@ def _distant_swap(letters: list[int], position) -> None:
     letters[position], letters[position + 1] = b, a
 
 
-def _braid_direction(letters, position) -> str:
-    _check_position(len(letters), position, 3, NEIGHBOR_BRAID)
-    a, b, c = letters[position : position + 3]
-    if a == c and b == a + 1:
-        return FORWARD
-    if a == c and b == a - 1:
-        return BACKWARD
-    raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
-
-
 def _neighbor_braid(letters: list[int], position, direction) -> str:
     """Rewrite the triple at ``position``; return the direction its pattern
     shows, which a recorded ``direction`` must match."""
-    found = _braid_direction(letters, position)
+    _check_position(len(letters), position, 3, NEIGHBOR_BRAID)
+    a, b, c = letters[position : position + 3]
+    if a != c or abs(a - b) != 1:
+        raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
+    found = FORWARD if b > a else BACKWARD
     if direction is not None and direction != found:
         raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
-    a = letters[position]
-    b = a + 1 if found == FORWARD else a - 1
     letters[position] = letters[position + 2] = b
     letters[position + 1] = a
     return found
@@ -321,24 +313,28 @@ class TraceBuilder:
     def apply(self, step: RewriteStep) -> None:
         """Apply ``step`` to the current word and record it.
 
-        A neighbor-braid step without a direction is recorded with the one
-        its triple shows; a rotation is recorded modulo the length, and a
-        null rotation is not worth a step.
+        Every step goes through the kernel :func:`replay` uses, so the
+        builder accepts and rejects exactly the steps replay does.  A
+        neighbor-braid step without a direction is recorded with the one its
+        triple shows; a rotation is recorded modulo the length, and a null
+        rotation is not worth a step.
         """
         kind = step.kind
-        if kind == CONJUGATE:
-            amount = step.amount % len(self.letters) if self.letters else 0
-            if amount == 0:
-                return
-            step = RewriteStep(kind, amount=amount)
+        letters = self.letters
         if kind == NEIGHBOR_BRAID:
-            found = _neighbor_braid(self.letters, step.position, step.direction)
+            found = _neighbor_braid(letters, step.position, step.direction)
             if step.direction is None:
                 step = RewriteStep(kind, step.position, found)
+        elif kind == CONJUGATE:
+            _conjugate(letters, step.amount)
+            amount = step.amount % len(letters) if letters else 0
+            if not amount:
+                return
+            step = RewriteStep(kind, amount=amount)
         else:
-            self.strands = _apply(self.letters, self.strands, step)
-        if kind == CROSSING_CHANGE:
-            self.crossing_changes += 1
+            self.strands = _apply(letters, self.strands, step)
+            if kind == CROSSING_CHANGE:
+                self.crossing_changes += 1
         self._steps.append(step)
 
     def distant_swap(self, position: int) -> None:
@@ -377,7 +373,13 @@ def _format_step(step: RewriteStep) -> str:
 def serialize_trace(trace: RewriteTrace) -> str:
     """Render a trace as version-2 text, the format read by :func:`parse_trace`."""
     lines = [V2_HEADER, f"initial: {format_word(trace.initial)}"]
-    lines.extend(_format_step(step) for step in trace.steps)
+    # Steps repeat a lot; format each distinct step once.
+    known: dict[RewriteStep, str] = {}
+    for step in trace.steps:
+        line = known.get(step)
+        if line is None:
+            line = known[step] = _format_step(step)
+        lines.append(line)
     lines.append(f"final: {format_word(trace.final)}")
     lines.append(f"crossing_changes: {trace.crossing_changes}")
     lines.append("end")

@@ -1,5 +1,6 @@
 """Certified crossing-change paths between torus knots and the claim catalog."""
 
+import hashlib
 import math
 
 import pytest
@@ -207,6 +208,30 @@ class TestCertificateFormat:
         text = serialize_certificate(cert, verify_certificate(cert))
         assert "verification: strands=match length=match alexander=match" in text
         assert parse_certificate(text) == cert
+
+    # The largest members the certify benchmark builds, pinned byte for byte
+    # by the SHA-256 of their verified serialization (the goldens under
+    # tests/golden cover only small members; these texts are up to 0.7 MB).
+    @pytest.mark.parametrize(
+        "build, length, digest",
+        [
+            (lambda: adjacency_3_from_4(129), 706103,
+             "d17829815aa5c3663dfd4d5af32133f00b5e204f29cb747aacc9dc9ee8618d04"),
+            (lambda: adjacency_2_from_4(21), 24495,
+             "79f1290de3b8c4c3e237d1db48662a9aa92bd98a0d3c2f6dc0a97c2810051402"),
+            (lambda: adjacency_ci(4, 1), 30981,
+             "96511785cffce1d4183696db12c2f9aa70c401cadce8de03ca183f243b22c6dd"),
+            (lambda: adjacency_cin(4, 1), 39342,
+             "d42b3497ecd130acd7ec1edceae1ebdf94ac347ad7cb3ed1031acebe8a4e434f"),
+            (lambda: strip_top_strand(TorusParams(5, 13)), 9857,
+             "366a5b04b827de92008498c8e9c4dfba4b4748ea9287d257e10d73fc41ff0eea"),
+        ],
+        ids=["t34-129", "t24-21", "ci-4-1", "cin-4-1", "strip-5-13"],
+    )
+    def test_large_members_serialize_to_their_frozen_digest(self, build, length, digest):
+        cert = build()
+        text = serialize_certificate(cert, verify_certificate(cert)).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (length, digest)
 
     def test_tampered_count_fails_verification(self):
         cert = adjacency_ci(2, 1)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from gordian import BraidWord, IllegalStep, RewriteStep, TraceBuilder, ascending_run, descending_run
+from gordian import (
+    BraidWord,
+    IllegalStep,
+    RewriteStep,
+    TraceBuilder,
+    adjacency_3_from_4,
+    ascending_run,
+    descending_run,
+)
 from gordian.moves import (
     Rotation,
     arrange_blocks,
@@ -11,6 +19,8 @@ from gordian.moves import (
     cascade,
     cascade_mirror,
     conv_prog,
+    cross_left_prog,
+    cross_right_prog,
     decompose_region_prog,
     expect_word,
     ext_prog,
@@ -33,6 +43,17 @@ from gordian.rules import CONJUGATE, CROSSING_CHANGE, DESTABILIZE, DISTANT_SWAP,
 
 SWAP_AT_0 = RewriteStep(DISTANT_SWAP, 0)
 BRAID_AT_2 = RewriteStep(NEIGHBOR_BRAID, 2)
+NAMED_PROGRAMS = (
+    move_b_prog,
+    move_b1_prog,
+    move_d_prog,
+    move_z_prog,
+    ext_prog,
+    peel_prog,
+    conv_prog,
+    cross_left_prog,
+    cross_right_prog,
+)
 
 
 class TestLetterBuilders:
@@ -67,9 +88,10 @@ class TestRunProgram:
     def test_global_steps_reject_offsets(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, [RewriteStep(CONJUGATE, amount=1)], offset=2)
+            run_program(tb, (RewriteStep(CONJUGATE, amount=1),), 2)
         with pytest.raises(IllegalStep):
-            run_program(tb, [RewriteStep(DESTABILIZE)], offset=2)
+            run_program(tb, (RewriteStep(DESTABILIZE),), 2)
+        assert tb.steps == () and tb.letters == [1, 2, 1, 2]
 
     def test_unknown_step_rejected(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))
@@ -170,6 +192,29 @@ class TestExtractionPrograms:
         tb = TraceBuilder(BraidWord(4, full_twist_letters(4)))
         run_program(tb, conv_prog(4))
         assert tb.crossing_changes == 0
+
+
+class TestProgramCache:
+    def test_named_programs_are_built_once_per_parameter_set(self):
+        for builder in NAMED_PROGRAMS:
+            builder.cache_clear()
+        small = adjacency_3_from_4(33)
+        misses = [builder.cache_info().misses for builder in NAMED_PROGRAMS]
+        # T(4,129) -> T(3,145) crosses wraps thousands of times, yet
+        # move_d_prog is built once for each of its 3 parameter sets.
+        adjacency_3_from_4(129)
+        assert move_d_prog.cache_info().misses == 3
+        assert cross_left_prog.cache_info().hits > 1000
+        # b = 33 and b = 129 use the same programs: the cache does not grow with b.
+        assert [builder.cache_info().misses for builder in NAMED_PROGRAMS] == misses
+        for builder in NAMED_PROGRAMS:
+            builder.cache_clear()
+        assert adjacency_3_from_4(33).trace == small.trace
+
+    def test_cached_programs_are_shared_tuples(self):
+        prog = move_z_prog(4, 2)
+        assert isinstance(prog, tuple) and move_z_prog(4, 2) is prog
+        assert isinstance(cross_right_prog(("wrap", 3), 1), tuple)
 
 
 class TestBlocks:

@@ -161,6 +161,27 @@ class TestTraceBuilder:
         tb.conjugate(2)  # full length, also a no-op
         assert len(tb.snapshot().steps) == 0
 
+    def test_conjugate_without_an_amount_is_illegal_as_in_replay(self):
+        word = BraidWord(3, (1, 2, 1))
+        step = RewriteStep(CONJUGATE)
+        with pytest.raises(IllegalStep, match="integer amount"):
+            apply_step(word, step)
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match="integer amount"):
+            tb.apply(step)
+        assert tb.letters == [1, 2, 1] and not tb.steps
+
+    def test_nonzero_rotation_of_the_empty_word_is_illegal_as_in_replay(self):
+        word = BraidWord(1, ())
+        step = RewriteStep(CONJUGATE, amount=1)
+        with pytest.raises(IllegalStep, match="empty word"):
+            apply_step(word, step)
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match="empty word"):
+            tb.apply(step)
+        tb.conjugate(0)
+        assert not tb.steps
+
     def test_neighbor_braid_records_the_direction_it_finds(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
         tb.neighbor_braid(1)
