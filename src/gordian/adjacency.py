@@ -49,7 +49,7 @@ from .moves import (
     run_regional,
     wrap,
 )
-from .rules import RewriteTrace, TraceBuilder, parse_trace, replay, serialize_trace
+from .rules import RewriteTrace, TraceBuilder, next_line, parse_trace, replay, serialize_trace
 from .unknotting import _reduce, unknot
 from .words import (
     BraidWord,
@@ -227,11 +227,19 @@ def parse_certificate(text: str) -> AdjacencyCertificate:
     """Parse the format written by :func:`serialize_certificate`.
 
     Structure-only: call :func:`verify_certificate` to validate the content.
+    The five header lines and the closing ``end`` are read here; the trace
+    block between them goes to :func:`parse_trace` unsplit.
     """
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines or lines[0] != "certificate":
+    lines, pos = [], 0
+    for _ in range(5):
+        line, pos = next_line(text, pos)
+        lines.append(line)
+    if lines[0] != "certificate":
         raise ParseError("certificate text must start with a 'certificate' line")
-    if len(lines) < 7 or lines[-1] != "end":
+    # 'end' must be the last line, on a line of its own after the trace block.
+    rest = text[pos:].rstrip()
+    block = rest[:-3].rstrip()
+    if not (rest.endswith("end") and block and len(rest[len(block) :].splitlines()) > 1):
         raise ParseError("certificate text must end with an 'end' line")
     header = {}
     for index, key in ((1, "source"), (2, "target"), (3, "claimed_cc"), (4, "verification")):
@@ -243,7 +251,7 @@ def parse_certificate(text: str) -> AdjacencyCertificate:
         claimed_cc = int(header["claimed_cc"])
     except ValueError:
         raise ParseError(f"malformed crossing-change claim: {header['claimed_cc']!r}") from None
-    trace = parse_trace("\n".join(lines[5:-1]))
+    trace = parse_trace(block)
     return AdjacencyCertificate(
         source=_parse_endpoint(header["source"]),
         target=_parse_endpoint(header["target"]),

@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     TraceCorrupt,
 )
-from .rules import parse_trace, replay, serialize_trace
+from .rules import next_line, parse_trace, replay, serialize_trace
 from .unknotting import unknot
 from .words import (
     TorusParams,
@@ -172,8 +172,7 @@ def cmd_verify(args) -> int:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
-    first = next((line.strip() for line in text.splitlines() if line.strip()), "")
-    if first == "certificate":
+    if next_line(text)[0] == "certificate":
         cert = parse_certificate(text)
         check = verify_certificate(cert)
         if check.valid:

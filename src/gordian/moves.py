@@ -17,7 +17,8 @@ Two layers are built on top:
 * **Step programs** — sequences of :class:`~gordian.rules.RewriteStep`
   with relative positions, which can be shifted to an offset, inverted, or
   mirrored, and then run through a builder by :func:`run_program`, which
-  shifts each step as it applies it.  The named programs (``move_b_prog``, ``move_d_prog``,
+  hands the whole program and its offset to the builder's step kernel in
+  one call.  The named programs (``move_b_prog``, ``move_d_prog``,
   ``move_z_prog``, ``ext_prog``, ``peel_prog``, ``conv_prog`` and the block
   crossings ``cross_left_prog`` / ``cross_right_prog``) realize the
   letter-commutation identities the larger constructions are made of; each
@@ -131,12 +132,12 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 #
 # A program is a sequence of RewriteSteps whose positions are relative to an
-# offset chosen when the program runs: run_program shifts each step as it
-# applies it.  A neighbor-braid step carries no direction: the builder reads
-# it off the word.  Conjugate steps and the destabilization act on the whole
-# word, so they run only at offset 0.  The named programs below depend only on
-# arguments bounded by the strand count, so each is built once per process
-# and cached as a tuple, which no caller can change.
+# offset chosen when the program runs: the builder's kernel shifts each step
+# as it applies it.  A neighbor-braid step carries no direction: the builder
+# reads it off the word.  Conjugate steps and the destabilization act on the
+# whole word, so they run only at offset 0.  The named programs below depend
+# only on arguments bounded by the strand count, so each is built once per
+# process and cached as a tuple, which no caller can change.
 
 Program = tuple[RewriteStep, ...]
 RCONJ = "rconj"
@@ -230,9 +231,9 @@ def mirror_program(prog: Sequence[RewriteStep], length: int) -> list[RewriteStep
 
 
 def run_program(tb: TraceBuilder, prog: Sequence[RewriteStep], offset: int = 0) -> None:
-    """Apply a program through the builder, translating positions by ``offset``."""
-    for step in prog:
-        tb.apply(_step_at(step, offset) if offset else step)
+    """Apply a program through the builder in one call, translating positions
+    by ``offset``; an illegal step leaves the steps before it applied."""
+    tb.run(prog, offset)
 
 
 def expect_word(tb: TraceBuilder, letters) -> None:
@@ -659,4 +660,4 @@ def run_regional(tb: TraceBuilder, prog: list, region_start: int, prefix) -> Non
         if step.kind == RCONJ:
             _lift_rotation(tb, region_start, prefix, step)
         else:
-            tb.apply(_step_at(step, region_start))
+            tb.run((step,), region_start)

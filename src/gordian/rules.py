@@ -28,6 +28,9 @@ A :class:`RewriteTrace` stores the initial word, the steps and the final word;
 the words in between are derived on demand.  :func:`replay` re-applies every
 step from the initial word and is the single source of truth for validity:
 each step must be legal and the last one must reach the recorded final word.
+All of them run one in-place step kernel, a single loop over a sequence of
+steps with every legality check inline, so they accept and reject exactly
+the same steps.  Positions and amounts are ``int`` itself, never ``bool``.
 
 Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
 :func:`parse_trace` reads; text under any other header is malformed::
@@ -42,6 +45,7 @@ Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,93 +119,107 @@ class RewriteTrace:
         return (self.initial,) + after
 
 
-# The rules work in place on a list of letters, so that replay pays O(1) for a
-# swap or a braid move instead of copying the word.  Each keeps every letter
-# inside 1..strands-1 by construction: the braid move only writes the two
-# letters of its triple, and destabilize removes the only top letter.  Their
-# results therefore become words through ``BraidWord._trusted``, unchecked.
+# One kernel applies every step, for replay and for recording alike.  It works
+# in place on a list of letters, so that a swap or a braid move costs O(1)
+# instead of a copy of the word.  It keeps every letter inside 1..strands-1 by
+# construction: the braid move only writes the two letters of its triple, and
+# destabilize removes the only top letter.  Its results therefore become words
+# through ``BraidWord._trusted``, unchecked.
 
 
-def _check_position(length: int, position, width: int, kind: str) -> None:
-    if position is None or not isinstance(position, int):
-        raise IllegalStep(f"{kind} requires an integer position, got {position!r}")
-    if not (0 <= position <= length - width):
-        raise IllegalStep(
-            f"{kind} at position {position} does not fit in a word of length {length}"
-        )
+def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
+    """The error for a positional step that cannot apply where it points; an
+    integer ``position`` is already shifted by ``offset``."""
+    if type(position) is int:
+        return IllegalStep(f"{kind} at position {position} does not fit in a word of length {length}")
+    if position is None and offset:
+        return IllegalStep(f"cannot shift a {kind} step to offset {offset}")
+    return IllegalStep(f"{kind} requires an integer position, got {position!r}")
 
 
-def _distant_swap(letters: list[int], position) -> None:
-    _check_position(len(letters), position, 2, DISTANT_SWAP)
-    a, b = letters[position], letters[position + 1]
-    if abs(a - b) < 2:
-        raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not distant")
-    letters[position], letters[position + 1] = b, a
+def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list | None = None) -> int:
+    """Apply ``steps`` in turn to ``letters`` in place, positions shifted by
+    ``offset`` (whole-word steps run only at offset 0); return the strand count.
 
-
-def _neighbor_braid(letters: list[int], position, direction) -> str:
-    """Rewrite the triple at ``position``; return the direction its pattern
-    shows, which a recorded ``direction`` must match."""
-    _check_position(len(letters), position, 3, NEIGHBOR_BRAID)
-    a, b, c = letters[position : position + 3]
-    if a != c or abs(a - b) != 1:
-        raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
-    found = FORWARD if b > a else BACKWARD
-    if direction is not None and direction != found:
-        raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
-    letters[position] = letters[position + 2] = b
-    letters[position + 1] = a
-    return found
-
-
-def _conjugate(letters: list[int], amount) -> None:
-    if not isinstance(amount, int):
-        raise IllegalStep(f"conjugate requires an integer amount, got {amount!r}")
-    if not letters:
-        if amount != 0:
-            raise IllegalStep("cannot rotate the empty word by a nonzero amount")
-        return
-    amount %= len(letters)
-    letters[:] = letters[amount:] + letters[:amount]
-
-
-def _destabilize(letters: list[int], strands: int) -> int:
-    if strands == 1:
-        raise IllegalStep("cannot destabilize a word on one strand")
-    top = strands - 1
-    # No letter exceeds top, so σ_top is the maximal used index iff it occurs.
-    occurrences = letters.count(top)
-    if not occurrences:
-        raise IllegalStep(f"destabilize requires σ_{top} to be the maximal used index")
-    if occurrences != 1:
-        raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {occurrences}")
-    letters.remove(top)
-    return strands - 1
-
-
-def _crossing_change(letters: list[int], position) -> None:
-    _check_position(len(letters), position, 2, CROSSING_CHANGE)
-    a, b = letters[position], letters[position + 1]
-    if a != b:
-        raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not an equal pair")
-    del letters[position : position + 2]
-
-
-def _apply(letters: list[int], strands: int, step: RewriteStep) -> int:
-    """Apply ``step`` to ``letters`` in place; return the new strand count."""
-    kind = step.kind
-    if kind == DISTANT_SWAP:
-        _distant_swap(letters, step.position)
-    elif kind == NEIGHBOR_BRAID:
-        _neighbor_braid(letters, step.position, step.direction)
-    elif kind == CONJUGATE:
-        _conjugate(letters, step.amount)
-    elif kind == DESTABILIZE:
-        return _destabilize(letters, strands)
-    elif kind == CROSSING_CHANGE:
-        _crossing_change(letters, step.position)
-    else:
-        raise IllegalStep(f"unknown rule kind {kind!r}")
+    An illegal step raises :class:`IllegalStep` before it changes anything,
+    and the steps before it stay applied.  Each applied step is appended to
+    ``record``, if given, as it applied: shifted, a braid move with the
+    direction its triple shows, a rotation modulo the length (a null rotation
+    is not recorded).
+    """
+    length = len(letters)
+    for step in steps:
+        kind, position, direction, amount = step
+        if kind == NEIGHBOR_BRAID:
+            if type(position) is not int or not 0 <= (position := position + offset) <= length - 3:
+                raise _misplaced(kind, position, offset, length)
+            a = letters[position]
+            b = letters[position + 1]
+            c = letters[position + 2]
+            if a != c or (b != a + 1 and b != a - 1):
+                raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
+            found = FORWARD if b > a else BACKWARD
+            if direction is not None and direction != found:
+                raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
+            letters[position] = letters[position + 2] = b
+            letters[position + 1] = a
+            if record is not None:
+                record.append(step if direction is not None and not offset else RewriteStep(kind, position, found))
+        elif kind == DISTANT_SWAP:
+            if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
+                raise _misplaced(kind, position, offset, length)
+            a = letters[position]
+            b = letters[position + 1]
+            if -2 < a - b < 2:
+                raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not distant")
+            letters[position] = b
+            letters[position + 1] = a
+            if record is not None:
+                record.append(RewriteStep(kind, position) if offset else step)
+        elif kind == CROSSING_CHANGE:
+            if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
+                raise _misplaced(kind, position, offset, length)
+            a = letters[position]
+            b = letters[position + 1]
+            if a != b:
+                raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not an equal pair")
+            del letters[position : position + 2]
+            length -= 2
+            if record is not None:
+                record.append(RewriteStep(kind, position) if offset else step)
+        elif kind == CONJUGATE:
+            if offset:
+                raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
+            if type(amount) is not int:
+                raise IllegalStep(f"conjugate requires an integer amount, got {amount!r}")
+            if not length:
+                if amount:
+                    raise IllegalStep("cannot rotate the empty word by a nonzero amount")
+                continue
+            amount %= length
+            if amount:
+                letters[:] = letters[amount:] + letters[:amount]
+                if record is not None:
+                    record.append(RewriteStep(kind, amount=amount))
+        elif kind == DESTABILIZE:
+            if offset:
+                raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
+            if strands == 1:
+                raise IllegalStep("cannot destabilize a word on one strand")
+            top = strands - 1
+            # No letter exceeds top, so σ_top is the maximal used index iff it occurs.
+            occurrences = letters.count(top)
+            if not occurrences:
+                raise IllegalStep(f"destabilize requires σ_{top} to be the maximal used index")
+            if occurrences != 1:
+                raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {occurrences}")
+            letters.remove(top)
+            length -= 1
+            strands = top
+            if record is not None:
+                record.append(step)
+        else:
+            raise IllegalStep(f"unknown rule kind {step.kind!r}")
     return strands
 
 
@@ -210,7 +228,7 @@ def apply_step(word: BraidWord, step: RewriteStep) -> BraidWord:
     raises :class:`IllegalStep`.  This is the one word-level entry point for
     the five rules."""
     letters = list(word.letters)
-    strands = _apply(letters, word.strands, step)
+    strands = _run(letters, word.strands, (step,))
     return BraidWord._trusted(strands, tuple(letters))
 
 
@@ -254,14 +272,14 @@ def legal_moves(strands: int, letters: tuple[int, ...]):
 
 
 def _walk(trace: RewriteTrace):
-    """Apply the steps in turn to one list of letters, yielding the strand
-    count and that (mutated) list after each; an illegal step raises
+    """Apply the steps one at a time to one list of letters, yielding the
+    strand count and that (mutated) list after each; an illegal step raises
     :class:`TraceCorrupt` with its index."""
     letters = list(trace.initial.letters)
     strands = trace.initial.strands
     for index, step in enumerate(trace.steps):
         try:
-            strands = _apply(letters, strands, step)
+            strands = _run(letters, strands, (step,))
         except IllegalStep as exc:
             raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
         yield strands, letters
@@ -274,9 +292,15 @@ def replay(trace: RewriteTrace) -> BraidWord:
     replay that ends anywhere but the recorded final word fails at index
     ``len(steps)``.  Returns the final word.
     """
-    strands, letters = trace.initial.strands, trace.initial.letters
-    for strands, letters in _walk(trace):
-        pass
+    letters = list(trace.initial.letters)
+    try:
+        strands = _run(letters, trace.initial.strands, trace.steps)
+    except IllegalStep:
+        # The kernel counts no steps: walk again, one step at a time, to
+        # raise TraceCorrupt at the index of the illegal one.
+        for _ in _walk(trace):
+            pass
+        raise
     word = BraidWord._trusted(strands, tuple(letters))
     if word != trace.final:
         raise TraceCorrupt(
@@ -291,15 +315,18 @@ class TraceBuilder:
     """Applies rules in place to one mutable list of letters and records steps.
 
     ``letters`` and ``strands`` are the current word; callers read them but
-    change them only through :meth:`apply`.  :attr:`word` builds a
-    :class:`BraidWord` of the current word on demand.
+    change them only through :meth:`apply` and :meth:`run`, which run the
+    kernel :func:`replay` uses, so the builder accepts and rejects exactly
+    the steps replay does.  A neighbor-braid step without a direction is
+    recorded with the one its triple shows; a rotation is recorded modulo
+    the length, and a null rotation is not worth a step.  :attr:`word`
+    builds a :class:`BraidWord` of the current word on demand.
     """
 
     def __init__(self, initial: BraidWord):
         self.initial = initial
         self.letters = list(initial.letters)
         self.strands = initial.strands
-        self.crossing_changes = 0
         self._steps: list[RewriteStep] = []
 
     @property
@@ -310,32 +337,30 @@ class TraceBuilder:
     def steps(self) -> tuple[RewriteStep, ...]:
         return tuple(self._steps)
 
-    def apply(self, step: RewriteStep) -> None:
-        """Apply ``step`` to the current word and record it.
+    @property
+    def crossing_changes(self) -> int:
+        """Crossing changes applied so far, read off the word: only a crossing
+        change (two letters) and a destabilization (one letter and one
+        strand) shorten it."""
+        lost = self.initial.length - len(self.letters) - (self.initial.strands - self.strands)
+        return lost // 2
 
-        Every step goes through the kernel :func:`replay` uses, so the
-        builder accepts and rejects exactly the steps replay does.  A
-        neighbor-braid step without a direction is recorded with the one its
-        triple shows; a rotation is recorded modulo the length, and a null
-        rotation is not worth a step.
+    def apply(self, step: RewriteStep) -> None:
+        """Apply ``step`` to the current word and record it."""
+        self.strands = _run(self.letters, self.strands, (step,), 0, self._steps)
+
+    def run(self, steps, offset: int = 0) -> None:
+        """Apply and record ``steps`` in turn, positions shifted by ``offset``.
+
+        An illegal step raises :class:`IllegalStep`; the steps before it stay
+        applied and recorded.
         """
-        kind = step.kind
-        letters = self.letters
-        if kind == NEIGHBOR_BRAID:
-            found = _neighbor_braid(letters, step.position, step.direction)
-            if step.direction is None:
-                step = RewriteStep(kind, step.position, found)
-        elif kind == CONJUGATE:
-            _conjugate(letters, step.amount)
-            amount = step.amount % len(letters) if letters else 0
-            if not amount:
-                return
-            step = RewriteStep(kind, amount=amount)
-        else:
-            self.strands = _apply(letters, self.strands, step)
-            if kind == CROSSING_CHANGE:
-                self.crossing_changes += 1
-        self._steps.append(step)
+        done = len(self._steps)
+        try:
+            self.strands = _run(self.letters, self.strands, steps, offset, self._steps)
+        except IllegalStep:
+            self.strands -= sum(step.kind == DESTABILIZE for step in self._steps[done:])
+            raise
 
     def distant_swap(self, position: int) -> None:
         self.apply(RewriteStep(DISTANT_SWAP, position))
@@ -384,6 +409,19 @@ def serialize_trace(trace: RewriteTrace) -> str:
     lines.append(f"crossing_changes: {trace.crossing_changes}")
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+# From a given offset: blank lines, then the first non-blank line up to the
+# next line boundary of str.splitlines, without its leading whitespace.
+_NEXT_LINE = re.compile(r"\s*([^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)")
+
+
+def next_line(text: str, pos: int = 0) -> tuple[str, int]:
+    """The first non-blank line of ``text[pos:]``, stripped, and the offset
+    just past it; ``("", len(text))`` when every line is blank.  Reading a
+    header this way leaves the rest of the text unsplit."""
+    match = _NEXT_LINE.match(text, pos)
+    return match[1].rstrip(), match.end()
 
 
 def _parse_int(key: str, value: str, line: str) -> int:
@@ -439,7 +477,7 @@ def parse_trace(text: str) -> RewriteTrace:
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines or lines[0] != V2_HEADER:
         raise ParseError("trace text must start with a 'trace v2' line")
     if lines[-1] != "end":
@@ -454,19 +492,16 @@ def parse_trace(text: str) -> RewriteTrace:
         declared = int(count_line[len("crossing_changes:") :].strip())
     except ValueError:
         raise ParseError(f"malformed crossing-change total: {count_line!r}") from None
-    body = lines[2:-2]
-    if not body or not body[-1].startswith("final:"):
+    if len(lines) < 5 or not lines[-3].startswith("final:"):
         raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
-    final = parse_word(body[-1][len("final:") :].strip())
-    # Step lines repeat a lot; parse each distinct line once.
-    known: dict[str, RewriteStep] = {}
-    steps = []
-    for line in body[:-1]:
-        step = known.get(line)
-        if step is None:
-            step = known[line] = _parse_step(line)
-        steps.append(step)
-    trace = RewriteTrace(initial, tuple(steps), final)
+    final = parse_word(lines[-3][len("final:") :].strip())
+    # Step lines repeat a lot; parse each distinct line once, in order of
+    # first appearance, so that the first malformed line is the one reported.
+    step_lines = lines[2:-3]
+    known = dict.fromkeys(step_lines)
+    for line in known:
+        known[line] = _parse_step(line)
+    trace = RewriteTrace(initial, tuple(map(known.__getitem__, step_lines)), final)
     if trace.crossing_changes != declared:
         raise ParseError(
             f"declared crossing-change total {declared} disagrees with steps "

@@ -300,6 +300,29 @@ class TestCertificateFormat:
         with pytest.raises(ParseError):
             parse_certificate(text.rsplit("end", 1)[0])
 
+    @pytest.mark.parametrize(
+        "tail, valid",
+        [
+            ("\nend\n", True),
+            ("\n\n  end \t\n\n", True),
+            ("\nxend\n", False),
+            ("\nend x\n", False),
+            (" end\n", False),
+        ],
+    )
+    def test_the_closing_end_is_a_line_of_its_own(self, tail, valid):
+        text = serialize_certificate(adjacency_ci(2, 1))
+        assert text.endswith("\nend\nend\n")
+        edited = text[: -len("\nend\n")] + tail
+        if valid:
+            assert parse_certificate(edited) == parse_certificate(text)
+        else:
+            with pytest.raises(ParseError, match="certificate text must end with an 'end' line"):
+                parse_certificate(edited)
+        header = "\n".join(text.splitlines()[:5])
+        with pytest.raises(ParseError, match="certificate text must end with an 'end' line"):
+            parse_certificate(header + tail)
+
     def test_word_endpoints_serialize(self):
         word = torus_braid(2, 3)
         cert = delete_link_subword(word, BraidWord(2, full_twist_letters(2)))

@@ -13,6 +13,8 @@ from gordian import (
     ascending_run,
     descending_run,
     format_word,
+    parse_certificate,
+    parse_trace,
     parse_word,
     serialize_certificate,
     serialize_trace,
@@ -435,6 +437,31 @@ class TestVerify:
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "source:", lambda line: "source: torus 0 5")
         assert_one_line_error(capsys, path, "torus")
+
+    # Line endings and blank lines do not matter, neither in the header a
+    # certificate reads line by line nor in the trace block it hands on.
+    @pytest.mark.parametrize(
+        "golden, verdict",
+        [
+            ("adjacency_t34_9.cert", "certificate: valid"),
+            ("search_t37_t27.trace", "trace: valid (8 steps, 3 crossing changes)"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: "\n \n" + text.replace("\n", "\n\n\t \n").replace("end", "  end \t"),
+        ],
+        ids=["crlf", "blank-lines"],
+    )
+    def test_line_endings_and_blank_lines_verify_alike(self, capsys, tmp_path, golden, verdict, variant):
+        text = (GOLDEN / golden).read_text(encoding="utf-8")
+        parse = parse_certificate if golden.endswith(".cert") else parse_trace
+        assert parse(variant(text)) == parse(text)
+        path = tmp_path / golden
+        path.write_bytes(variant(text).encode("utf-8"))
+        assert run(capsys, "verify", str(path)) == (0, verdict + "\n", "")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.trace"))

@@ -10,6 +10,8 @@ from gordian import (
     adjacency_3_from_4,
     ascending_run,
     descending_run,
+    parse_word,
+    replay,
 )
 from gordian.moves import (
     Rotation,
@@ -92,6 +94,45 @@ class TestRunProgram:
         with pytest.raises(IllegalStep):
             run_program(tb, (RewriteStep(DESTABILIZE),), 2)
         assert tb.steps == () and tb.letters == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize(
+        "word, prog, offset, done, after",
+        [
+            # offset 0, through a destabilization: the strand count is kept
+            (
+                "4: 1 3 2 2 1",
+                [SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 2), RewriteStep(DESTABILIZE),
+                 RewriteStep(CROSSING_CHANGE, 1), SWAP_AT_0],
+                0,
+                [SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 2), RewriteStep(DESTABILIZE)],
+                "3: 1 1",
+            ),
+            # offset 1: the step that runs off the end fails
+            (
+                "4: 2 1 3 1 1 3",
+                [SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 1), RewriteStep(DISTANT_SWAP, 5)],
+                1,
+                [RewriteStep(DISTANT_SWAP, 1), RewriteStep(CROSSING_CHANGE, 2)],
+                "4: 2 3 1 3",
+            ),
+            # a whole-word step at a nonzero offset fails where it stands
+            (
+                "4: 2 1 3 1 1 3",
+                [RewriteStep(CROSSING_CHANGE, 2), RewriteStep(CONJUGATE, amount=1), SWAP_AT_0],
+                1,
+                [RewriteStep(CROSSING_CHANGE, 3)],
+                "4: 2 1 3 3",
+            ),
+        ],
+    )
+    def test_a_failing_step_keeps_the_steps_before_it(self, word, prog, offset, done, after):
+        tb = TraceBuilder(parse_word(word))
+        with pytest.raises(IllegalStep):
+            run_program(tb, tuple(prog), offset)
+        assert list(tb.steps) == done
+        assert tb.word == parse_word(after)
+        assert tb.crossing_changes == sum(step.kind == CROSSING_CHANGE for step in done)
+        assert replay(tb.snapshot()) == tb.word
 
     def test_unknown_step_rejected(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))

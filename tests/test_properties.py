@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from gordian import (
     BraidWord,
+    IllegalStep,
     LaurentPoly,
     ParseError,
     RewriteStep,
+    RewriteTrace,
+    TraceCorrupt,
     adjacency_ci,
     alexander,
     canonical_form,
@@ -109,6 +112,111 @@ class TestRuleInvariants:
             return
         recipe = data.draw(st.sampled_from(recipes))
         assert alexander(apply_recipe(word, recipe)) == alexander(word)
+
+
+def reference_step(strands: int, letters: tuple[int, ...], step) -> tuple[int, tuple[int, ...]]:
+    """Reference: the five rules as the ``rules`` module docstring defines
+    them, on tuples; an illegal step raises IllegalStep."""
+    kind, position, direction, amount = step
+    length = len(letters)
+
+    def at(width: int) -> int:
+        if type(position) is not int or not 0 <= position <= length - width:
+            raise IllegalStep(f"no {width} letters at {position!r}")
+        return position
+
+    if kind == DISTANT_SWAP:
+        q = at(2)
+        i, j = letters[q : q + 2]
+        if abs(i - j) < 2:
+            raise IllegalStep("not distant")
+        return strands, letters[:q] + (j, i) + letters[q + 2 :]
+    if kind == NEIGHBOR_BRAID:
+        q = at(3)
+        i = letters[q]
+        if letters[q : q + 3] == (i, i + 1, i):
+            found, new = "forward", (i + 1, i, i + 1)
+        elif letters[q : q + 3] == (i, i - 1, i):
+            found, new = "backward", (i - 1, i, i - 1)
+        else:
+            raise IllegalStep("no braid pattern")
+        if direction not in (None, found):
+            raise IllegalStep("wrong direction")
+        return strands, letters[:q] + new + letters[q + 3 :]
+    if kind == CONJUGATE:
+        if type(amount) is not int or (not letters and amount):
+            raise IllegalStep("no rotation")
+        amount = amount % length if letters else 0
+        return strands, letters[amount:] + letters[:amount]
+    if kind == DESTABILIZE:
+        top = strands - 1
+        if top < 1 or max(letters, default=0) != top or letters.count(top) != 1:
+            raise IllegalStep("no unique top letter")
+        q = letters.index(top)
+        return top, letters[:q] + letters[q + 1 :]
+    if kind == CROSSING_CHANGE:
+        q = at(2)
+        if letters[q] != letters[q + 1]:
+            raise IllegalStep("not an equal pair")
+        return strands, letters[:q] + letters[q + 2 :]
+    raise IllegalStep(f"unknown kind {kind!r}")
+
+
+# Any step at all: every kind and an unknown one, positions out of range,
+# None or bool, wrong directions, amounts that are None or bool.
+any_steps = st.builds(
+    RewriteStep,
+    st.sampled_from([DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE, "untie"]),
+    st.one_of(st.integers(-2, 12), st.sampled_from([None, True, False])),
+    st.sampled_from([None, "forward", "backward", "sideways"]),
+    st.one_of(st.integers(-14, 14), st.sampled_from([None, True, False])),
+)
+
+
+def outcome(apply):
+    try:
+        return apply()
+    except IllegalStep:
+        return "illegal"
+
+
+class TestKernelMatchesReference:
+    @given(braid_words(max_strands=6, max_length=10), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_steps_agree_with_the_five_rules(self, word, data):
+        """apply_step and TraceBuilder.apply agree with the reference on legal
+        and illegal steps alike, and replay fails at the first illegal one."""
+        strands, letters = word.strands, word.letters
+        tb = TraceBuilder(word)
+        steps, first_illegal = [], None
+        for index in range(data.draw(st.integers(1, 6))):
+            legal = legal_steps(BraidWord(strands, letters))
+            if legal and data.draw(st.booleans()):
+                step = data.draw(st.sampled_from(legal))[0]
+            else:
+                step = data.draw(any_steps)
+            steps.append(step)
+            expected = outcome(lambda: reference_step(strands, letters, step))
+            after = outcome(lambda: apply_step(BraidWord(strands, letters), step))
+            assert (after if after == "illegal" else (after.strands, after.letters)) == expected, step
+            built = outcome(lambda: tb.apply(step))
+            assert (built if built == "illegal" else (tb.strands, tuple(tb.letters))) == expected, step
+            if expected == "illegal":
+                assert (tb.strands, tuple(tb.letters)) == (strands, letters)
+                if first_illegal is None:
+                    first_illegal = index
+            else:
+                strands, letters = expected
+        trace = RewriteTrace(word, tuple(steps), BraidWord(strands, letters))
+        if first_illegal is None:
+            assert replay(trace) == BraidWord(strands, letters)
+        else:
+            with pytest.raises(TraceCorrupt) as info:
+                replay(trace)
+            assert info.value.step_index == first_illegal
+        recorded = tb.snapshot()
+        assert replay(recorded) == tb.word
+        assert tb.crossing_changes == recorded.crossing_changes
 
 
 class TestCanonicalFormProperties:

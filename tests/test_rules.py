@@ -17,6 +17,7 @@ from gordian import (
     NEIGHBOR_BRAID,
     apply_step,
     parse_trace,
+    parse_word,
     replay,
     serialize_trace,
     torus_braid,
@@ -251,6 +252,37 @@ class TestApplyStep:
             apply_step(BraidWord(2, (1,)), RewriteStep("untie"))
 
 
+class TestBoolParameters:
+    """``isinstance(True, int)`` holds, but a bool is neither a position nor
+    an amount: the step must fail everywhere, not be recorded as ``pos=True``."""
+
+    @pytest.mark.parametrize(
+        "text, step",
+        [
+            ("4: 1 1 3", RewriteStep(DISTANT_SWAP, 1)),
+            ("3: 2 1 2 1", RewriteStep(NEIGHBOR_BRAID, 1)),
+            ("3: 2 1 1", RewriteStep(CROSSING_CHANGE, 1)),
+            ("3: 1 2", RewriteStep(CONJUGATE, amount=1)),
+        ],
+    )
+    def test_true_in_place_of_1_is_illegal(self, text, step):
+        word = parse_word(text)
+        after = apply_step(word, step)  # the same step with the integer 1 is legal
+        if step.kind == CONJUGATE:
+            step = step._replace(amount=True)
+        else:
+            step = step._replace(position=True)
+        with pytest.raises(IllegalStep, match="requires an integer"):
+            apply_step(word, step)
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match="requires an integer"):
+            tb.apply(step)
+        assert tb.word == word and not tb.steps
+        with pytest.raises(TraceCorrupt) as info:
+            replay(RewriteTrace(word, (step,), after))
+        assert info.value.step_index == 0
+
+
 class TestSerialization:
     def test_round_trip(self):
         tb = TraceBuilder(torus_braid(3, 4))
@@ -352,6 +384,22 @@ class TestSerialization:
     def test_repeated_parameters_are_parse_errors(self, line):
         text = f"trace v2\ninitial: 3: 1 1 1\n{line}\nfinal: 3: 1\ncrossing_changes: 1\nend\n"
         with pytest.raises(ParseError, match="repeated"):
+            parse_trace(text)
+
+    # Each distinct step line is parsed once; the first malformed one in the
+    # text is still the one reported.
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("step: zap", "step: crossing-change pos=x", "unknown rule kind 'zap'"),
+            ("step: crossing-change pos=x", "step: zap", "malformed pos value 'x'"),
+        ],
+    )
+    def test_the_first_malformed_step_line_is_reported(self, first, second, message):
+        good = "step: crossing-change pos=0"
+        body = "\n".join([good, first, good, second, first])
+        text = f"trace v2\ninitial: 2: 1 1 1\n{body}\nfinal: 2: 1\ncrossing_changes: 1\nend\n"
+        with pytest.raises(ParseError, match=message):
             parse_trace(text)
 
     def test_parse_rejects_missing_header(self):
