@@ -17,6 +17,7 @@ from gordian import (
     format_enumeration_report,
     is_knot,
     minimize_word,
+    parse_word,
     positive_path_diagnostic,
     positive_path_search,
     replay,
@@ -100,6 +101,17 @@ class TestMinimizeWord:
     def test_irreducible_word_returned_unchanged(self):
         word = torus_braid(2, 5)
         assert minimize_word(word) == word
+
+    @pytest.mark.parametrize(
+        "cap, expected",
+        [(11, "5: 1 2 1 4 3 2 4 3"), (12, "4: 1 3 2 1 3 2 1"), (13, "2: 1 1 1 1 1")],
+    )
+    def test_orbit_search_stops_at_the_class_cap(self, monkeypatch, cap, expected):
+        # The first orbit search meets a reducible class once 12 classes may
+        # be discovered, the second once 13 may: the cap counts classes
+        # discovered, checked before each class is expanded.
+        monkeypatch.setattr(enumeration, "_ORBIT_NODE_CAP", cap)
+        assert minimize_word(parse_word("5: 1 2 1 4 3 2 4 3")) == parse_word(expected)
 
 
 class TestEnumeration:
@@ -261,6 +273,30 @@ class TestPathSearch:
         for limits in ({"max_nodes": 0}, {"max_depth": 0}):
             with pytest.raises(NotFoundWithinBudget):
                 positive_path_search(torus_braid(2, 5), torus_braid(2, 3), **limits)
+
+    @pytest.mark.parametrize(
+        "source, target, nodes",
+        [
+            (torus_braid(3, 7), torus_braid(2, 7), 327),
+            (
+                parse_word("4: 1 3 2 3 2 3 2 1 3 2 3 1 2 1 2 3 2 3 2 1 3"),
+                parse_word("4: 3 3 2 3 2 3 2 1 3 2 3 1 2 1 2 3 2 3 2"),
+                5,
+            ),
+        ],
+    )
+    def test_smallest_node_budget_is_pinned(self, source, target, nodes):
+        # max_nodes counts expanded classes, so the breadth-first order fixes
+        # the least budget that reaches the target.
+        assert replay(positive_path_search(source, target, max_nodes=nodes)) == target
+        with pytest.raises(NotFoundWithinBudget) as info:
+            positive_path_search(source, target, max_nodes=nodes - 1)
+        assert str(info.value) == f"no path found within {nodes - 1} expanded states"
+
+    def test_search_over_thousands_of_classes(self):
+        trace = positive_path_search(torus_braid(3, 11), torus_braid(3, 10))
+        assert (len(trace.steps), trace.crossing_changes) == (9, 1)
+        assert verify_positive_path(trace)
 
 
 class TestVerifyPositivePath:
