@@ -18,14 +18,14 @@ against the ``(2m)^{4m}`` ceiling.
 :func:`positive_path_search` looks for an explicit five-rule path between two
 given words whose every intermediate stays a positive braid knot, and
 :func:`verify_positive_path` replays any trace and confirms that property.
-The search keys states by least rotation and expands each move of the closed
-word once, at the least rotation that makes it: about one candidate per
-letter, where listing every move of every rotation gives about ``L²``.
+It shares with strand minimization one breadth-first search over rotation
+classes keyed by least rotation, which lists each move of the closed word
+once: about one candidate per letter, where every rotation gives ``L²``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .alexander import LaurentPoly, alexander
@@ -38,8 +38,6 @@ from .errors import (
 )
 from .rules import (
     CROSSING_CHANGE,
-    DISTANT_SWAP,
-    NEIGHBOR_BRAID,
     RewriteTrace,
     TraceBuilder,
     legal_moves,
@@ -66,17 +64,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _rotations(letters: tuple[int, ...]):
-    if not letters:
-        yield letters
-        return
-    for r in range(len(letters)):
-        yield letters[r:] + letters[:r]
-
-
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation: the key of a rotation class."""
-    return min(_rotations(letters))
+    """The lexicographically least rotation: the key of a rotation class.
+
+    Duval's Lyndon factorization (1983) of ``letters + letters``, in O(L):
+    the least rotation starts at the last factor that begins in the first
+    copy.  A word that is its own least rotation comes back as is.
+    """
+    length = len(letters)
+    doubled = letters + letters
+    end = 2 * length
+    i = start = 0
+    while i < length:
+        start = k = i
+        j = i + 1
+        while j < end:
+            a, b = doubled[k], doubled[j]
+            if a < b:
+                k = i
+            elif a == b:
+                k += 1
+            else:
+                break
+            j += 1
+        period = j - k
+        while i <= k:
+            i += period
+    return doubled[start : start + length] if start else letters
 
 
 def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -120,7 +134,7 @@ def canonical_form(word: BraidWord) -> BraidWord:
     if not letters or max(letters) - min(letters) <= 1:
         best = _least_rotation(letters)
     else:
-        best = min(_commutation_least(rot) for rot in _rotations(letters))
+        best = min(_commutation_least(letters[r:] + letters[:r]) for r in range(len(letters)))
     return BraidWord(word.strands, best)
 
 
@@ -129,33 +143,53 @@ def canonical_form(word: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _reducible(strands: int, letters: tuple[int, ...]) -> bool:
-    counts = [0] * strands
-    for letter in letters:
-        counts[letter] += 1
-    return any(count == 1 for count in counts[1:])
+def _orbit_bfs(
+    strands: int, letters: tuple[int, ...], floor: int, classes: dict, max_depth: int | None = None
+):
+    """Breadth-first search over the rotation classes reached from ``letters``
+    by the moves of :func:`~gordian.rules.legal_moves` that keep
+    ``length − strands + 1`` (twice a knot's unknotting number) >= ``floor``.
+
+    ``classes`` (empty on entry) maps each class discovered, keyed by least
+    rotation, to ``(parent key, recipe, strands, letters, depth)``: the first
+    word met in it, which is expanded, and the recipe that made it from the
+    parent's.  Yields each key as its class is about to be expanded, except
+    at ``max_depth``.  A neighbour equal to a kept word needs no key.
+    """
+    start = _least_rotation(letters)
+    classes[start] = (None, (), strands, letters, 0)
+    held = {letters}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        _, _, strands, letters, depth = classes[key]
+        if depth == max_depth:
+            continue
+        yield key
+        depth += 1
+        for recipe, n, neighbour in legal_moves(strands, letters):
+            if len(neighbour) - n + 1 < floor or neighbour in held:
+                continue
+            nkey = _least_rotation(neighbour)
+            if nkey not in classes:
+                classes[nkey] = (key, recipe, n, neighbour, depth)
+                held.add(neighbour)
+                queue.append(nkey)
 
 
 _ORBIT_NODE_CAP = 20000
 
 
 def _orbit_search_reduce(word: BraidWord) -> BraidWord | None:
-    """Bounded BFS over rotation classes, through braid moves and distant
-    swaps, for a reducible word; a class is keyed by its least rotation."""
-    strands = word.strands
-    start = _least_rotation(word.letters)
-    seen = {start}
-    queue = deque([start])
-    while queue and len(seen) <= _ORBIT_NODE_CAP:
-        letters = queue.popleft()
-        if _reducible(strands, letters):
-            return reduce_single_generator(BraidWord._trusted(strands, letters))
-        for recipe, _, neighbour in legal_moves(strands, letters):
-            if recipe[-1].kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
-                key = _least_rotation(neighbour)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
+    """A reducible word in a class reached by distant swaps and braid moves
+    (the floor drops crossing changes; only a reducible class destabilizes)."""
+    strands, letters = word.strands, word.letters
+    classes: dict = {}
+    for key in _orbit_bfs(strands, letters, len(letters) - strands + 1, classes):
+        if len(classes) > _ORBIT_NODE_CAP:
+            return None
+        if 1 in Counter(key).values():
+            return reduce_single_generator(BraidWord._trusted(strands, key))
     return None
 
 
@@ -164,8 +198,8 @@ def minimize_word(word: BraidWord) -> BraidWord:
 
     Alternates greedy single-occurrence generator removal with a bounded
     search through rotations, braid moves, and distant swaps for a word where
-    the greedy step applies again.  One search visits at most 20 000
-    rotation classes.
+    the greedy step applies again.  One search gives up once it has
+    discovered more than 20 000 rotation classes.
     """
     current = word
     while True:
@@ -395,15 +429,15 @@ def positive_path_search(
 ) -> RewriteTrace:
     """Breadth-first search for a five-rule path from ``source`` to ``target``.
 
-    States are deduplicated by strand count plus canonical rotation, and each
-    expanded state lists every move on its closed word once (about one per
-    letter, by :func:`~gordian.rules.legal_moves`), on plain letter tuples;
-    only the path found is built as words.
-    States whose unknotting number falls below the target's are pruned; no
-    move lengthens a word.  The path found is checked once by
-    :func:`positive_path_diagnostic`, and the returned trace ends at
-    ``target`` letter for letter.  Raises :class:`NotFoundWithinBudget` when
-    the limits are hit — which is not a nonexistence proof.
+    States are rotation classes, and each expanded class lists every move on
+    its closed word once (about one per letter), on plain letter tuples; only
+    the path found is built as words.  States whose unknotting number falls
+    below the target's are pruned; no move lengthens a word.  ``max_nodes``
+    bounds the classes expanded, which excludes those at ``max_depth``.  The
+    path found is checked once by :func:`positive_path_diagnostic`, and the
+    returned trace ends at ``target`` letter for letter.  Raises
+    :class:`NotFoundWithinBudget` when the limits are hit — which is not a
+    nonexistence proof.
     """
     for name, value in (("max_nodes", max_nodes), ("max_depth", max_depth)):
         if value < 0:
@@ -413,62 +447,28 @@ def positive_path_search(
             raise DomainError(f"the {name} closure must be a knot")
     u_target = unknotting_number(target)
     if unknotting_number(source) < u_target:
-        raise DomainError(
-            "unknotting number can only decrease along a positive path"
-        )
+        raise DomainError("unknotting number can only decrease along a positive path")
 
-    def key(strands: int, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return (strands, _least_rotation(letters))
-
-    goal = key(target.strands, target.letters)
-    start_key = key(source.strands, source.letters)
-    parents: dict[tuple, tuple | None] = {start_key: None}
-    recipes: dict[tuple, tuple[tuple[tuple, ...], int, tuple[int, ...]]] = {
-        start_key: ((), source.strands, source.letters)
-    }
-    frontier: deque[tuple] = deque([start_key])
-    depth_of = {start_key: 0}
-    expanded = 0
-    found = start_key == goal
-    while frontier and not found:
-        state = frontier.popleft()
-        if depth_of[state] >= max_depth:
-            continue
-        expanded += 1
+    # Every state is a knot, so its strand count is one more than its
+    # largest letter and the letters alone key its class.
+    goal = _least_rotation(target.letters)
+    classes: dict = {}
+    bfs = _orbit_bfs(source.strands, source.letters, 2 * u_target, classes, max_depth)
+    for expanded, _ in enumerate(bfs, 1):
+        if goal in classes:
+            break
         if expanded > max_nodes:
-            raise NotFoundWithinBudget(
-                f"no path found within {max_nodes} expanded states"
-            )
-        _, strands, letters = recipes[state]
-        for steps, n, neighbour in legal_moves(strands, letters):
-            # Every legal move keeps the closure a knot, whose unknotting
-            # number is (length - strands + 1) / 2; the path is checked below.
-            if len(neighbour) - n + 1 < 2 * u_target:
-                continue
-            nkey = key(n, neighbour)
-            if nkey in parents:
-                continue
-            parents[nkey] = state
-            recipes[nkey] = (steps, n, neighbour)
-            depth_of[nkey] = depth_of[state] + 1
-            if nkey == goal:
-                found = True
-                break
-            frontier.append(nkey)
-    if not found:
-        raise NotFoundWithinBudget(
-            f"no path found within depth {max_depth} and {max_nodes} states"
-        )
+            raise NotFoundWithinBudget(f"no path found within {max_nodes} expanded states")
+    if goal not in classes:
+        raise NotFoundWithinBudget(f"no path found within depth {max_depth} and {max_nodes} states")
     chain: list[tuple] = []
-    cursor: tuple | None = goal
-    while cursor is not None and parents[cursor] is not None:
-        chain.append(recipes[cursor][0])
-        cursor = parents[cursor]
-    chain.reverse()
+    parent, recipe, *_ = classes[goal]
+    while parent is not None:
+        chain.append(recipe)
+        parent, recipe, *_ = classes[parent]
     tb = TraceBuilder(source)
-    for steps in chain:
-        for step in steps:
-            tb.apply(step)
+    for steps in reversed(chain):
+        tb.run(steps)
     # Land on the target letters exactly, not just its rotation class.
     letters = tuple(tb.letters)
     for r in range(len(letters) or 1):

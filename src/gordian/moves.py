@@ -50,6 +50,7 @@ from .errors import IllegalStep
 from .rules import (
     CONJUGATE,
     CROSSING_CHANGE,
+    DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
     RewriteStep,
@@ -155,9 +156,10 @@ class Rotation(NamedTuple):
 
 
 def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
-    """``step`` with its position translated by ``offset``; a rotation or a
-    whole-word step has no position and shifts only by 0."""
-    if isinstance(step, Rotation) or step.position is None:
+    """``step`` with its position translated by ``offset``.  A rotation or a
+    whole-word step (conjugate, destabilize) shifts only by 0, unchanged,
+    whatever position it carries; so does a positional step without one."""
+    if step.kind in (RCONJ, CONJUGATE, DESTABILIZE) or step.position is None:
         if offset:
             raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
         return step

@@ -416,3 +416,12 @@ class TestRotation:
         with pytest.raises(IllegalStep):
             run_program(tb, [Rotation(1, 2)], offset=3)
         assert tb.steps == ()
+
+    @pytest.mark.parametrize(
+        "step", [RewriteStep(CONJUGATE, 0, amount=1), RewriteStep(DESTABILIZE, 4), RewriteStep(CONJUGATE, amount=2)]
+    )
+    def test_whole_word_steps_shift_only_by_zero_whatever_their_position(self, step):
+        # The rule kind, not a stray position, makes a step whole-word.
+        assert shift_program([step], 0) == [step]
+        with pytest.raises(IllegalStep, match=f"cannot shift a {step.kind} step to offset 2"):
+            shift_program([step], 2)

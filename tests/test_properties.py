@@ -50,7 +50,7 @@ from gordian.rules import (
     TraceBuilder,
     apply_step,
 )
-from gordian.enumeration import _census_words, _commutation_least
+from gordian.enumeration import _census_words, _commutation_least, _least_rotation
 
 
 @st.composite
@@ -234,6 +234,24 @@ class TestCanonicalFormProperties:
     def test_idempotent(self, word):
         once = canonical_form(word)
         assert canonical_form(once) == once
+
+    @given(braid_words(max_strands=8, max_length=40))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(3, ()))
+    @example(parse_word("2: 1"))
+    @example(parse_word("4: 2 2 2 2 2"))
+    @example(BraidWord(3, (1, 2) * 7))
+    @example(BraidWord(3, (2, 1) * 7))
+    @example(BraidWord(4, (1, 2, 3) * 5))
+    @example(BraidWord(4, (3, 1, 2) * 5))
+    @example(parse_word("3: 1 1 2 1 1 2 1"))
+    @settings(max_examples=500)
+    def test_least_rotation_is_the_least_word_of_its_class(self, word):
+        letters = word.letters
+        rotations = [letters[r:] + letters[:r] for r in range(len(letters) or 1)]
+        least = _least_rotation(letters)
+        assert least == min(rotations)
+        assert is_least_rotation(least)
 
 
 def greedy_commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
