@@ -69,17 +69,18 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 
     Duval's Lyndon factorization (1983) of ``letters + letters``, in O(L):
     the least rotation starts at the last factor that begins in the first
-    copy.  A word that is its own least rotation comes back as is.
+    copy.  The doubled word is never built (a tuple per call measurably
+    raises peak RSS): position ``j >= L`` reads ``letters[j − L]``, and a
+    scan ends once it has compared a whole rotation.  A word that is its own
+    least rotation comes back as is.
     """
     length = len(letters)
-    doubled = letters + letters
-    end = 2 * length
     i = start = 0
     while i < length:
         start = k = i
         j = i + 1
-        while j < end:
-            a, b = doubled[k], doubled[j]
+        while j < length:
+            a, b = letters[k], letters[j]
             if a < b:
                 k = i
             elif a == b:
@@ -87,10 +88,21 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
             else:
                 break
             j += 1
+        else:
+            while j < i + length:
+                a = letters[k] if k < length else letters[k - length]
+                b = letters[j - length]
+                if a < b:
+                    k = i
+                elif a == b:
+                    k += 1
+                else:
+                    break
+                j += 1
         period = j - k
         while i <= k:
             i += period
-    return doubled[start : start + length] if start else letters
+    return letters[start:] + letters[:start] if start else letters
 
 
 def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
