@@ -67,12 +67,11 @@ __all__ = [
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The lexicographically least rotation: the key of a rotation class.
 
-    Duval's Lyndon factorization (1983) of ``letters + letters``, in O(L):
-    the least rotation starts at the last factor that begins in the first
-    copy.  The doubled word is never built (a tuple per call measurably
-    raises peak RSS): position ``j >= L`` reads ``letters[j − L]``, and a
-    scan ends once it has compared a whole rotation.  A word that is its own
-    least rotation comes back as is.
+    Duval's Lyndon factorization (1983) of ``letters + letters`` in O(L): the
+    least rotation starts at the last factor that begins in the first copy.
+    Position ``j >= L`` reads ``letters[j − L]``, since a doubled tuple per
+    call measurably raises peak RSS; one whole rotation compared decides a
+    factor.  A word that is its own least rotation comes back as is.
     """
     length = len(letters)
     i = start = 0
