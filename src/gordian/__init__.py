@@ -33,7 +33,6 @@ from .alexander import (
 from .enumeration import (
     EnumerationResult,
     KnotClass,
-    canonical_form,
     enumerate_positive_knots,
     format_enumeration_report,
     minimize_word,
@@ -143,7 +142,6 @@ __all__ = [
     # enumeration and search
     "EnumerationResult",
     "KnotClass",
-    "canonical_form",
     "enumerate_positive_knots",
     "format_enumeration_report",
     "minimize_word",

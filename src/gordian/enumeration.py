@@ -9,11 +9,12 @@ generator occurs once destabilizes to a word on one strand fewer, which the
 census meets there, so :func:`enumerate_positive_knots` generates, in
 lexicographic order, only the least rotations of the words in which every
 generator occurs at least twice, and counts each: a prenecklace walk emits
-each rotation class once.  It computes the canonical form (least over
-rotations and distant commutations) of each knot among them, minimizes each
-distinct form and groups the survivors by invariant key (unknotting number,
-Alexander polynomial, minimal strand count).  The class count is checked
-against the ``(2m)^{4m}`` ceiling.
+each rotation class once.  The knot words among them fall into orbits under
+rotations and distant swaps (conjugacy classes in the trace monoid); the
+census opens an orbit at its least word, minimizes that one word and groups
+the survivors by invariant key (unknotting number, Alexander polynomial,
+minimal strand count).  The class count is checked against the
+``(2m)^{4m}`` ceiling.
 
 :func:`positive_path_search` looks for an explicit five-rule path between two
 given words whose every intermediate stays a positive braid knot, and
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .rules import (
     CROSSING_CHANGE,
+    DISTANT_SWAP,
     RewriteTrace,
     TraceBuilder,
     legal_moves,
@@ -47,7 +49,6 @@ from .unknotting import reduce_single_generator
 from .words import BraidWord, format_word, is_knot, unknotting_number
 
 __all__ = [
-    "canonical_form",
     "minimize_word",
     "KnotClass",
     "EnumerationResult",
@@ -60,7 +61,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# rotation classes and orbits
 # ---------------------------------------------------------------------------
 
 
@@ -104,49 +105,25 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[start:] + letters[:start] if start else letters
 
 
-def _commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least word reachable by distant swaps alone.
+def _swap_orbit(strands: int, letters: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The least rotations of the words reached from ``letters`` by rotations
+    and distant swaps: its conjugacy class in the trace monoid (Cartier and
+    Foata 1969), whose least member keys the census.
 
-    Letters whose indices differ by at most one never commute, so at every
-    step exactly one occurrence of each *available* letter value competes and
-    the greedy choice of the smallest available value is the unique optimum.
-    A letter is available when no earlier remaining letter is within one of
-    it; each pick is one scan that keeps those blocked values as bits of an
-    integer.  The scan stops once every value below the current pick is
-    blocked, since no later letter can then win: on ``σ1^L`` each pick reads
-    one letter.
+    Each rotation class met is expanded once, by the distant swaps of
+    :func:`~gordian.rules.legal_moves`, which reach every cyclic pair.
     """
-    remaining = list(letters)
-    out: list[int] = []
-    while remaining:
-        blocked = 0
-        best = 0
-        least = remaining[0]
-        below = (1 << least) - 2
-        for idx, letter in enumerate(remaining):
-            if letter < least and not blocked >> letter & 1:
-                best = idx
-                least = letter
-                below = (1 << least) - 2
-            blocked |= 0b111 << (letter - 1)
-            if blocked & below == below:
-                break
-        out.append(remaining.pop(best))
-    return tuple(out)
-
-
-def canonical_form(word: BraidWord) -> BraidWord:
-    """Least word over all rotations composed with commutation reordering.
-
-    When no two letters are distant, no two commute, and the form is the
-    least rotation.
-    """
-    letters = word.letters
-    if not letters or max(letters) - min(letters) <= 1:
-        best = _least_rotation(letters)
-    else:
-        best = min(_commutation_least(letters[r:] + letters[:r]) for r in range(len(letters)))
-    return BraidWord(word.strands, best)
+    orbit = {_least_rotation(letters)}
+    stack = list(orbit)
+    while stack:
+        word = stack.pop()
+        for recipe, _, neighbour in legal_moves(strands, word):
+            if recipe[-1].kind == DISTANT_SWAP:
+                key = _least_rotation(neighbour)
+                if key not in orbit:
+                    orbit.add(key)
+                    stack.append(key)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +212,10 @@ class KnotClass:
     """One knot class discovered by enumeration.
 
     ``invariant_key`` is (unknotting number, Alexander polynomial, minimal
-    achieved strand count); ``members`` holds the distinct minimized canonical
-    forms sharing that key.  More than one member means the invariants could
-    not separate them (``merged`` is then true and all representatives are
+    achieved strand count); ``members`` holds the minimized words sharing
+    that key, each as the least word of its orbit under rotations and
+    distant swaps.  More than one member means the invariants could not
+    separate them (``merged`` is then true and all representatives are
     retained rather than silently identified).
     """
 
@@ -252,7 +230,9 @@ class KnotClass:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Classes found for one unknotting number, plus census counters."""
+    """Classes found for one unknotting number, plus census counters:
+    ``distinct_forms`` counts the orbits of the ``knot_words`` under
+    rotations and distant swaps."""
 
     m: int
     budget: int
@@ -329,18 +309,21 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
     Walks the least rotations of the words of length ``2m + n − 1`` over
     generator indices ``1 … n−1`` in which every generator occurs at least
     twice, for each strand count ``n`` up to ``2m + 1`` (the one-strand empty
-    word participates only when ``m = 0``), keeps the knot words, dedups by
-    canonical form, minimizes strand count, and groups by invariant key.
-    The counters count the generated least rotations (``words_examined``),
-    the knot words among them and their distinct canonical forms.  A word in
+    word participates only when ``m = 0``).  A knot word that no earlier
+    orbit has reached opens a new orbit under rotations and distant swaps.
+    Distant swaps keep the letter multiset and the closure's permutation, so
+    every member is a knot word the walk emits, and the lexicographic walk
+    meets the orbit's least member first; later members are dropped as the
+    walk meets them.  One representative per orbit is minimized, keyed by
+    the least word of its own orbit, and grouped by invariant key.  The
+    counters count the generated least rotations (``words_examined``), the
+    knot words among them and their orbits (``distinct_forms``).  A word in
     which a generator occurs once is left out: it destabilizes to a word the
-    walk meets on fewer strands.  The generated set, the knot check and the
-    canonical form are the same on every rotation of a word, so one word per
-    rotation class loses nothing.
+    walk meets on fewer strands.
 
     Raises :class:`BudgetExceeded` when more than ``budget`` least rotations
     would be examined; its ``partial`` result, built only when read, holds
-    the forms of exactly the classes met so far.
+    the classes of exactly the orbits opened so far.
     """
     if m < 0:
         raise DomainError(f"unknotting number must be >= 0, got {m}")
@@ -348,16 +331,18 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
         raise DomainError(f"a budget cannot be negative, got {budget}")
     words_examined = 0
     knot_words = 0
-    raw_forms: set[BraidWord] = set()
+    orbits: list[BraidWord] = []  # the least member of each orbit
+    # Orbit members the walk has not reached yet, as bytes: a third of a
+    # tuple's size, and at m = 3 about 23 000 are held at once.
+    unmet: set[bytes] = set()
 
     def build(partial_ok: bool = False) -> EnumerationResult:
-        minimized: dict[BraidWord, BraidWord] = {}
-        for form in raw_forms:
-            minimized[form] = minimize_word(form)
         groups: dict[tuple[int, LaurentPoly, int], set[BraidWord]] = {}
-        for small in minimized.values():
+        for word in orbits:
+            small = minimize_word(word)
             key = (unknotting_number(small), alexander(small), small.strands)
-            groups.setdefault(key, set()).add(canonical_form(small))
+            least = min(_swap_orbit(small.strands, small.letters))
+            groups.setdefault(key, set()).add(BraidWord._trusted(small.strands, least))
         classes = []
         for key, forms in groups.items():
             members = tuple(sorted(forms, key=lambda w: (w.length, w.strands, w.letters)))
@@ -380,7 +365,7 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
             budget=budget,
             words_examined=words_examined,
             knot_words=knot_words,
-            distinct_forms=len(raw_forms),
+            distinct_forms=len(orbits),
             classes=tuple(classes),
         )
 
@@ -393,10 +378,15 @@ def enumerate_positive_knots(m: int, budget: int = 1_000_000) -> EnumerationResu
                     build_partial=lambda: build(partial_ok=True),
                 )
             words_examined += 1
-            candidate = BraidWord._trusted(n, letters)
-            if is_knot(candidate):
+            packed = bytes(letters)
+            if packed in unmet:
+                unmet.remove(packed)
                 knot_words += 1
-                raw_forms.add(canonical_form(candidate))
+            elif is_knot(BraidWord._trusted(n, letters)):
+                knot_words += 1
+                orbits.append(BraidWord._trusted(n, letters))
+                unmet.update(map(bytes, _swap_orbit(n, letters)))
+                unmet.remove(packed)
     return build()
 
 

@@ -145,15 +145,21 @@ def reduce_single_generator(word: BraidWord) -> BraidWord:
 
     Deleting a letter whose index appears only once merges the two strands it
     crossed, so the closure keeps its link type; all higher letters shift down
-    by one and the word lives on one strand fewer.  Raises
+    by one and the word lives on one strand fewer.  Below the top index the
+    letter first becomes the last one by rotation, and the letters below it
+    move before those above it (they are all distant, so this is a chain of
+    distant swaps): the word is then a connected sum joined by that one
+    letter, and deleting it keeps the sum.  Raises
     :class:`~gordian.errors.NoSingleGenerator` when every used index repeats.
     """
+    letters = word.letters
     for index in range(word.strands - 1, 0, -1):
-        if word.letters.count(index) == 1:
-            pos = word.letters.index(index)
-            letters = tuple(
-                x - 1 if x > index else x for x in word.letters[:pos] + word.letters[pos + 1 :]
-            )
-            return BraidWord(word.strands - 1, letters)
+        if letters.count(index) == 1:
+            pos = letters.index(index)
+            if index == word.strands - 1:
+                rest = letters[:pos] + letters[pos + 1 :]
+            else:
+                rest = letters[pos + 1 :] + letters[:pos]
+                rest = tuple(x for x in rest if x < index) + tuple(x for x in rest if x > index)
+            return BraidWord(word.strands - 1, tuple(x - 1 if x > index else x for x in rest))
     raise NoSingleGenerator("every generator used in the word occurs at least twice")
-

@@ -12,7 +12,6 @@ from gordian import (
     NotFoundWithinBudget,
     RewriteTrace,
     alexander,
-    canonical_form,
     enumerate_positive_knots,
     format_enumeration_report,
     is_knot,
@@ -28,7 +27,8 @@ from gordian import (
     verify_positive_path,
 )
 from gordian import enumeration
-from gordian.enumeration import _commutation_least
+from gordian.enumeration import _census_words, _swap_orbit
+from oracles import OrbitLeast, swap_orbit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,7 +37,7 @@ def filtered_walk_prefix(m, budget):
     """Oracle: ``(words_examined, knot_words, distinct_forms, classes)`` after
     the first ``budget`` words of every word in which each generator occurs at
     least twice and which equals its least rotation, in lexicographic order;
-    every knot word's form is taken."""
+    every knot word's orbit under rotations and distant swaps is taken."""
     words = (
         BraidWord(n, letters)
         for n in range(1, 2 * m + 2)
@@ -46,12 +46,13 @@ def filtered_walk_prefix(m, budget):
         and all(letters <= letters[r:] + letters[:r] for r in range(len(letters)))
     )
     examined = knot_words = 0
+    least = OrbitLeast()
     forms = set()
     for word in islice(words, budget):
         examined += 1
         if is_knot(word):
             knot_words += 1
-            forms.add(canonical_form(word))
+            forms.add(BraidWord(word.strands, least[word.letters]))
     keys = set()
     for form in forms:
         small = minimize_word(form)
@@ -59,28 +60,38 @@ def filtered_walk_prefix(m, budget):
     return examined, knot_words, len(forms), len(keys)
 
 
+def orbit_key(word):
+    """The census key of a word: the least word of its orbit."""
+    return BraidWord(word.strands, min(_swap_orbit(word.strands, word.letters)))
+
+
 class TestCanonicalForm:
+    """The census key is the least word of the orbit under rotations and
+    distant swaps, a canonical form of the class."""
+
     def test_rotation_invariance(self):
         word = BraidWord(3, (1, 1, 2, 1, 2, 2))
         forms = {
-            canonical_form(BraidWord(3, word.letters[r:] + word.letters[:r]))
+            orbit_key(BraidWord(3, word.letters[r:] + word.letters[:r]))
             for r in range(word.length)
         }
         assert len(forms) == 1
 
     def test_commutation_normalizes(self):
-        assert canonical_form(BraidWord(4, (3, 1, 3, 1))) == canonical_form(
-            BraidWord(4, (1, 3, 1, 3))
-        )
+        assert orbit_key(BraidWord(4, (3, 1, 3, 1))) == orbit_key(BraidWord(4, (1, 3, 1, 3)))
+        # only the pair across the end commutes: σ3 σ1 of σ1 σ2 σ3 swaps to σ1 σ3
+        assert _swap_orbit(4, (1, 2, 3)) == {(1, 2, 3), (1, 3, 2)}
+        assert orbit_key(parse_word("4: 3 2 1")) == parse_word("4: 1 2 3")
 
     def test_adjacent_letters_do_not_commute(self):
-        assert canonical_form(BraidWord(3, (2, 1))) == canonical_form(BraidWord(3, (1, 2)))
+        assert orbit_key(BraidWord(3, (2, 1))) == orbit_key(BraidWord(3, (1, 2)))
         # equal via rotation, not via an illegal swap
-        assert _commutation_least((2, 1)) == (2, 1)
+        assert _swap_orbit(3, (1, 2, 1, 2)) == {(1, 2, 1, 2)}
+        assert orbit_key(BraidWord(3, (1, 1, 2, 2))) != orbit_key(BraidWord(3, (1, 2, 1, 2)))
 
     def test_fixed_point(self):
-        word = canonical_form(BraidWord(3, (2, 1, 2, 1)))
-        assert canonical_form(word) == word
+        word = orbit_key(BraidWord(4, (2, 1, 3, 2, 1, 3)))
+        assert orbit_key(word) == word
 
 
 class TestMinimizeWord:
@@ -204,9 +215,33 @@ class TestEnumeration:
             enumerate_positive_knots(2, budget=100)
         assert calls == []
         partial = info.value.partial
-        assert len(calls) == partial.distinct_forms == 19
+        assert len(calls) == partial.distinct_forms == 12
         assert info.value.partial is partial  # built once
-        assert len(calls) == 19
+        assert len(calls) == 12
+
+    def test_orbits_partition_the_walked_knot_words(self, monkeypatch):
+        # The census minimizes the least word of each orbit it opens.  Those
+        # orbits, closed by brute force, hold every knot word the walk emits
+        # exactly once and nothing else: no class is merged or split silently.
+        opened = []
+        real = enumeration.minimize_word
+        monkeypatch.setattr(enumeration, "minimize_word", lambda w: opened.append(w) or real(w))
+        result = enumerate_positive_knots(2)
+        walked = {
+            letters
+            for n in range(1, 6)
+            for letters in _census_words(n, n + 3)
+            if is_knot(BraidWord(n, letters))
+        }
+        orbits = []
+        for word in opened:
+            orbit = {min(w[r:] + w[:r] for r in range(len(w))) for w in swap_orbit(word.letters)}
+            assert word.letters == min(orbit)
+            assert _swap_orbit(word.strands, word.letters) == orbit
+            orbits.append(orbit)
+        assert len(orbits) == result.distinct_forms == 14
+        assert sum(map(len, orbits)) == result.knot_words == 68
+        assert set().union(*orbits) == walked
 
     @pytest.mark.parametrize("budget", [-1, -5])
     def test_negative_budget_is_a_domain_error(self, budget):

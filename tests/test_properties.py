@@ -21,7 +21,6 @@ from gordian import (
     TraceCorrupt,
     adjacency_ci,
     alexander,
-    canonical_form,
     closure_info,
     enumerate_positive_knots,
     parse_certificate,
@@ -50,7 +49,8 @@ from gordian.rules import (
     TraceBuilder,
     apply_step,
 )
-from gordian.enumeration import _census_words, _commutation_least, _least_rotation
+from gordian.enumeration import _census_words, _least_rotation, _swap_orbit
+from oracles import OrbitLeast, swap_orbit
 
 
 @st.composite
@@ -219,21 +219,29 @@ class TestKernelMatchesReference:
         assert tb.crossing_changes == recorded.crossing_changes
 
 
+def orbit_key(strands: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The census key: the least word of the orbit under rotations and
+    distant swaps."""
+    return min(_swap_orbit(strands, letters))
+
+
 class TestCanonicalFormProperties:
+    """The census key is a canonical form: one word per orbit."""
+
     @given(braid_words(max_strands=4, max_length=8), st.integers(0, 7))
     @settings(max_examples=200)
     def test_rotation_invariance(self, word, shift):
         if word.length == 0:
             return
         r = shift % word.length
-        rotated = BraidWord(word.strands, word.letters[r:] + word.letters[:r])
-        assert canonical_form(rotated) == canonical_form(word)
+        rotated = word.letters[r:] + word.letters[:r]
+        assert orbit_key(word.strands, rotated) == orbit_key(word.strands, word.letters)
 
     @given(braid_words(max_strands=4, max_length=8))
     @settings(max_examples=200)
     def test_idempotent(self, word):
-        once = canonical_form(word)
-        assert canonical_form(once) == once
+        once = orbit_key(word.strands, word.letters)
+        assert orbit_key(word.strands, once) == once
 
     @given(braid_words(max_strands=8, max_length=40))
     @example(BraidWord(1, ()))
@@ -252,21 +260,6 @@ class TestCanonicalFormProperties:
         least = _least_rotation(letters)
         assert least == min(rotations)
         assert is_least_rotation(least)
-
-
-def greedy_commutation_least(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Oracle: pick the smallest letter that commutes past everything before it."""
-    remaining = list(letters)
-    out: list[int] = []
-    while remaining:
-        best = None
-        for idx, letter in enumerate(remaining):
-            if best is not None and letter >= remaining[best]:
-                continue
-            if all(abs(prev - letter) >= 2 for prev in remaining[:idx]):
-                best = idx
-        out.append(remaining.pop(best))
-    return tuple(out)
 
 
 def search_neighbours(word: BraidWord):
@@ -475,22 +468,36 @@ class TestKernelsMatchOracles:
     def test_is_knot_matches_closure_cycles(self, word):
         assert is_knot(word) == closure_info(word).is_knot
 
-    @given(braid_words(max_strands=9, max_length=30))
+    @given(braid_words(max_strands=6, max_length=8))
     @example(BraidWord(1, ()))
-    @settings(max_examples=500)
-    def test_commutation_least_matches_greedy_scan(self, word):
-        assert _commutation_least(word.letters) == greedy_commutation_least(word.letters)
-
-    @given(braid_words(max_strands=6, max_length=14))
-    @example(BraidWord(1, ()))
-    @example(parse_word("3: 2 1 1 2 1"))
-    @example(parse_word("4: 3 1 3 2 1"))
+    @example(parse_word("4: 3 1"))
+    @example(parse_word("4: 1 2 3"))
+    @example(parse_word("5: 1 3 1 3 2 4"))
     @settings(max_examples=300)
-    def test_canonical_form_is_least_greedy_form_over_rotations(self, word):
+    def test_swap_orbit_matches_the_brute_force_closure(self, word):
+        orbit = swap_orbit(word.letters)
+        assert _swap_orbit(word.strands, word.letters) == {_least_rotation(w) for w in orbit}
+
+    @given(
+        braid_words(max_strands=6, max_length=9),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 7)), max_size=6),
+    )
+    @example(parse_word("4: 3 2 1"), [(2, 0)])
+    @example(parse_word("5: 4 1 2 3 1"), [(0, 1), (4, 0)])
+    @settings(max_examples=300)
+    def test_orbit_key_is_invariant_under_rotations_and_distant_swaps(self, word, moves):
+        # Each move is a rotation, then one of the legal distant swaps.
         letters = word.letters
-        rotations = [letters[r:] + letters[:r] for r in range(len(letters) or 1)]
-        best = min(greedy_commutation_least(rot) for rot in rotations)
-        assert canonical_form(word) == BraidWord(word.strands, best)
+        key = orbit_key(word.strands, letters)
+        for shift, pick in moves:
+            if letters:
+                r = shift % len(letters)
+                letters = letters[r:] + letters[:r]
+            swaps = [q for q in range(len(letters) - 1) if abs(letters[q] - letters[q + 1]) >= 2]
+            if swaps:
+                q = swaps[pick % len(swaps)]
+                letters = letters[:q] + (letters[q + 1], letters[q]) + letters[q + 2 :]
+            assert orbit_key(word.strands, letters) == key
 
     # Words of 0 to 3 letters reach the wrap-around moves: the crossing change
     # and the distant swap on the pair at L − 2 of rotation 1, and the braid
@@ -547,18 +554,20 @@ def least_rotation_words(strands: int, length: int) -> list[tuple[int, ...]]:
 
 def full_walk_classes(m: int) -> dict[tuple, set[BraidWord]]:
     """Oracle: the census over every word of the unfiltered walk that uses
-    all its generators, as invariant key -> member forms."""
+    all its generators, as invariant key -> member forms, each form the least
+    word of its brute-force orbit."""
+    least = OrbitLeast()
     forms = set()
     for n in range(1, 2 * m + 2):
         for letters in product(range(1, n), repeat=2 * m + n - 1):
             word = BraidWord(n, letters)
             if set(letters) == set(range(1, n)) and is_knot(word):
-                forms.add(canonical_form(word))
+                forms.add(BraidWord(n, least[letters]))
     groups: dict[tuple, set[BraidWord]] = {}
     for form in forms:
         small = minimize_word(form)
         key = (unknotting_number(small), alexander(small), small.strands)
-        groups.setdefault(key, set()).add(canonical_form(small))
+        groups.setdefault(key, set()).add(BraidWord(small.strands, least[small.letters]))
     return groups
 
 

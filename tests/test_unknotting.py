@@ -4,7 +4,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gordian import (
@@ -13,10 +13,12 @@ from gordian import (
     DomainError,
     NoSingleGenerator,
     TraceBuilder,
+    alexander,
     ascending_run,
     delete_link_subword,
     descending_run,
     is_knot,
+    parse_word,
     reduce_single_generator,
     replay,
     torus_braid,
@@ -246,4 +248,27 @@ class TestReduceSingleGenerator:
     def test_rejects_when_all_repeat(self):
         with pytest.raises(NoSingleGenerator):
             reduce_single_generator(BraidWord(3, (1, 1, 2, 2)))
+
+    def test_middle_generator_keeps_the_knot(self):
+        # σ2 occurs once, with σ1 and σ3 letters on both sides: deleting it in
+        # place would make them neighbours and turn the granny knot into
+        # T(2,5).  Rotated last, with the σ1s moved before the σ3s, it joins
+        # the two trefoils of a connected sum.
+        word = parse_word("4: 1 1 2 3 1 3 3")
+        out = reduce_single_generator(word)
+        assert out == parse_word("3: 1 1 1 2 2 2")
+        assert alexander(out) == alexander(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words(max_strands=5, max_length=14), st.data())
+    def test_alexander_is_preserved(self, word, data):
+        index = data.draw(st.integers(1, word.strands - 1))
+        letters = [x for x in word.letters if x != index]
+        letters.insert(data.draw(st.integers(0, len(letters))), index)
+        word = BraidWord(word.strands, tuple(letters))
+        assume(is_knot(word))
+        out = reduce_single_generator(word)
+        assert out.strands == word.strands - 1
+        assert is_knot(out)
+        assert alexander(out) == alexander(word)
 
