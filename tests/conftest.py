@@ -13,5 +13,6 @@ def census_m2():
 
 @pytest.fixture(scope="session")
 def census_m3():
-    """The m = 3 census within the default budget (about ten seconds)."""
+    """The m = 3 census within the default budget (about eight seconds on
+    two cores)."""
     return enumerate_positive_knots(3)

@@ -265,7 +265,7 @@ class TestEnumerate:
 
     def test_large_m_stops_at_its_budget(self, capsys):
         # Words of 1 201 letters and more: the walk keeps no recursion depth
-        # per letter, and canonical forms of long words cost O(L²), not O(L³).
+        # per letter, and closing the orbit of a long word costs O(L²) per member.
         start = time.perf_counter()
         code, _, err = run(capsys, "enumerate", "600", "--budget", "10")
         assert time.perf_counter() - start < 30

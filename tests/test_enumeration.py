@@ -79,13 +79,13 @@ class TestCanonicalForm:
 
     def test_commutation_normalizes(self):
         assert orbit_key(BraidWord(4, (3, 1, 3, 1))) == orbit_key(BraidWord(4, (1, 3, 1, 3)))
-        # only the pair across the end commutes: σ3 σ1 of σ1 σ2 σ3 swaps to σ1 σ3
+        # in σ1 σ2 σ3 only the pair across the end, σ3 then σ1, is distant
         assert _swap_orbit(4, (1, 2, 3)) == {(1, 2, 3), (1, 3, 2)}
         assert orbit_key(parse_word("4: 3 2 1")) == parse_word("4: 1 2 3")
 
     def test_adjacent_letters_do_not_commute(self):
         assert orbit_key(BraidWord(3, (2, 1))) == orbit_key(BraidWord(3, (1, 2)))
-        # equal via rotation, not via an illegal swap
+        # equal via rotation; no swap of neighbouring indices joins two words
         assert _swap_orbit(3, (1, 2, 1, 2)) == {(1, 2, 1, 2)}
         assert orbit_key(BraidWord(3, (1, 1, 2, 2))) != orbit_key(BraidWord(3, (1, 2, 1, 2)))
 
