@@ -30,7 +30,8 @@ step from the initial word and is the single source of truth for validity:
 each step must be legal and the last one must reach the recorded final word.
 All of them run one in-place step kernel, a single loop over a sequence of
 steps with every legality check inline, so they accept and reject exactly
-the same steps.  Positions and amounts are ``int`` itself, never ``bool``.
+the same steps.  Positions and amounts are ``int`` itself, never ``bool``,
+and a step that carries a parameter its rule does not take is illegal.
 
 Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
 :func:`parse_trace` reads; text under any other header is malformed::
@@ -41,12 +42,17 @@ Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
     final: 2: 1
     crossing_changes: 1
     end
+
+:func:`parse_trace` reads the exact step lines :func:`serialize_trace` writes
+directly; any other spelling goes through the full step grammar, which also
+writes every parse error of a step line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter, countOf
 from typing import NamedTuple
 
 from .errors import IllegalStep, ParseError, TraceCorrupt
@@ -76,6 +82,15 @@ CROSSING_CHANGE = "crossing-change"
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+# The parameters each rule takes, by their names in step lines.
+_STEP_PARAMETERS = {
+    DISTANT_SWAP: ("pos",),
+    NEIGHBOR_BRAID: ("pos", "direction"),
+    CONJUGATE: ("amount",),
+    DESTABILIZE: (),
+    CROSSING_CHANGE: ("pos",),
+}
 
 
 class RewriteStep(NamedTuple):
@@ -108,7 +123,7 @@ class RewriteTrace:
     crossing_changes: int = field(init=False)
 
     def __post_init__(self):
-        count = sum(1 for step in self.steps if step.kind == CROSSING_CHANGE)
+        count = countOf(map(attrgetter("kind"), self.steps), CROSSING_CHANGE)
         object.__setattr__(self, "crossing_changes", count)
 
     @property
@@ -137,20 +152,31 @@ def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
     return IllegalStep(f"{kind} requires an integer position, got {position!r}")
 
 
+def _stray(step: RewriteStep) -> IllegalStep:
+    """The error for a step that carries a parameter its rule does not take,
+    worded as :func:`parse_trace` words it for a step line."""
+    for key, value in zip(("pos", "direction", "amount"), step[1:]):
+        if value is not None and key not in _STEP_PARAMETERS[step.kind]:
+            return IllegalStep(f"a {step.kind} step takes no {key!r} parameter")
+
+
 def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list | None = None) -> int:
     """Apply ``steps`` in turn to ``letters`` in place, positions shifted by
     ``offset`` (whole-word steps run only at offset 0); return the strand count.
 
     An illegal step raises :class:`IllegalStep` before it changes anything,
-    and the steps before it stay applied.  Each applied step is appended to
-    ``record``, if given, as it applied: shifted, a braid move with the
-    direction its triple shows, a rotation modulo the length (a null rotation
-    is not recorded).
+    and the steps before it stay applied.  A step that carries a parameter its
+    rule does not take is illegal, as its step line would be malformed.  Each
+    applied step is appended to ``record``, if given, as it applied: shifted,
+    a braid move with the direction its triple shows, a rotation modulo the
+    length (a null rotation is not recorded).
     """
     length = len(letters)
     for step in steps:
         kind, position, direction, amount = step
         if kind == NEIGHBOR_BRAID:
+            if amount is not None:
+                raise _stray(step)
             if type(position) is not int or not 0 <= (position := position + offset) <= length - 3:
                 raise _misplaced(kind, position, offset, length)
             a = letters[position]
@@ -166,6 +192,8 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if record is not None:
                 record.append(step if direction is not None and not offset else RewriteStep(kind, position, found))
         elif kind == DISTANT_SWAP:
+            if direction is not None or amount is not None:
+                raise _stray(step)
             if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                 raise _misplaced(kind, position, offset, length)
             a = letters[position]
@@ -177,6 +205,8 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if record is not None:
                 record.append(RewriteStep(kind, position) if offset else step)
         elif kind == CROSSING_CHANGE:
+            if direction is not None or amount is not None:
+                raise _stray(step)
             if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                 raise _misplaced(kind, position, offset, length)
             a = letters[position]
@@ -188,6 +218,8 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if record is not None:
                 record.append(RewriteStep(kind, position) if offset else step)
         elif kind == CONJUGATE:
+            if position is not None or direction is not None:
+                raise _stray(step)
             if offset:
                 raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
             if type(amount) is not int:
@@ -202,6 +234,8 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
                 if record is not None:
                     record.append(RewriteStep(kind, amount=amount))
         elif kind == DESTABILIZE:
+            if position is not None or direction is not None or amount is not None:
+                raise _stray(step)
             if offset:
                 raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
             if strands == 1:
@@ -431,17 +465,16 @@ def _parse_int(key: str, value: str, line: str) -> int:
         raise ParseError(f"malformed {key} value {value!r} in step line {line!r}") from None
 
 
-# The parameters each rule's step line may carry.
-_STEP_PARAMETERS = {
-    DISTANT_SWAP: ("pos",),
-    NEIGHBOR_BRAID: ("pos", "direction"),
-    CONJUGATE: ("amount",),
-    DESTABILIZE: (),
-    CROSSING_CHANGE: ("pos",),
-}
+# The step lines serialize_trace writes, by their text before the first "=":
+# "pos" for a positional rule, "amount" for conjugate.
+_WRITTEN_HEADS = {f"step: {kind} {keys[0]}": kind for kind, keys in _STEP_PARAMETERS.items() if keys}
+_WRITTEN_DESTABILIZE = f"step: {DESTABILIZE}"
 
 
 def _parse_step(line: str) -> RewriteStep:
+    """The full step-line grammar: any run of whitespace between fields,
+    parameters in any order, any spelling ``int`` reads; every parse error of
+    a step line is raised here."""
     if not line.startswith("step:"):
         raise ParseError(f"unexpected line in trace body: {line!r}")
     fields = line[len("step:") :].split()
@@ -497,10 +530,27 @@ def parse_trace(text: str) -> RewriteTrace:
     final = parse_word(lines[-3][len("final:") :].strip())
     # Step lines repeat a lot; parse each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.
+    # A line spelled exactly as serialize_trace writes it (single spaces, its
+    # parameters in order, a number of at most 18 ASCII digits, which int
+    # reads without fail) is read here; any other line goes to _parse_step.
+    # tuple.__new__ builds the step without the argument handling of the
+    # RewriteStep constructor, which takes about three times as long.
     step_lines = lines[2:-3]
     known = dict.fromkeys(step_lines)
     for line in known:
-        known[line] = _parse_step(line)
+        head, _, value = line.partition("=")
+        kind = _WRITTEN_HEADS.get(head)
+        direction = None
+        if kind == NEIGHBOR_BRAID:
+            value, _, direction = value.partition(" direction=")
+            if direction != FORWARD and direction != BACKWARD:
+                kind = None
+        if kind is None or not (value.isdigit() and value.isascii() and len(value) < 19):
+            known[line] = RewriteStep(DESTABILIZE) if line == _WRITTEN_DESTABILIZE else _parse_step(line)
+        elif kind == CONJUGATE:
+            known[line] = tuple.__new__(RewriteStep, (kind, None, None, int(value)))
+        else:
+            known[line] = tuple.__new__(RewriteStep, (kind, int(value), direction, None))
     trace = RewriteTrace(initial, tuple(map(known.__getitem__, step_lines)), final)
     if trace.crossing_changes != declared:
         raise ParseError(

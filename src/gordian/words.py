@@ -65,8 +65,9 @@ class BraidWord:
         """Build a word without re-checking its letters.
 
         Only for letters inside ``1..strands-1`` by construction: the
-        rewriting rules keep them there, and the census walk draws them
-        from that range; checking again would cost O(length) per word.
+        rewriting rules keep them there, the census walk draws them from
+        that range, and :func:`parse_word` has checked their least and
+        greatest; checking again would cost O(length) per word.
         """
         word = object.__new__(cls)
         object.__setattr__(word, "strands", strands)
@@ -126,7 +127,9 @@ def format_word(word: BraidWord) -> str:
 def parse_word(text: str) -> BraidWord:
     """Parse ``"n: i1 i2 …"`` into a :class:`BraidWord`.
 
-    Raises :class:`ParseError` on malformed text or out-of-range letters.
+    Raises :class:`ParseError` on malformed text or out-of-range letters,
+    with the messages of the :class:`BraidWord` constructor, which checks a
+    word that fails the range check of its least and greatest letter.
     """
     head, sep, tail = text.partition(":")
     if not sep:
@@ -136,9 +139,11 @@ def parse_word(text: str) -> BraidWord:
     except ValueError:
         raise ParseError(f"strand count {head.strip()!r} is not an integer") from None
     try:
-        letters = tuple(int(piece) for piece in tail.split())
+        letters = tuple(map(int, tail.split()))
     except ValueError:
         raise ParseError(f"letters must be integers, got {tail.strip()!r}") from None
+    if strands >= 1 and (not letters or 1 <= min(letters) and max(letters) < strands):
+        return BraidWord._trusted(strands, letters)
     try:
         return BraidWord(strands, letters)
     except DomainError as exc:

@@ -412,6 +412,15 @@ class TestVerify:
         assert f"{key}=x" in path.read_text()
         assert_one_line_error(capsys, path, f"malformed {key} value")
 
+    def test_step_number_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        """int refuses a number of 5 000 digits with a ValueError, which must
+        surface as the one-line parse error, not a traceback."""
+        path = tmp_path / "long.trace"
+        tb = TraceBuilder(parse_word("2: 1 1 1"))
+        tb.crossing_change(0)
+        path.write_text(serialize_trace(tb.snapshot()).replace("pos=0", "pos=" + "9" * 5000))
+        assert_one_line_error(capsys, path, "malformed pos value")
+
     def test_malformed_step_number_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))

@@ -39,7 +39,9 @@ from gordian import (
     verify_certificate,
     verify_positive_path,
 )
+from gordian import rules
 from gordian.cli import main
+from gordian.errors import DomainError
 from gordian.rules import (
     CONJUGATE,
     CROSSING_CHANGE,
@@ -119,6 +121,16 @@ def reference_step(strands: int, letters: tuple[int, ...], step) -> tuple[int, t
     them, on tuples; an illegal step raises IllegalStep."""
     kind, position, direction, amount = step
     length = len(letters)
+    # Each rule takes only its own parameters; any other one makes the step illegal.
+    stray = {
+        DISTANT_SWAP: (direction, amount),
+        NEIGHBOR_BRAID: (amount,),
+        CONJUGATE: (position, direction),
+        DESTABILIZE: (position, direction, amount),
+        CROSSING_CHANGE: (direction, amount),
+    }.get(kind, ())
+    if any(value is not None for value in stray):
+        raise IllegalStep("a parameter the rule does not take")
 
     def at(width: int) -> int:
         if type(position) is not int or not 0 <= position <= length - width:
@@ -618,6 +630,108 @@ class TestFormatRoundTrips:
                 tb.apply(step)
         trace = tb.snapshot()
         assert parse_trace(serialize_trace(trace)) == trace
+
+
+# Pieces of step lines: the writer's own spellings and near misses of each.
+STEP_KINDS = (DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE, "untie", "")
+STEP_KEYS = ("pos", "direction", "amount", "Pos", "")
+STEP_SEPARATORS = (" ", "  ", "\t", "\u00a0", "")
+STEP_VALUES = st.one_of(
+    st.integers(-20, 10**20).map(str),
+    st.sampled_from(("007", "+3", "-0", "\u0663", "\u00b3", "1_0", "", "x", "1.5")),
+    st.sampled_from(("forward", "backward", "sideways", "1" * 18, "1" * 19, "9" * 5000)),
+)
+
+
+@st.composite
+def written_step_lines(draw) -> str:
+    """A line as serialize_trace writes it, with any value in its slots."""
+    kind = draw(st.sampled_from(STEP_KINDS[:5]))
+    line = f"step: {kind}"
+    if kind == CONJUGATE:
+        line += f" amount={draw(STEP_VALUES)}"
+    elif kind != DESTABILIZE:
+        line += f" pos={draw(STEP_VALUES)}"
+    if kind == NEIGHBOR_BRAID and draw(st.booleans()):
+        line += f" direction={draw(st.sampled_from(('forward', 'backward', 'sideways', '')))}"
+    return line
+
+
+@st.composite
+def any_step_lines(draw) -> str:
+    """Any kind, keys, separators and values, in any order and number."""
+    line = draw(st.sampled_from(("step:", "step: ", "step:  ", "step:\t", "Step: ", "stop: ")))
+    line += draw(st.sampled_from(STEP_KINDS))
+    for _ in range(draw(st.integers(0, 3))):
+        line += draw(st.sampled_from(STEP_SEPARATORS)) + draw(st.sampled_from(STEP_KEYS))
+        line += draw(st.sampled_from(("=", "=", "==", ":", ""))) + draw(STEP_VALUES)
+    return line + draw(st.sampled_from(("", " ", "\t")))
+
+
+def outcome_or_message(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestStepLineReading:
+    @given(st.one_of(written_step_lines(), any_step_lines()))
+    @example("step: crossing-change pos=" + "9" * 5000)
+    @example("step: neighbor-braid pos=007 direction=forward")
+    @example("step: conjugate amount=\u0663")
+    @settings(max_examples=1000)
+    def test_parse_trace_reads_a_step_line_as_the_full_grammar_does(self, line):
+        """parse_trace gives the step _parse_step gives, or its message."""
+        expected = outcome_or_message(rules._parse_step, line.strip())
+        changes = int(isinstance(expected, RewriteStep) and expected.kind == CROSSING_CHANGE)
+        text = f"trace v2\ninitial: 2: 1 1\n{line}\nfinal: 2: 1 1\ncrossing_changes: {changes}\nend\n"
+        read = outcome_or_message(parse_trace, text)
+        if isinstance(expected, RewriteStep):
+            assert read.steps == (expected,)
+            assert list(map(type, read.steps[0])) == list(map(type, expected))
+        else:
+            assert read == expected
+
+
+def word_outcome(build):
+    try:
+        return build()
+    except (DomainError, ParseError) as exc:
+        return str(exc)
+
+
+@st.composite
+def word_texts(draw) -> tuple[str, int, tuple[int, ...]]:
+    """Word text with its strand count and letters: out-of-range, zero and
+    negative letters and strand counts, and a huge strand count."""
+    strands = draw(st.one_of(st.integers(-2, 9), st.just(10**40)))
+    letters = tuple(draw(st.lists(st.one_of(st.integers(-2, 10), st.just(10**30)), max_size=12)))
+    text = f"{strands}:" + "".join(f" {letter}" for letter in letters)
+    return text, strands, letters
+
+
+class TestWordReading:
+    @given(word_texts())
+    @example(("0:", 0, ()))
+    @example(("1:", 1, ()))
+    @example(("1: 1", 1, (1,)))
+    @example(("3: 0 1", 3, (0, 1)))
+    @settings(max_examples=500)
+    def test_parse_word_accepts_what_the_constructor_accepts(self, drawn):
+        text, strands, letters = drawn
+        expected = word_outcome(lambda: BraidWord(strands, letters))
+        assert word_outcome(lambda: parse_word(text)) == expected
+        if isinstance(expected, BraidWord):
+            assert str(parse_word(text)) == text
+
+    @given(st.one_of(st.text(), st.text("0123456789: -+\t", max_size=20)))
+    @settings(max_examples=500)
+    def test_every_word_parse_word_returns_is_valid(self, text):
+        word = outcome_or_message(parse_word, text)
+        if isinstance(word, BraidWord):
+            assert BraidWord(word.strands, word.letters) == word
+            assert parse_word(str(word)) == word
 
 
 class TestUnknotPathProperty:

@@ -1,7 +1,10 @@
 """The five rewrite rules, trace building, replay, and serialization."""
 
+from pathlib import Path
+
 import pytest
 
+from gordian import rules
 from gordian import (
     BraidWord,
     IllegalStep,
@@ -15,13 +18,19 @@ from gordian import (
     DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
+    adjacency_3_from_4,
     apply_step,
+    parse_certificate,
     parse_trace,
     parse_word,
     replay,
+    serialize_certificate,
     serialize_trace,
     torus_braid,
+    unknot,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestDistantSwap:
@@ -283,6 +292,45 @@ class TestBoolParameters:
         assert info.value.step_index == 0
 
 
+class TestStrayParameters:
+    """A step that carries a parameter its rule does not take is illegal
+    everywhere, worded as parse_trace words its step line, so the builder
+    never records a step whose trace cannot be read back."""
+
+    @pytest.mark.parametrize(
+        "text, step, key",
+        [
+            ("4: 1 3", RewriteStep(DISTANT_SWAP, 0, direction="forward"), "direction"),
+            ("4: 1 3", RewriteStep(DISTANT_SWAP, 0, amount=3), "amount"),
+            ("3: 1 2 1", RewriteStep(NEIGHBOR_BRAID, 0, "forward", amount=5), "amount"),
+            ("3: 1 2", RewriteStep(CONJUGATE, 0, amount=1), "pos"),
+            ("3: 1 2", RewriteStep(CONJUGATE, direction="backward", amount=1), "direction"),
+            ("3: 1 2", RewriteStep(DESTABILIZE, 4), "pos"),
+            ("3: 1 2", RewriteStep(DESTABILIZE, direction="forward"), "direction"),
+            ("3: 1 2", RewriteStep(DESTABILIZE, amount=2), "amount"),
+            ("2: 1 1", RewriteStep(CROSSING_CHANGE, 0, direction="backward"), "direction"),
+            ("2: 1 1", RewriteStep(CROSSING_CHANGE, 0, amount=1), "amount"),
+        ],
+    )
+    def test_illegal_in_the_builder_apply_step_and_replay(self, text, step, key):
+        word = parse_word(text)
+        field = "position" if key == "pos" else key
+        after = apply_step(word, step._replace(**{field: None}))  # legal without it
+        message = f"a {step.kind} step takes no '{key}' parameter"
+        with pytest.raises(IllegalStep) as info:
+            apply_step(word, step)
+        assert str(info.value) == message
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match=message):
+            tb.apply(step)
+        assert tb.word == word and not tb.steps
+        with pytest.raises(TraceCorrupt, match=message) as info:
+            replay(RewriteTrace(word, (step,), after))
+        assert info.value.step_index == 0
+        with pytest.raises(ParseError, match=message):
+            parse_trace(serialize_trace(RewriteTrace(word, (step,), after)))
+
+
 class TestSerialization:
     def test_round_trip(self):
         tb = TraceBuilder(torus_braid(3, 4))
@@ -401,6 +449,24 @@ class TestSerialization:
         text = f"trace v2\ninitial: 2: 1 1 1\n{body}\nfinal: 2: 1\ncrossing_changes: 1\nend\n"
         with pytest.raises(ParseError, match=message):
             parse_trace(text)
+
+    def test_the_lines_the_writer_emits_never_reach_the_full_grammar(self, monkeypatch):
+        """parse_trace reads every step line serialize_trace writes without
+        _parse_step; a writer change that sent them all down the slow path
+        would otherwise pass every other test."""
+        traces = [path.read_text() for path in sorted(GOLDEN.glob("*.trace"))]
+        traces.append(serialize_trace(unknot(parse_word("4: 1 3 2 1 3 2 2 1 3 3 2 1 1 2 3"))))
+        certificates = [path.read_text() for path in sorted(GOLDEN.glob("*.cert"))]
+        certificates.append(serialize_certificate(adjacency_3_from_4(129)))
+
+        def refuse(line):
+            raise AssertionError(f"{line!r} went to the full grammar")
+
+        monkeypatch.setattr(rules, "_parse_step", refuse)
+        read = [parse_trace(text) for text in traces]
+        read += [parse_certificate(text).trace for text in certificates]
+        kinds = {step.kind for trace in read for step in trace.steps}
+        assert kinds == {DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE}
 
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ParseError):
