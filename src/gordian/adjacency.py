@@ -45,7 +45,6 @@ from .moves import (
     mirror_program,
     peel_prog,
     revform_letters,
-    run_program,
     run_regional,
     wrap,
 )
@@ -287,7 +286,7 @@ def _peel_and_gather(tb: TraceBuilder, start: int, a: int, c: int) -> None:
     """``(Δ²_a)^c → (Δ²_{a-1})^c (V_{a-1})^c`` at ``start``: peel a wrap off
     each full twist, then gather the inner twists ahead of the wraps."""
     for t in range(c):
-        run_program(tb, peel_prog(a), start + t * a * (a - 1))
+        tb.run(peel_prog(a), start + t * a * (a - 1))
     arrange_blocks(
         tb,
         start,
@@ -302,7 +301,7 @@ def _drop_top_strand(tb: TraceBuilder, c: int, r: int) -> None:
     R_{a-2}^r`` on ``a − 1`` strands: ``c`` crossing changes, each cancelling
     a σ_{a-1} pair, then one destabilization."""
     a = tb.strands
-    run_program(tb, ext_prog(a - 1, r), c * a * (a - 1))
+    tb.run(ext_prog(a - 1, r), c * a * (a - 1))
     _peel_and_gather(tb, 0, a, c)
     ahead = ("run", tuple(range(a - r, a - 1)))  # pulled out of the run power
     _exchange(tb, c * (a - 1) * (a - 2), [("wrap", a - 1)] * c, [ahead])
@@ -318,7 +317,7 @@ def _drop_top_strand_rotated(tb: TraceBuilder, c: int) -> None:
     The remainder ``R_3^3`` regroups as ``σ_1σ_2 σ_3 Δ²_3``; its twist
     rotates to the front, and the drop proceeds behind it.
     """
-    run_program(tb, ext_prog(3, 3), 12 * c)
+    tb.run(ext_prog(3, 3), 12 * c)
     tb.conjugate(len(tb.letters) - 6)
     _peel_and_gather(tb, 6, 4, c)
     _exchange(tb, 6 * (c + 1), [("wrap", 3)] * c, [("run", (1, 2))])
@@ -438,7 +437,7 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
     tb = TraceBuilder(torus_braid(source.p, source.q))
     # The trailing run power R_n^n regroups literally as A_n Δ²_n; the closing
     # twist rotates to the front to join the peeled stack.
-    run_program(tb, ext_prog(n, n), c * n * (n + 1))
+    tb.run(ext_prog(n, n), c * n * (n + 1))
     _peel_and_gather(tb, 0, n + 1, c)
     tb.conjugate(len(tb.letters) - n * (n - 1))
     _exchange(tb, (c + 1) * n * (n - 1), [("wrap", n)] * c, [("run", ascending_run(n - 1))])
@@ -457,7 +456,7 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
     # Every descending twist converts in place to ascending form, leaving one
     # ascending run power.
     for t in range(c + 1):
-        run_program(tb, conv_prog(n), t * n * (n - 1))
+        tb.run(conv_prog(n), t * n * (n - 1))
     expect_word(tb, ascending_run(n - 1) * (n * n * k + n + 1))
     return _certify(source, target, tb, n * (n - 1) * k // 2)
 
@@ -522,7 +521,7 @@ def _two_from_four_4k1(k: int) -> AdjacencyCertificate:
     tb = TraceBuilder(torus_braid(source.p, source.q))
     _drop_top_strand(tb, k, 1)
     for t in range(k):
-        run_program(tb, peel_prog(3), t * 6)
+        tb.run(peel_prog(3), t * 6)
     arrange_blocks(
         tb,
         0,
@@ -556,7 +555,7 @@ def _two_from_four_4k3(k: int) -> AdjacencyCertificate:
     tb = TraceBuilder(torus_braid(source.p, source.q))
     _drop_top_strand_rotated(tb, k)
     for t in range(k + 1):
-        run_program(tb, peel_prog(3), t * 6)
+        tb.run(peel_prog(3), t * 6)
     _exchange(tb, 6 * k, [("wrap", 2)], [("run", (1, 1, 1))])
     tb.crossing_change(6 * k + 6)
     expect_word(tb, (wrap(2) + wrap(1)) * k + (1, 1, 1, 2, 1, 1) + wrap(2) * k)

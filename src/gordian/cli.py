@@ -58,6 +58,13 @@ def _print_err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _write(path: str, what: str, text: str) -> None:
+    """Write ``text`` to ``path`` and say so; an OSError reaches :func:`main`."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"{what} written: {path}")
+
+
 def cmd_info(args) -> int:
     word = parse_word(args.word)
     info = closure_info(word)
@@ -82,9 +89,7 @@ def cmd_unknot(args) -> int:
     trace = unknot(word)
     print(f"crossing_changes: {trace.crossing_changes}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(serialize_trace(trace))
-        print(f"trace written: {args.trace}")
+        _write(args.trace, "trace", serialize_trace(trace))
     return 0
 
 
@@ -107,9 +112,7 @@ def _emit_certificate(cert, out_path: str | None, no_verify: bool) -> int:
     print(f"crossing_changes: {cert.claimed_cc}")
     print(f"verification: {'skipped' if check is None else check.summary()}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(serialize_certificate(cert, check))
-        print(f"certificate written: {out_path}")
+        _write(out_path, "certificate", serialize_certificate(cert, check))
     return 0 if check is None or check.valid else 1
 
 
@@ -136,9 +139,7 @@ def cmd_catalog(args) -> int:
     print(f"certificate: {'available' if answer.certificate is not None else 'none'}")
     if args.out and answer.certificate is not None:
         check = verify_certificate(answer.certificate)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(serialize_certificate(answer.certificate, check))
-        print(f"certificate written: {args.out}")
+        _write(args.out, "certificate", serialize_certificate(answer.certificate, check))
     return 0
 
 
@@ -155,9 +156,7 @@ def cmd_search(args) -> int:
     print(f"steps: {len(trace.steps)}")
     print(f"crossing_changes: {trace.crossing_changes}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(serialize_trace(trace))
-        print(f"trace written: {args.trace}")
+        _write(args.trace, "trace", serialize_trace(trace))
     return 0
 
 

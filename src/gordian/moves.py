@@ -16,13 +16,15 @@ Two layers are built on top:
 
 * **Step programs** — sequences of :class:`~gordian.rules.RewriteStep`
   with relative positions, which can be shifted to an offset, inverted, or
-  mirrored, and then run through a builder by :func:`run_program`, which
-  hands the whole program and its offset to the builder's step kernel in
-  one call.  The named programs (``move_b_prog``, ``move_d_prog``,
+  mirrored.  ``TraceBuilder.run(steps, offset)`` runs a program: it hands
+  the whole program and its offset to the builder's step kernel in one
+  call.  The named programs (``move_b_prog``, ``move_d_prog``,
   ``move_z_prog``, ``ext_prog``, ``peel_prog``, ``conv_prog`` and the block
   crossings ``cross_left_prog`` / ``cross_right_prog``) realize the
   letter-commutation identities the larger constructions are made of; each
-  is built once per parameter set and cached as a tuple.
+  is built once per parameter set and cached as a tuple.  One function,
+  :func:`cross_left_prog`, decides whether and how a letter crosses a
+  block: it returns None when the letter cannot pass.
 * **Regional programs** — step programs that may also hold a
   :class:`Rotation` of a subword, describing a rewrite of a suffix region
   *abstractly* so the same program can be replayed inside different ambient
@@ -70,7 +72,6 @@ __all__ = [
     "shift_program",
     "invert_program",
     "mirror_program",
-    "run_program",
     "move_b_prog",
     "move_b1_prog",
     "move_d_prog",
@@ -78,13 +79,9 @@ __all__ = [
     "ext_prog",
     "peel_prog",
     "conv_prog",
-    "desc_len",
     "desc_letters",
-    "can_cross",
     "cross_left_prog",
     "cross_right_prog",
-    "cross_block_left",
-    "cross_block_right",
     "arrange_blocks",
     "cascade",
     "cascade_mirror",
@@ -230,12 +227,6 @@ def mirror_program(prog: Sequence[RewriteStep], length: int) -> list[RewriteStep
         if step.kind == CROSSING_CHANGE:
             length -= 2
     return out
-
-
-def run_program(tb: TraceBuilder, prog: Sequence[RewriteStep], offset: int = 0) -> None:
-    """Apply a program through the builder in one call, translating positions
-    by ``offset``; an illegal step leaves the steps before it applied."""
-    tb.run(prog, offset)
 
 
 def expect_word(tb: TraceBuilder, letters) -> None:
@@ -392,20 +383,8 @@ def conv_prog(m: int) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def desc_len(desc: tuple) -> int:
-    kind = desc[0]
-    if kind == "letter":
-        return 1
-    if kind == "wrap":
-        return 2 * desc[1]
-    if kind == "twist":
-        return desc[1] * (desc[1] - 1)
-    if kind == "run":
-        return len(desc[1])
-    raise IllegalStep(f"unknown block descriptor {desc!r}")
-
-
 def desc_letters(desc: tuple) -> tuple[int, ...]:
+    """The letters of a block; their count is the block's length."""
     kind = desc[0]
     if kind == "letter":
         return (desc[1],)
@@ -418,35 +397,25 @@ def desc_letters(desc: tuple) -> tuple[int, ...]:
     raise IllegalStep(f"unknown block descriptor {desc!r}")
 
 
-def can_cross(desc: tuple, letter: int) -> bool:
-    """Whether a single letter can commute past the descriptor block."""
-    kind = desc[0]
-    if kind == "letter":
-        return abs(letter - desc[1]) >= 2
-    if kind == "wrap":
-        j = desc[1]
-        return letter <= j - 1 or letter >= j + 2 or (j == 1 and letter == 1)
-    if kind == "twist":
-        a = desc[1]
-        return letter != a
-    return False
-
-
 @cache
-def cross_left_prog(desc: tuple, letter: int) -> Program:
-    """Program for ``<block> σ_letter → σ_letter <block>``, relative to the block."""
+def cross_left_prog(desc: tuple, letter: int) -> Program | None:
+    """Program for ``<block> σ_letter → σ_letter <block>``, relative to the
+    block, or None when the letter cannot pass it.  Blocked are σ_{m-1}, σ_m
+    and σ_{m+1} at the letter σ_m; σ_j and σ_{j+1} at the wrap V_j, except σ_1
+    at V_1; σ_a at the full twist on a strands.  Never ask about a run, which
+    is no obstacle: the cache would grow with it."""
     kind = desc[0]
     if kind == "letter":
-        if abs(letter - desc[1]) < 2:
-            raise IllegalStep(f"σ_{letter} cannot pass σ_{desc[1]}")
-        return (_swap(0),)
+        return (_swap(0),) if abs(letter - desc[1]) >= 2 else None
     if kind == "wrap":
         j = desc[1]
         if j == 1 and letter == 1:
             return ()  # σ_1 σ_1 σ_1 reads the same from either side
-        return move_d_prog(j, letter)
+        return None if letter in (j, j + 1) else move_d_prog(j, letter)
     if kind == "twist":
         a = desc[1]
+        if letter == a:
+            return None
         if letter >= a + 1:
             return tuple(_swap(q) for q in range(a * (a - 1) - 1, -1, -1))
         return move_z_prog(a, letter)
@@ -454,34 +423,28 @@ def cross_left_prog(desc: tuple, letter: int) -> Program:
 
 
 @cache
-def cross_right_prog(desc: tuple, letter: int) -> Program:
-    """Program for ``σ_letter <block> → <block> σ_letter``, relative to the letter."""
-    return tuple(invert_program(cross_left_prog(desc, letter)))
-
-
-def cross_block_left(tb: TraceBuilder, obstacle_pos: int, desc: tuple, letters) -> None:
-    """Move the letters sitting right after the obstacle to just before it."""
-    for c, letter in enumerate(letters):
-        run_program(tb, cross_left_prog(desc, letter), obstacle_pos + c)
-
-
-def cross_block_right(tb: TraceBuilder, block_pos: int, desc: tuple, letters) -> None:
-    """Move the letters sitting right before the obstacle to just after it."""
-    letters = tuple(letters)
-    for c in range(len(letters) - 1, -1, -1):
-        run_program(tb, cross_right_prog(desc, letters[c]), block_pos + c)
+def cross_right_prog(desc: tuple, letter: int) -> Program | None:
+    """Program for ``σ_letter <block> → <block> σ_letter``, relative to the
+    letter, or None when the letter cannot pass the block."""
+    prog = cross_left_prog(desc, letter)
+    return None if prog is None else tuple(invert_program(prog))
 
 
 def _swap_adjacent(tb: TraceBuilder, pos: int, left: tuple, right: tuple) -> None:
-    """Exchange two adjacent blocks, the left one starting at ``pos``."""
-    right_letters = desc_letters(right)
-    if left[0] != "run" and all(can_cross(left, i) for i in right_letters):
-        cross_block_left(tb, pos, left, right_letters)
-        return
-    left_letters = desc_letters(left)
-    if right[0] != "run" and all(can_cross(right, i) for i in left_letters):
-        cross_block_right(tb, pos, right, left_letters)
-        return
+    """Exchange two adjacent blocks, the left one starting at ``pos``: the
+    right block's letters pass the left block if all can, else the reverse."""
+    if left[0] != "run":
+        progs = [cross_left_prog(left, i) for i in desc_letters(right)]
+        if None not in progs:
+            for c, prog in enumerate(progs):
+                tb.run(prog, pos + c)
+            return
+    if right[0] != "run":
+        progs = [cross_right_prog(right, i) for i in desc_letters(left)]
+        if None not in progs:
+            for c in range(len(progs) - 1, -1, -1):
+                tb.run(progs[c], pos + c)
+            return
     raise IllegalStep(f"blocks {left!r} and {right!r} cannot pass each other")
 
 
@@ -499,7 +462,7 @@ def arrange_blocks(tb: TraceBuilder, start: int, current, target) -> None:
         raise IllegalStep("block rearrangement requires equal block multisets")
     offsets = [start]
     for desc in cur:
-        offsets.append(offsets[-1] + desc_len(desc))
+        offsets.append(offsets[-1] + len(desc_letters(desc)))
     for i, want in enumerate(tgt):
         if cur[i] == want:
             continue
@@ -507,7 +470,7 @@ def arrange_blocks(tb: TraceBuilder, start: int, current, target) -> None:
         for s in range(j, i, -1):
             _swap_adjacent(tb, offsets[s - 1], cur[s - 1], cur[s])
             cur[s - 1], cur[s] = cur[s], cur[s - 1]
-            offsets[s] = offsets[s - 1] + desc_len(cur[s - 1])
+            offsets[s] = offsets[s - 1] + len(desc_letters(cur[s - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +552,15 @@ def decompose_region_prog(a: int, k: int) -> list[RewriteStep | Rotation]:
 
 
 def _stack_legal(movers, descs) -> bool:
-    return all(can_cross(d, i) for d in descs for i in movers)
+    return all(d[0] != "run" and cross_left_prog(d, i) is not None for d in descs for i in movers)
 
 
 def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotation) -> None:
     """Realize one subword rotation inside the ambient word."""
     amount, s, lb, rb = rotation
     ell = len(tb.letters)
-    lb_len = sum(desc_len(d) for d in lb)
-    rb_len = sum(desc_len(d) for d in rb)
+    lb_len = sum(len(desc_letters(d)) for d in lb)
+    rb_len = sum(len(desc_letters(d)) for d in rb)
     if lb_len + s + rb_len != ell - region_start:
         raise IllegalStep(f"a {s}-letter subword and its delimiters do not fill the region")
     if not 0 <= amount <= s:
@@ -614,8 +577,8 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
             q = t + region_start + lb_len
             letter = letters[q]
             for desc in list(reversed(list(lb))) + list(reversed(list(prefix))):
-                q -= desc_len(desc)
-                run_program(tb, cross_left_prog(desc, letter), q)
+                q -= len(desc_letters(desc))
+                tb.run(cross_left_prog(desc, letter), q)
             if q != t:
                 raise AssertionError("rotation walk lost its position")
         tb.conjugate(amount)
@@ -623,8 +586,8 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
             q = sub_start + (s - amount) + t + rb_len
             letter = letters[q]
             for desc in reversed(list(rb)):
-                q -= desc_len(desc)
-                run_program(tb, cross_left_prog(desc, letter), q)
+                q -= len(desc_letters(desc))
+                tb.run(cross_left_prog(desc, letter), q)
     elif _stack_legal(movers_right, list(rb) + list(prefix) + list(lb)):
         # The trailing letters exit rightwards around the closure instead.
         back = s - amount
@@ -632,16 +595,16 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
             q = sub_start + amount + c
             letter = letters[q]
             for desc in rb:
-                run_program(tb, cross_right_prog(desc, letter), q)
-                q += desc_len(desc)
+                tb.run(cross_right_prog(desc, letter), q)
+                q += len(desc_letters(desc))
         tb.conjugate(ell - back)
         for c in range(back - 1, -1, -1):
             q = c
             letter = letters[q]
             for desc in list(prefix) + list(lb):
-                run_program(tb, cross_right_prog(desc, letter), q)
-                q += desc_len(desc)
-            if q != c + sum(desc_len(d) for d in prefix) + lb_len:
+                tb.run(cross_right_prog(desc, letter), q)
+                q += len(desc_letters(desc))
+            if q != c + sub_start:
                 raise AssertionError("rotation walk lost its position")
     else:
         raise IllegalStep("neither side of the subword can walk around the closure")
@@ -655,7 +618,7 @@ def run_regional(tb: TraceBuilder, prog: list, region_start: int, prefix) -> Non
     the closure, so every prefix block must commute with the letters moved.
     """
     prefix = list(prefix)
-    plen = sum(desc_len(d) for d in prefix)
+    plen = sum(len(desc_letters(d)) for d in prefix)
     if plen != region_start:
         raise IllegalStep("prefix descriptors must cover the word before the region")
     for step in prog:

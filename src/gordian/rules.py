@@ -139,7 +139,9 @@ class RewriteTrace:
 # instead of a copy of the word.  It keeps every letter inside 1..strands-1 by
 # construction: the braid move only writes the two letters of its triple, and
 # destabilize removes the only top letter.  Its results therefore become words
-# through ``BraidWord._trusted``, unchecked.
+# through ``BraidWord._trusted``, unchecked.  The steps it records are built
+# with tuple.__new__, which skips the argument handling of the RewriteStep
+# constructor, about three times as costly; parse_trace does the same.
 
 
 def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
@@ -190,7 +192,9 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             letters[position] = letters[position + 2] = b
             letters[position + 1] = a
             if record is not None:
-                record.append(step if direction is not None and not offset else RewriteStep(kind, position, found))
+                if direction is None or offset:
+                    step = tuple.__new__(RewriteStep, (kind, position, found, None))
+                record.append(step)
         elif kind == DISTANT_SWAP:
             if direction is not None or amount is not None:
                 raise _stray(step)
@@ -203,7 +207,7 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             letters[position] = b
             letters[position + 1] = a
             if record is not None:
-                record.append(RewriteStep(kind, position) if offset else step)
+                record.append(tuple.__new__(RewriteStep, (kind, position, None, None)) if offset else step)
         elif kind == CROSSING_CHANGE:
             if direction is not None or amount is not None:
                 raise _stray(step)
@@ -216,7 +220,7 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             del letters[position : position + 2]
             length -= 2
             if record is not None:
-                record.append(RewriteStep(kind, position) if offset else step)
+                record.append(tuple.__new__(RewriteStep, (kind, position, None, None)) if offset else step)
         elif kind == CONJUGATE:
             if position is not None or direction is not None:
                 raise _stray(step)
@@ -232,7 +236,7 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if amount:
                 letters[:] = letters[amount:] + letters[:amount]
                 if record is not None:
-                    record.append(RewriteStep(kind, amount=amount))
+                    record.append(tuple.__new__(RewriteStep, (kind, None, None, amount)))
         elif kind == DESTABILIZE:
             if position is not None or direction is not None or amount is not None:
                 raise _stray(step)
@@ -533,8 +537,6 @@ def parse_trace(text: str) -> RewriteTrace:
     # A line spelled exactly as serialize_trace writes it (single spaces, its
     # parameters in order, a number of at most 18 ASCII digits, which int
     # reads without fail) is read here; any other line goes to _parse_step.
-    # tuple.__new__ builds the step without the argument handling of the
-    # RewriteStep constructor, which takes about three times as long.
     step_lines = lines[2:-3]
     known = dict.fromkeys(step_lines)
     for line in known:

@@ -35,11 +35,10 @@ from gordian import (
 from gordian import adjacency
 from gordian.adjacency import endpoint_word
 from gordian.moves import (
-    cross_block_right,
+    arrange_blocks,
     decompose_region_prog,
     full_twist_letters,
     peel_prog,
-    run_program,
     wrap,
 )
 from gordian.rules import DISTANT_SWAP
@@ -57,19 +56,21 @@ class TestManeuvers:
     test_moves.py do not cover."""
 
     def test_wrap_commute(self):
+        # The wrap cannot pass σ_1, so σ_1 passes the wrap.
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 1, 2)))
-        cross_block_right(tb, 0, ("wrap", 2), (1,))
+        arrange_blocks(tb, 0, [("letter", 1), ("wrap", 2)], [("wrap", 2), ("letter", 1)])
         assert tb.word.letters == (2, 1, 1, 2, 1)
         assert tb.crossing_changes == 0
 
     def test_wrap_commute_rejects_blocking_prefix(self):
         tb = TraceBuilder(BraidWord(3, (2, 2, 1, 1, 2)))
-        with pytest.raises(IllegalStep):
-            cross_block_right(tb, 0, ("wrap", 2), (2,))
+        with pytest.raises(IllegalStep, match="cannot pass each other"):
+            arrange_blocks(tb, 0, [("letter", 2), ("wrap", 2)], [("wrap", 2), ("letter", 2)])
+        assert tb.steps == ()
 
     def test_peel_inside_larger_word(self):
         tb = TraceBuilder(BraidWord(4, (3,) + full_twist_letters(3)))
-        run_program(tb, peel_prog(3), 1)
+        tb.run(peel_prog(3), 1)
         assert tb.word.letters == (3,) + wrap(2) + full_twist_letters(2)
 
     def test_decompose_twists_domain(self):
@@ -232,6 +233,32 @@ class TestCertificateFormat:
         cert = build()
         text = serialize_certificate(cert, verify_certificate(cert)).encode()
         assert (len(text), hashlib.sha256(text).hexdigest()) == (length, digest)
+
+    def test_family_grid_serializes_to_its_frozen_digest(self):
+        """Pin every construction's output on a grid of 162 certificates:
+        ``t34`` for odd b = 9…59, ``t24`` for odd b = 5…59, ``ci`` and ``cin``
+        for n = 2…5 and k = 1…3, and ``strip`` T(a, b) for a = 2…6 and
+        coprime b < 30.  The constant is the SHA-256 of their verified
+        serializations, concatenated.  A change that alters a construction
+        on purpose re-freezes it and says so in CHANGES.md."""
+        certs = [adjacency_3_from_4(b) for b in range(9, 60, 2)]
+        certs += [adjacency_2_from_4(b) for b in range(5, 60, 2)]
+        for n in range(2, 6):
+            for k in range(1, 4):
+                certs += [adjacency_ci(n, k), adjacency_cin(n, k)]
+        certs += [
+            strip_top_strand(TorusParams(a, b))
+            for a in range(2, 7)
+            for b in range(1, 30)
+            if math.gcd(a, b) == 1
+        ]
+        digest = hashlib.sha256()
+        for cert in certs:
+            digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
+        assert (len(certs), digest.hexdigest()) == (
+            162,
+            "b16a766e6b49f5acbb58e7f915bd8ea82061ca9a5c1cbbce43f7536ec1eca91a",
+        )
 
     def test_tampered_count_fails_verification(self):
         cert = adjacency_ci(2, 1)

@@ -17,13 +17,13 @@ from gordian.moves import (
     Rotation,
     arrange_blocks,
     ascending_twist_letters,
-    can_cross,
     cascade,
     cascade_mirror,
     conv_prog,
     cross_left_prog,
     cross_right_prog,
     decompose_region_prog,
+    desc_letters,
     expect_word,
     ext_prog,
     form_letters,
@@ -36,7 +36,6 @@ from gordian.moves import (
     move_z_prog,
     peel_prog,
     revform_letters,
-    run_program,
     run_regional,
     shift_program,
     wrap,
@@ -83,16 +82,16 @@ class TestRunProgram:
     def test_positional_steps_with_offset(self):
         word = BraidWord(4, (2, 1, 3, 1, 1))
         tb = TraceBuilder(word)
-        run_program(tb, [SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 1)], offset=1)
+        tb.run([SWAP_AT_0, RewriteStep(CROSSING_CHANGE, 1)], offset=1)
         assert tb.word.letters == (2, 3, 1)
         assert tb.crossing_changes == 1
 
     def test_global_steps_reject_offsets(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, (RewriteStep(CONJUGATE, amount=1),), 2)
+            tb.run((RewriteStep(CONJUGATE, amount=1),), 2)
         with pytest.raises(IllegalStep):
-            run_program(tb, (RewriteStep(DESTABILIZE),), 2)
+            tb.run((RewriteStep(DESTABILIZE),), 2)
         assert tb.steps == () and tb.letters == [1, 2, 1, 2]
 
     @pytest.mark.parametrize(
@@ -128,7 +127,7 @@ class TestRunProgram:
     def test_a_failing_step_keeps_the_steps_before_it(self, word, prog, offset, done, after):
         tb = TraceBuilder(parse_word(word))
         with pytest.raises(IllegalStep):
-            run_program(tb, tuple(prog), offset)
+            tb.run(tuple(prog), offset)
         assert list(tb.steps) == done
         assert tb.word == parse_word(after)
         assert tb.crossing_changes == sum(step.kind == CROSSING_CHANGE for step in done)
@@ -137,7 +136,7 @@ class TestRunProgram:
     def test_unknown_step_rejected(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, [RewriteStep("zap", 0)])
+            tb.run([RewriteStep("zap", 0)])
 
     def test_expect_word(self):
         tb = TraceBuilder(BraidWord(3, (1, 2)))
@@ -153,9 +152,9 @@ class TestRunProgram:
         word = BraidWord(4, (1, 3, 1, 2, 1))
         tb = TraceBuilder(word)
         prog = [SWAP_AT_0, BRAID_AT_2]
-        run_program(tb, prog)
+        tb.run(prog)
         assert tb.word.letters == (3, 1, 2, 1, 2)
-        run_program(tb, invert_program(prog))
+        tb.run(invert_program(prog))
         assert tb.word == word
 
     def test_mirror_program(self):
@@ -164,9 +163,9 @@ class TestRunProgram:
         word = BraidWord(4, (1, 3, 1, 2, 1))
         prog = [SWAP_AT_0, BRAID_AT_2]
         tb = TraceBuilder(word)
-        run_program(tb, prog)
+        tb.run(prog)
         mirrored = TraceBuilder(BraidWord(4, tuple(reversed(word.letters))))
-        run_program(mirrored, mirror_program(prog, word.length))
+        mirrored.run(mirror_program(prog, word.length))
         assert mirrored.word.letters == tuple(reversed(tb.word.letters))
 
 
@@ -175,7 +174,7 @@ class TestCommutationPrograms:
         for m in range(2, 5):
             for i in range(2, m + 1):
                 tb = TraceBuilder(BraidWord(m + 1, descending_run(m) + (i,)))
-                run_program(tb, move_b_prog(m, i))
+                tb.run(move_b_prog(m, i))
                 assert tb.word.letters == (i - 1,) + descending_run(m), (m, i)
 
     def test_run_lowering_rejects_bottom_letter(self):
@@ -185,14 +184,14 @@ class TestCommutationPrograms:
     def test_double_run_raises_bottom_letter(self):
         for m in range(1, 5):
             tb = TraceBuilder(BraidWord(m + 1, descending_run(m) * 2 + (1,)))
-            run_program(tb, move_b1_prog(m))
+            tb.run(move_b1_prog(m))
             assert tb.word.letters == (m,) + descending_run(m) * 2, m
 
     def test_wrap_commutes_with_cleared_letters(self):
         for j, i in [(3, 1), (3, 2), (3, 5), (2, 4)]:
             strands = max(j, i) + 1
             tb = TraceBuilder(BraidWord(strands, wrap(j) + (i,)))
-            run_program(tb, move_d_prog(j, i))
+            tb.run(move_d_prog(j, i))
             assert tb.word.letters == (i,) + wrap(j), (j, i)
 
     def test_wrap_does_not_commute_with_its_boundary(self):
@@ -204,7 +203,7 @@ class TestCommutationPrograms:
         for a in (3, 4):
             for i in range(1, a):
                 tb = TraceBuilder(BraidWord(a, full_twist_letters(a) + (i,)))
-                run_program(tb, move_z_prog(a, i))
+                tb.run(move_z_prog(a, i))
                 assert tb.word.letters == (i,) + full_twist_letters(a), (a, i)
 
 
@@ -213,25 +212,25 @@ class TestExtractionPrograms:
         m = 3
         for r in range(1, m + 1):
             tb = TraceBuilder(BraidWord(m + 1, descending_run(m) * r))
-            run_program(tb, ext_prog(m, r))
+            tb.run(ext_prog(m, r))
             want = tuple(range(m - r + 1, m)) + descending_run(m) + descending_run(m - 1) * (r - 1)
             assert tb.word.letters == want, r
 
     def test_peel_full_twist(self):
         for n in (3, 4, 5):
             tb = TraceBuilder(BraidWord(n, full_twist_letters(n)))
-            run_program(tb, peel_prog(n))
+            tb.run(peel_prog(n))
             assert tb.word.letters == wrap(n - 1) + full_twist_letters(n - 1), n
 
     def test_convert_descending_to_ascending_twist(self):
         for m in range(2, 6):
             tb = TraceBuilder(BraidWord(m, full_twist_letters(m)))
-            run_program(tb, conv_prog(m))
+            tb.run(conv_prog(m))
             assert tb.word.letters == ascending_twist_letters(m), m
 
     def test_programs_emit_no_crossing_changes(self):
         tb = TraceBuilder(BraidWord(4, full_twist_letters(4)))
-        run_program(tb, conv_prog(4))
+        tb.run(conv_prog(4))
         assert tb.crossing_changes == 0
 
 
@@ -260,13 +259,40 @@ class TestProgramCache:
 
 class TestBlocks:
     def test_can_cross(self):
-        assert can_cross(("letter", 3), 1)
-        assert not can_cross(("letter", 3), 2)
-        assert can_cross(("wrap", 3), 1)
-        assert not can_cross(("wrap", 3), 3)
-        assert can_cross(("wrap", 3), 5)
-        assert can_cross(("twist", 3), 2)
-        assert not can_cross(("twist", 3), 3)
+        assert cross_left_prog(("letter", 3), 1) is not None
+        assert cross_left_prog(("letter", 3), 2) is None
+        assert cross_left_prog(("wrap", 3), 1) is not None
+        assert cross_left_prog(("wrap", 3), 3) is None
+        assert cross_left_prog(("wrap", 3), 5) is not None
+        assert cross_left_prog(("twist", 3), 2) is not None
+        assert cross_left_prog(("twist", 3), 3) is None
+
+    @pytest.mark.parametrize(
+        "desc",
+        [("letter", m) for m in range(1, 7)]
+        + [("wrap", j) for j in range(1, 5)]
+        + [("twist", a) for a in range(2, 6)],
+    )
+    def test_crossing_rule(self, desc):
+        kind, size = desc
+        if kind == "letter":
+            blocked = {size - 1, size, size + 1}
+        elif kind == "wrap":
+            blocked = {2} if size == 1 else {size, size + 1}
+        else:
+            blocked = {size}
+        block = desc_letters(desc)
+        for letter in range(1, 8):
+            left, right = cross_left_prog(desc, letter), cross_right_prog(desc, letter)
+            assert (left is None, right is None) == (letter in blocked,) * 2, (desc, letter)
+            if left is None:
+                continue
+            strands = max(block + (letter,)) + 1
+            tb = TraceBuilder(BraidWord(strands, block + (letter,)))
+            tb.run(left)
+            assert tb.word.letters == (letter,) + block, (desc, letter)
+            tb.run(right)
+            assert tb.word.letters == block + (letter,), (desc, letter)
 
     def test_arrange_blocks_swaps_wrap_and_letter(self):
         tb = TraceBuilder(BraidWord(5, wrap(3) + (1,)))
@@ -414,7 +440,7 @@ class TestRotation:
             shift_program([Rotation(1, 2)], 3)
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
         with pytest.raises(IllegalStep):
-            run_program(tb, [Rotation(1, 2)], offset=3)
+            tb.run([Rotation(1, 2)], offset=3)
         assert tb.steps == ()
 
     @pytest.mark.parametrize(

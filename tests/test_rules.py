@@ -199,6 +199,34 @@ class TestTraceBuilder:
         assert [step.direction for step in tb.steps] == ["backward", "forward"]
         assert replay(tb.snapshot()) == BraidWord(3, (1, 2, 1, 2))
 
+    def test_steps_rebuilt_on_recording_are_rewrite_steps(self):
+        # Shifted steps, found directions and reduced rotations are rebuilt
+        # as they are recorded; they must be the steps the constructor builds.
+        tb = TraceBuilder(parse_word("4: 1 1 1 3 2 3 2 2"))
+        tb.run(
+            (
+                RewriteStep(DISTANT_SWAP, 0),
+                RewriteStep(NEIGHBOR_BRAID, 2),
+                RewriteStep(NEIGHBOR_BRAID, 2, "backward"),
+                RewriteStep(CROSSING_CHANGE, 4),
+            ),
+            2,
+        )
+        tb.run((RewriteStep(CONJUGATE, amount=7),))
+        expected = [
+            RewriteStep(DISTANT_SWAP, 2),
+            RewriteStep(NEIGHBOR_BRAID, 4, "forward"),
+            RewriteStep(NEIGHBOR_BRAID, 4, "backward"),
+            RewriteStep(CROSSING_CHANGE, 6),
+            RewriteStep(CONJUGATE, amount=1),
+        ]
+        assert [type(step) for step in tb.steps] == [RewriteStep] * len(expected)
+        assert [step._asdict() for step in tb.steps] == [step._asdict() for step in expected]
+        trace = tb.snapshot()
+        assert trace.final == parse_word("4: 1 3 1 2 3 1")
+        parsed = parse_trace(serialize_trace(trace))
+        assert parsed == trace and replay(parsed) == trace.final
+
     def test_neighbor_braid_rejects_a_wrong_direction(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1)))
         with pytest.raises(IllegalStep):
