@@ -131,8 +131,7 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 #
 # A program is a sequence of RewriteSteps whose positions are relative to an
 # offset chosen when the program runs: the builder's kernel shifts each step
-# as it applies it.  A neighbor-braid step carries no direction: the builder
-# reads it off the word.  Conjugate steps and the destabilization act on the
+# as it applies it.  Conjugate steps and the destabilization act on the
 # whole word, so they run only at offset 0.  The named programs below depend
 # only on arguments bounded by the strand count, so each is built once per
 # process and cached as a tuple, which no caller can change.
@@ -160,7 +159,7 @@ def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
         if offset:
             raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
         return step
-    return RewriteStep(step.kind, step.position + offset, step.direction)
+    return RewriteStep(step.kind, step.position + offset)
 
 
 def _mirror_desc(desc: tuple) -> tuple:
@@ -174,14 +173,11 @@ def _mirror_desc(desc: tuple) -> tuple:
 def _invert_step(step: RewriteStep) -> RewriteStep:
     """The isotopy step that undoes ``step`` on the word ``step`` produced.
 
-    Distant swaps are self-inverse in place; braid-relation rewrites invert in
-    place because the opposite pattern sits at the same position afterwards;
+    Distant swaps and braid-relation rewrites undo themselves in place;
     rotations invert by rotating the rest of the way round.
     """
-    if step.kind == DISTANT_SWAP:
+    if step.kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
         return step
-    if step.kind == NEIGHBOR_BRAID:
-        return RewriteStep(NEIGHBOR_BRAID, step.position)
     if step.kind == CONJUGATE:
         return RewriteStep(CONJUGATE, amount=-step.amount)
     if step.kind == RCONJ:

@@ -6,9 +6,9 @@ count:
 * **distant-swap** — ``σ_i σ_j → σ_j σ_i`` when ``|i - j| ≥ 2`` (position = the
   left letter of the pair).  Length and strand count preserved; self-inverse.
 * **neighbor-braid** — ``σ_i σ_{i+1} σ_i ↔ σ_{i+1} σ_i σ_{i+1}`` (position =
-  the first letter of the triple).  The direction is inferred from the pattern
-  and recorded: *forward* rewrites ``(i, i+1, i)`` to ``(i+1, i, i+1)``,
-  *backward* the reverse.  Length and strand count preserved.
+  the first letter of the triple).  The triple at that position shows which
+  way the move goes, so a step records only the position; the move undoes
+  itself in place.  Length and strand count preserved.
 * **conjugate** — cyclic rotation left by ``amount`` (taken modulo the length):
   the first ``amount`` letters wrap to the end.  The closure is unchanged.
 * **destabilize** — when the maximal used index equals ``strands - 1`` and
@@ -33,10 +33,10 @@ steps with every legality check inline, so they accept and reject exactly
 the same steps.  Positions and amounts are ``int`` itself, never ``bool``,
 and a step that carries a parameter its rule does not take is illegal.
 
-Trace text, version 2, is the one syntax :func:`serialize_trace` writes and
+Trace text, version 3, is the one syntax :func:`serialize_trace` writes and
 :func:`parse_trace` reads; text under any other header is malformed::
 
-    trace v2
+    trace v3
     initial: 2: 1 1 1
     step: crossing-change pos=0
     final: 2: 1
@@ -80,13 +80,10 @@ CONJUGATE = "conjugate"
 DESTABILIZE = "destabilize"
 CROSSING_CHANGE = "crossing-change"
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 # The parameters each rule takes, by their names in step lines.
 _STEP_PARAMETERS = {
     DISTANT_SWAP: ("pos",),
-    NEIGHBOR_BRAID: ("pos", "direction"),
+    NEIGHBOR_BRAID: ("pos",),
     CONJUGATE: ("amount",),
     DESTABILIZE: (),
     CROSSING_CHANGE: ("pos",),
@@ -97,15 +94,12 @@ class RewriteStep(NamedTuple):
     """One rule application, the one step type of traces, programs and moves.
 
     ``position`` is meaningful for distant-swap / neighbor-braid /
-    crossing-change, ``direction`` for neighbor-braid, ``amount`` for
-    conjugate.  Positions always refer to the word *immediately before* the
-    step.  A neighbor-braid step without a direction takes the one its
-    triple shows when a :class:`TraceBuilder` applies it.
+    crossing-change, ``amount`` for conjugate.  Positions always refer to the
+    word *immediately before* the step.
     """
 
     kind: str
     position: int | None = None
-    direction: str | None = None
     amount: int | None = None
 
 
@@ -139,8 +133,9 @@ class RewriteTrace:
 # instead of a copy of the word.  It keeps every letter inside 1..strands-1 by
 # construction: the braid move only writes the two letters of its triple, and
 # destabilize removes the only top letter.  Its results therefore become words
-# through ``BraidWord._trusted``, unchecked.  The steps it records are built
-# with tuple.__new__, which skips the argument handling of the RewriteStep
+# through ``BraidWord._trusted``, unchecked.  It records each step as given,
+# and rebuilds one only to shift it or to reduce a rotation, with
+# tuple.__new__, which skips the argument handling of the RewriteStep
 # constructor, about three times as costly; parse_trace does the same.
 
 
@@ -157,7 +152,7 @@ def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
 def _stray(step: RewriteStep) -> IllegalStep:
     """The error for a step that carries a parameter its rule does not take,
     worded as :func:`parse_trace` words it for a step line."""
-    for key, value in zip(("pos", "direction", "amount"), step[1:]):
+    for key, value in zip(("pos", "amount"), step[1:]):
         if value is not None and key not in _STEP_PARAMETERS[step.kind]:
             return IllegalStep(f"a {step.kind} step takes no {key!r} parameter")
 
@@ -170,12 +165,14 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
     and the steps before it stay applied.  A step that carries a parameter its
     rule does not take is illegal, as its step line would be malformed.  Each
     applied step is appended to ``record``, if given, as it applied: shifted,
-    a braid move with the direction its triple shows, a rotation modulo the
-    length (a null rotation is not recorded).
+    a rotation modulo the length (a null rotation is not recorded).
     """
     length = len(letters)
     for step in steps:
-        kind, position, direction, amount = step
+        try:
+            kind, position, amount = step
+        except ValueError:
+            raise IllegalStep(f"unknown rule kind {step.kind!r}") from None
         if kind == NEIGHBOR_BRAID:
             if amount is not None:
                 raise _stray(step)
@@ -186,17 +183,12 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             c = letters[position + 2]
             if a != c or (b != a + 1 and b != a - 1):
                 raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
-            found = FORWARD if b > a else BACKWARD
-            if direction is not None and direction != found:
-                raise IllegalStep(f"recorded direction {direction!r} does not match the {found} pattern")
             letters[position] = letters[position + 2] = b
             letters[position + 1] = a
             if record is not None:
-                if direction is None or offset:
-                    step = tuple.__new__(RewriteStep, (kind, position, found, None))
-                record.append(step)
+                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
         elif kind == DISTANT_SWAP:
-            if direction is not None or amount is not None:
+            if amount is not None:
                 raise _stray(step)
             if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                 raise _misplaced(kind, position, offset, length)
@@ -207,9 +199,9 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             letters[position] = b
             letters[position + 1] = a
             if record is not None:
-                record.append(tuple.__new__(RewriteStep, (kind, position, None, None)) if offset else step)
+                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
         elif kind == CROSSING_CHANGE:
-            if direction is not None or amount is not None:
+            if amount is not None:
                 raise _stray(step)
             if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                 raise _misplaced(kind, position, offset, length)
@@ -220,9 +212,9 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             del letters[position : position + 2]
             length -= 2
             if record is not None:
-                record.append(tuple.__new__(RewriteStep, (kind, position, None, None)) if offset else step)
+                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
         elif kind == CONJUGATE:
-            if position is not None or direction is not None:
+            if position is not None:
                 raise _stray(step)
             if offset:
                 raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
@@ -236,9 +228,9 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if amount:
                 letters[:] = letters[amount:] + letters[:amount]
                 if record is not None:
-                    record.append(tuple.__new__(RewriteStep, (kind, None, None, amount)))
+                    record.append(tuple.__new__(RewriteStep, (kind, None, amount)))
         elif kind == DESTABILIZE:
-            if position is not None or direction is not None or amount is not None:
+            if position is not None or amount is not None:
                 raise _stray(step)
             if offset:
                 raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
@@ -257,7 +249,7 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
             if record is not None:
                 record.append(step)
         else:
-            raise IllegalStep(f"unknown rule kind {step.kind!r}")
+            raise IllegalStep(f"unknown rule kind {kind!r}")
     return strands
 
 
@@ -299,8 +291,7 @@ def legal_moves(strands: int, letters: tuple[int, ...]):
         for q in range(max(length - 3, 0) if r else 0, length - 2):
             a, b, c = word[q : q + 3]
             if a == c and abs(a - b) == 1:
-                step = RewriteStep(NEIGHBOR_BRAID, q, FORWARD if b > a else BACKWARD)
-                yield prefix + (step,), strands, word[:q] + (b, a, b) + word[q + 3 :]
+                yield prefix + (RewriteStep(NEIGHBOR_BRAID, q),), strands, word[:q] + (b, a, b) + word[q + 3 :]
         if not r and top >= 1 and word.count(top) == 1:
             q = word.index(top)
             yield (RewriteStep(DESTABILIZE),), top, word[:q] + word[q + 1 :]
@@ -355,9 +346,8 @@ class TraceBuilder:
     ``letters`` and ``strands`` are the current word; callers read them but
     change them only through :meth:`apply` and :meth:`run`, which run the
     kernel :func:`replay` uses, so the builder accepts and rejects exactly
-    the steps replay does.  A neighbor-braid step without a direction is
-    recorded with the one its triple shows; a rotation is recorded modulo
-    the length, and a null rotation is not worth a step.  :attr:`word`
+    the steps replay does.  A rotation is recorded modulo the length, and a
+    null rotation is not worth a step.  :attr:`word`
     builds a :class:`BraidWord` of the current word on demand.
     """
 
@@ -419,23 +409,21 @@ class TraceBuilder:
         return RewriteTrace(self.initial, tuple(self._steps), self.word)
 
 
-V2_HEADER = "trace v2"
+V3_HEADER = "trace v3"
 
 
 def _format_step(step: RewriteStep) -> str:
     parts = [f"step: {step.kind}"]
     if step.position is not None:
         parts.append(f"pos={step.position}")
-    if step.direction is not None:
-        parts.append(f"direction={step.direction}")
     if step.amount is not None:
         parts.append(f"amount={step.amount}")
     return " ".join(parts)
 
 
 def serialize_trace(trace: RewriteTrace) -> str:
-    """Render a trace as version-2 text, the format read by :func:`parse_trace`."""
-    lines = [V2_HEADER, f"initial: {format_word(trace.initial)}"]
+    """Render a trace as version-3 text, the format read by :func:`parse_trace`."""
+    lines = [V3_HEADER, f"initial: {format_word(trace.initial)}"]
     # Steps repeat a lot; format each distinct step once.
     known: dict[RewriteStep, str] = {}
     for step in trace.steps:
@@ -487,7 +475,7 @@ def _parse_step(line: str) -> RewriteStep:
     kind = fields[0]
     if kind not in _STEP_PARAMETERS:
         raise ParseError(f"unknown rule kind {kind!r}")
-    position = direction = amount = None
+    position = amount = None
     seen = set()
     for piece in fields[1:]:
         key, eq, value = piece.partition("=")
@@ -500,23 +488,19 @@ def _parse_step(line: str) -> RewriteStep:
         seen.add(key)
         if key == "pos":
             position = _parse_int(key, value, line)
-        elif key == "direction":
-            if value not in (FORWARD, BACKWARD):
-                raise ParseError(f"unknown direction {value!r}")
-            direction = value
         else:
             amount = _parse_int(key, value, line)
-    return RewriteStep(kind, position=position, direction=direction, amount=amount)
+    return RewriteStep(kind, position, amount)
 
 
 def parse_trace(text: str) -> RewriteTrace:
-    """Parse version-2 trace text, as written by :func:`serialize_trace`.
+    """Parse version-3 trace text, as written by :func:`serialize_trace`.
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
     lines = [line for line in map(str.strip, text.splitlines()) if line]
-    if not lines or lines[0] != V2_HEADER:
-        raise ParseError("trace text must start with a 'trace v2' line")
+    if not lines or lines[0] != V3_HEADER:
+        raise ParseError("trace text must start with a 'trace v3' line")
     if lines[-1] != "end":
         raise ParseError("trace text must end with an 'end' line")
     if len(lines) < 4 or not lines[1].startswith("initial:"):
@@ -534,25 +518,20 @@ def parse_trace(text: str) -> RewriteTrace:
     final = parse_word(lines[-3][len("final:") :].strip())
     # Step lines repeat a lot; parse each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.
-    # A line spelled exactly as serialize_trace writes it (single spaces, its
-    # parameters in order, a number of at most 18 ASCII digits, which int
-    # reads without fail) is read here; any other line goes to _parse_step.
+    # A line spelled exactly as serialize_trace writes it (single spaces, one
+    # parameter, a number of at most 18 ASCII digits, which int reads without
+    # fail) is read here; any other line goes to _parse_step.
     step_lines = lines[2:-3]
     known = dict.fromkeys(step_lines)
     for line in known:
         head, _, value = line.partition("=")
         kind = _WRITTEN_HEADS.get(head)
-        direction = None
-        if kind == NEIGHBOR_BRAID:
-            value, _, direction = value.partition(" direction=")
-            if direction != FORWARD and direction != BACKWARD:
-                kind = None
         if kind is None or not (value.isdigit() and value.isascii() and len(value) < 19):
             known[line] = RewriteStep(DESTABILIZE) if line == _WRITTEN_DESTABILIZE else _parse_step(line)
         elif kind == CONJUGATE:
-            known[line] = tuple.__new__(RewriteStep, (kind, None, None, int(value)))
+            known[line] = tuple.__new__(RewriteStep, (kind, None, int(value)))
         else:
-            known[line] = tuple.__new__(RewriteStep, (kind, int(value), direction, None))
+            known[line] = tuple.__new__(RewriteStep, (kind, int(value), None))
     trace = RewriteTrace(initial, tuple(map(known.__getitem__, step_lines)), final)
     if trace.crossing_changes != declared:
         raise ParseError(

@@ -212,20 +212,20 @@ class TestCertificateFormat:
 
     # The largest members the certify benchmark builds, pinned byte for byte
     # by the SHA-256 of their verified serialization (the goldens under
-    # tests/golden cover only small members; these texts are up to 0.7 MB).
+    # tests/golden cover only small members; these texts are up to 0.5 MB).
     @pytest.mark.parametrize(
         "build, length, digest",
         [
-            (lambda: adjacency_3_from_4(129), 706103,
-             "d17829815aa5c3663dfd4d5af32133f00b5e204f29cb747aacc9dc9ee8618d04"),
-            (lambda: adjacency_2_from_4(21), 24495,
-             "79f1290de3b8c4c3e237d1db48662a9aa92bd98a0d3c2f6dc0a97c2810051402"),
-            (lambda: adjacency_ci(4, 1), 30981,
-             "96511785cffce1d4183696db12c2f9aa70c401cadce8de03ca183f243b22c6dd"),
-            (lambda: adjacency_cin(4, 1), 39342,
-             "d42b3497ecd130acd7ec1edceae1ebdf94ac347ad7cb3ed1031acebe8a4e434f"),
-            (lambda: strip_top_strand(TorusParams(5, 13)), 9857,
-             "366a5b04b827de92008498c8e9c4dfba4b4748ea9287d257e10d73fc41ff0eea"),
+            (lambda: adjacency_3_from_4(129), 498567,
+             "6f0765bb60cdc04627e2715817eaf5bc2f31591aaac760cc836e13da75b00ba1"),
+            (lambda: adjacency_2_from_4(21), 17084,
+             "d117faecb27bc8bbf187f41af86f7fb979645702bace17b6a7b1ed5eaa68fc66"),
+            (lambda: adjacency_ci(4, 1), 23796,
+             "540e341a86fa9ae2443af8cb3db8f09cb7141498bf17cd12e4a67d2fa6a48fd2"),
+            (lambda: adjacency_cin(4, 1), 30045,
+             "4b5bdb59c190f1f5b622cfb39cbeb3bc71747d9650f7ee5e76c3cb513c708f3b"),
+            (lambda: strip_top_strand(TorusParams(5, 13)), 8092,
+             "73c8ea64135d28c35e749bed9c04d2b5d335d43010ac374c13660bfb6434f21e"),
         ],
         ids=["t34-129", "t24-21", "ci-4-1", "cin-4-1", "strip-5-13"],
     )
@@ -257,7 +257,7 @@ class TestCertificateFormat:
             digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
         assert (len(certs), digest.hexdigest()) == (
             162,
-            "b16a766e6b49f5acbb58e7f915bd8ea82061ca9a5c1cbbce43f7536ec1eca91a",
+            "74b90c2fb361d2b01756a8ea335da4a804991f13474836e9f3c84c45d37dbf93",
         )
 
     def test_tampered_count_fails_verification(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gordian import (
+    NEIGHBOR_BRAID,
     BraidWord,
     TraceBuilder,
     adjacency_ci,
@@ -335,10 +336,24 @@ class TestSearch:
         assert err.splitlines() == ["error: no path found within depth 16 and 50000 states"]
 
 
+def v2_text(trace) -> str:
+    """The trace in the retired version-2 syntax: a ``trace v2`` header and
+    the direction its triple shows after every braid line."""
+    lines = serialize_trace(trace).splitlines()
+    steps = iter(zip(trace.steps, trace.words))
+    for index, line in enumerate(lines):
+        if line.startswith("step:"):
+            step, word = next(steps)
+            if step.kind == NEIGHBOR_BRAID:
+                a, b = word.letters[step.position : step.position + 2]
+                lines[index] += " direction=" + ("forward" if b > a else "backward")
+    return "\n".join(["trace v2", *lines[1:]]) + "\n"
+
+
 def v1_text(trace) -> str:
     """The trace in the retired version-1 syntax: a bare ``trace`` header and
     ``-> word`` after every step line, with no ``final:`` line."""
-    v2 = serialize_trace(trace).splitlines()
+    v2 = v2_text(trace).splitlines()
     steps = [line for line in v2 if line.startswith("step:")]
     body = [f"{line} -> {format_word(word)}" for line, word in zip(steps, trace.words[1:])]
     return "\n".join(["trace", v2[1], *body, v2[-2], "end"]) + "\n"
@@ -363,14 +378,16 @@ def assert_one_line_error(capsys, path, message: str) -> None:
 class TestVerify:
     @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
     def test_version_1_text_exits_2(self, capsys, tmp_path, embedded):
+        """Both retired versions, 1 and 2, are malformed text."""
         cert = adjacency_ci(2, 1)
-        text = v1_text(cert.trace)
-        if embedded:
-            header = serialize_certificate(cert).partition("trace v2")[0]
-            text = header + text + "end\n"
-        path = tmp_path / "v1.txt"
-        path.write_text(text)
-        assert_one_line_error(capsys, path, "trace text must start with a 'trace v2' line")
+        assert "direction=backward" in v2_text(cert.trace)
+        for text in v1_text(cert.trace), v2_text(cert.trace):
+            if embedded:
+                header = serialize_certificate(cert).partition("trace v3")[0]
+                text = header + text + "end\n"
+            path = tmp_path / "old.txt"
+            path.write_text(text)
+            assert_one_line_error(capsys, path, "trace text must start with a 'trace v3' line")
 
     @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
     def test_repeated_step_parameter_exits_2(self, capsys, tmp_path, embedded):
@@ -429,11 +446,20 @@ class TestVerify:
 
     def test_parameter_the_rule_does_not_take_exits_2(self, capsys, tmp_path):
         path = tmp_path / "stray.trace"
-        text = "trace v2\ninitial: 2: 1\nstep: destabilize{}\nfinal: 1:\ncrossing_changes: 0\nend\n"
+        text = "trace v3\ninitial: 2: 1\nstep: destabilize{}\nfinal: 1:\ncrossing_changes: 0\nend\n"
         path.write_text(text.format(""))
         assert run(capsys, "verify", str(path))[0] == 0
         path.write_text(text.format(" pos=7 amount=3"))
         assert_one_line_error(capsys, path, "takes no")
+        # The direction of a braid move is its triple's, no longer a parameter.
+        text = (
+            "trace v3\ninitial: 3: 1 2 1\nstep: neighbor-braid pos=0{}\n"
+            "final: 3: 2 1 2\ncrossing_changes: 0\nend\n"
+        )
+        path.write_text(text.format(""))
+        assert run(capsys, "verify", str(path))[0] == 0
+        path.write_text(text.format(" direction=forward"))
+        assert_one_line_error(capsys, path, "a neighbor-braid step takes no 'direction' parameter")
 
     def test_parameter_the_rule_does_not_take_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
@@ -479,7 +505,7 @@ class TestVerify:
 
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "binary.trace"
-        path.write_bytes(b"trace v2\n\xff\xfe\n")
+        path.write_bytes(b"trace v3\n\xff\xfe\n")
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "not UTF-8" in err and err.count("\n") == 1
@@ -529,15 +555,17 @@ class TestCertificateTamper:
         )
         assert out == f"certificate: invalid (replay at step {index})\n"
 
-    def test_neighbor_braid_direction_flipped(self, capsys, tmp_path, ci32_text):
+    def test_neighbor_braid_moved_off_its_pattern(self, capsys, tmp_path, ci32_text):
         index = self.step_index(ci32_text, "step: neighbor-braid")
-
-        def flip(line):
-            if "forward" in line:
-                return line.replace("forward", "backward")
-            return line.replace("backward", "forward")
-
-        out = self.verify_edited(capsys, tmp_path, ci32_text, "step: neighbor-braid", flip)
+        letters = parse_certificate(ci32_text).trace.words[index].letters
+        off = next(
+            q for q in range(len(letters) - 2)
+            if letters[q] != letters[q + 2] or abs(letters[q] - letters[q + 1]) != 1
+        )
+        out = self.verify_edited(
+            capsys, tmp_path, ci32_text, "step: neighbor-braid",
+            lambda line: re.sub(r"pos=\d+", f"pos={off}", line),
+        )
         assert out == f"certificate: invalid (replay at step {index})\n"
 
     def test_final_word_changed(self, capsys, tmp_path, ci32_text):

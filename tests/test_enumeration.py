@@ -359,7 +359,7 @@ class TestVerifyPositivePath:
 
         start = torus_braid(2, 7)
         jump = BraidWord(2, (1, 1, 1))
-        step = RewriteStep(CROSSING_CHANGE, 0, None, None)
+        step = RewriteStep(CROSSING_CHANGE, 0)
         forged = RewriteTrace(start, (step,), jump)
         diagnostic = positive_path_diagnostic(forged)
         assert diagnostic is not None

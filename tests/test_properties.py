@@ -52,6 +52,7 @@ from gordian.rules import (
     apply_step,
 )
 from gordian.enumeration import _census_words, _least_rotation, _swap_orbit
+from gordian.moves import full_twist_letters, move_z_prog
 from oracles import OrbitLeast, swap_orbit
 
 
@@ -119,15 +120,15 @@ class TestRuleInvariants:
 def reference_step(strands: int, letters: tuple[int, ...], step) -> tuple[int, tuple[int, ...]]:
     """Reference: the five rules as the ``rules`` module docstring defines
     them, on tuples; an illegal step raises IllegalStep."""
-    kind, position, direction, amount = step
+    kind, position, amount = step
     length = len(letters)
     # Each rule takes only its own parameters; any other one makes the step illegal.
     stray = {
-        DISTANT_SWAP: (direction, amount),
+        DISTANT_SWAP: (amount,),
         NEIGHBOR_BRAID: (amount,),
-        CONJUGATE: (position, direction),
-        DESTABILIZE: (position, direction, amount),
-        CROSSING_CHANGE: (direction, amount),
+        CONJUGATE: (position,),
+        DESTABILIZE: (position, amount),
+        CROSSING_CHANGE: (amount,),
     }.get(kind, ())
     if any(value is not None for value in stray):
         raise IllegalStep("a parameter the rule does not take")
@@ -147,13 +148,11 @@ def reference_step(strands: int, letters: tuple[int, ...], step) -> tuple[int, t
         q = at(3)
         i = letters[q]
         if letters[q : q + 3] == (i, i + 1, i):
-            found, new = "forward", (i + 1, i, i + 1)
+            new = (i + 1, i, i + 1)
         elif letters[q : q + 3] == (i, i - 1, i):
-            found, new = "backward", (i - 1, i, i - 1)
+            new = (i - 1, i, i - 1)
         else:
             raise IllegalStep("no braid pattern")
-        if direction not in (None, found):
-            raise IllegalStep("wrong direction")
         return strands, letters[:q] + new + letters[q + 3 :]
     if kind == CONJUGATE:
         if type(amount) is not int or (not letters and amount):
@@ -175,12 +174,11 @@ def reference_step(strands: int, letters: tuple[int, ...], step) -> tuple[int, t
 
 
 # Any step at all: every kind and an unknown one, positions out of range,
-# None or bool, wrong directions, amounts that are None or bool.
+# None or bool, amounts that are None or bool.
 any_steps = st.builds(
     RewriteStep,
     st.sampled_from([DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE, "untie"]),
     st.one_of(st.integers(-2, 12), st.sampled_from([None, True, False])),
-    st.sampled_from([None, "forward", "backward", "sideways"]),
     st.one_of(st.integers(-14, 14), st.sampled_from([None, True, False])),
 )
 
@@ -294,8 +292,7 @@ def search_neighbours(word: BraidWord):
         for q in range(len(letters) - 2):
             a, b, c = letters[q : q + 3]
             if a == c and abs(a - b) == 1:
-                step = RewriteStep(NEIGHBOR_BRAID, q, "forward" if b > a else "backward")
-                yield prefix + (step,), BraidWord(
+                yield prefix + (RewriteStep(NEIGHBOR_BRAID, q),), BraidWord(
                     word.strands, letters[:q] + (b, a, b) + letters[q + 3 :]
                 )
         top = word.strands - 1
@@ -631,10 +628,36 @@ class TestFormatRoundTrips:
         trace = tb.snapshot()
         assert parse_trace(serialize_trace(trace)) == trace
 
+    @given(braid_words(max_strands=6, max_length=16))
+    @settings(max_examples=100, deadline=None)
+    def test_unknot_steps_round_trip_in_version_3(self, word):
+        if is_knot(word):
+            assert_version_3_round_trip(unknot(word))
+
+    def test_shifted_program_steps_round_trip_in_version_3(self):
+        # The full twist on four strands, a trailing σ_2 and two letters ahead.
+        tb = TraceBuilder(BraidWord(4, (1, 3) + full_twist_letters(4) + (2,)))
+        tb.run(move_z_prog(4, 2), 2)
+        assert tb.letters == [1, 3, 2, *full_twist_letters(4)]
+        assert_version_3_round_trip(tb.snapshot())
+
+
+def assert_version_3_round_trip(trace: RewriteTrace) -> None:
+    """Every step has three fields, a braid line is its position alone, and
+    the text reads back to the same steps."""
+    assert all(type(step) is RewriteStep and len(step) == 3 for step in trace.steps)
+    text = serialize_trace(trace)
+    positions = [step.position for step in trace.steps if step.kind == NEIGHBOR_BRAID]
+    braid_lines = [line for line in text.splitlines() if line.startswith(f"step: {NEIGHBOR_BRAID}")]
+    assert braid_lines == [f"step: neighbor-braid pos={q}" for q in positions]
+    assert parse_trace(text).steps == trace.steps
+
 
 # Pieces of step lines: the writer's own spellings and near misses of each.
 STEP_KINDS = (DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE, "untie", "")
-STEP_KEYS = ("pos", "direction", "amount", "Pos", "")
+# The keys rules take, then foreign ones: "direction" is the braid key of the
+# retired version 2.
+STEP_KEYS = ("pos", "amount", "direction", "Pos", "")
 STEP_SEPARATORS = (" ", "  ", "\t", "\u00a0", "")
 STEP_VALUES = st.one_of(
     st.integers(-20, 10**20).map(str),
@@ -645,7 +668,8 @@ STEP_VALUES = st.one_of(
 
 @st.composite
 def written_step_lines(draw) -> str:
-    """A line as serialize_trace writes it, with any value in its slots."""
+    """A line as serialize_trace writes it, with any value in its slots,
+    and sometimes a braid line as version 2 wrote it."""
     kind = draw(st.sampled_from(STEP_KINDS[:5]))
     line = f"step: {kind}"
     if kind == CONJUGATE:
@@ -678,14 +702,15 @@ def outcome_or_message(parse, text):
 class TestStepLineReading:
     @given(st.one_of(written_step_lines(), any_step_lines()))
     @example("step: crossing-change pos=" + "9" * 5000)
-    @example("step: neighbor-braid pos=007 direction=forward")
+    @example("step: neighbor-braid pos=007")
+    @example("step: neighbor-braid pos=7 direction=forward")
     @example("step: conjugate amount=\u0663")
     @settings(max_examples=1000)
     def test_parse_trace_reads_a_step_line_as_the_full_grammar_does(self, line):
         """parse_trace gives the step _parse_step gives, or its message."""
         expected = outcome_or_message(rules._parse_step, line.strip())
         changes = int(isinstance(expected, RewriteStep) and expected.kind == CROSSING_CHANGE)
-        text = f"trace v2\ninitial: 2: 1 1\n{line}\nfinal: 2: 1 1\ncrossing_changes: {changes}\nend\n"
+        text = f"trace v3\ninitial: 2: 1 1\n{line}\nfinal: 2: 1 1\ncrossing_changes: {changes}\nend\n"
         read = outcome_or_message(parse_trace, text)
         if isinstance(expected, RewriteStep):
             assert read.steps == (expected,)
@@ -744,9 +769,9 @@ class TestUnknotPathProperty:
 
 
 # The trace of ``unknot`` on T(3,4), as ``serialize_trace`` writes it.
-V2_TRACE_TEXT = """trace v2
+V3_TRACE_TEXT = """trace v3
 initial: 3: 2 1 2 1 2 1 2 1
-step: neighbor-braid pos=4 direction=backward
+step: neighbor-braid pos=4
 step: crossing-change pos=3
 step: crossing-change pos=2
 step: destabilize
@@ -756,8 +781,11 @@ final: 1:
 crossing_changes: 3
 end
 """
-# The same trace in the retired version-1 syntax, which is malformed input now:
-# every step line ends in ``-> word``.
+# The same trace in the retired version-2 syntax, which is malformed input now:
+# a braid line carries the direction its triple shows.
+V2_TRACE_TEXT = V3_TRACE_TEXT.replace("trace v3", "trace v2").replace("pos=4", "pos=4 direction=backward")
+# The same trace in the retired version-1 syntax, also malformed: every step
+# line ends in ``-> word``.
 V1_TRACE_TEXT = """trace
 initial: 3: 2 1 2 1 2 1 2 1
 step: neighbor-braid pos=4 direction=backward -> 3: 2 1 2 1 1 2 1 1
@@ -769,10 +797,10 @@ step: destabilize -> 1:
 crossing_changes: 3
 end
 """
-SAMPLE_TEXTS = (V2_TRACE_TEXT, serialize_certificate(adjacency_ci(2, 1)))
-FUZZ_SEEDS = SAMPLE_TEXTS + (V1_TRACE_TEXT,)
+SAMPLE_TEXTS = (V3_TRACE_TEXT, serialize_certificate(adjacency_ci(2, 1)))
+FUZZ_SEEDS = SAMPLE_TEXTS + (V2_TRACE_TEXT, V1_TRACE_TEXT)
 # Characters the formats are made of, so edits land near valid text.
-FORMAT_CHARS = " \n:=->0123456789-xtrace v2stepinitialfinalendcrossing_changestorusword"
+FORMAT_CHARS = " \n:=->0123456789-xtrace v3stepinitialfinalendcrossing_changestorusword"
 
 
 @st.composite
@@ -821,8 +849,10 @@ class TestParsersRaiseOnlyParseError:
         assert verify_certificate(parse_certificate(cert)).valid
 
     def test_version_1_seed_is_malformed(self):
-        with pytest.raises(ParseError, match="must start with a 'trace v2' line"):
-            parse_trace(V1_TRACE_TEXT)
+        """Both retired versions, 1 and 2, are malformed text."""
+        for text in V1_TRACE_TEXT, V2_TRACE_TEXT:
+            with pytest.raises(ParseError, match="must start with a 'trace v3' line"):
+                parse_trace(text)
 
 
 # What a command line or a text file can carry: no NUL, no lone surrogate.

@@ -51,22 +51,13 @@ class TestDistantSwap:
             apply_step(BraidWord(4, (1, 3)), RewriteStep(DISTANT_SWAP, 1))
 
 
-def braid_direction(word: BraidWord) -> str:
-    """The direction a builder infers and records for the braid move at 0."""
-    tb = TraceBuilder(word)
-    tb.neighbor_braid(0)
-    return tb.steps[0].direction
-
-
 class TestNeighborBraid:
     def test_forward(self):
         word = BraidWord(3, (1, 2, 1))
-        assert braid_direction(word) == "forward"
         assert apply_step(word, RewriteStep(NEIGHBOR_BRAID, 0)) == BraidWord(3, (2, 1, 2))
 
     def test_backward(self):
         word = BraidWord(3, (2, 1, 2))
-        assert braid_direction(word) == "backward"
         assert apply_step(word, RewriteStep(NEIGHBOR_BRAID, 0)) == BraidWord(3, (1, 2, 1))
 
     def test_involution(self):
@@ -192,22 +183,15 @@ class TestTraceBuilder:
         tb.conjugate(0)
         assert not tb.steps
 
-    def test_neighbor_braid_records_the_direction_it_finds(self):
-        tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
-        tb.neighbor_braid(1)
-        tb.apply(RewriteStep(NEIGHBOR_BRAID, 1, "forward"))
-        assert [step.direction for step in tb.steps] == ["backward", "forward"]
-        assert replay(tb.snapshot()) == BraidWord(3, (1, 2, 1, 2))
-
     def test_steps_rebuilt_on_recording_are_rewrite_steps(self):
-        # Shifted steps, found directions and reduced rotations are rebuilt
-        # as they are recorded; they must be the steps the constructor builds.
+        # Shifted steps and reduced rotations are rebuilt as they are
+        # recorded; they must be the steps the constructor builds.
         tb = TraceBuilder(parse_word("4: 1 1 1 3 2 3 2 2"))
         tb.run(
             (
                 RewriteStep(DISTANT_SWAP, 0),
                 RewriteStep(NEIGHBOR_BRAID, 2),
-                RewriteStep(NEIGHBOR_BRAID, 2, "backward"),
+                RewriteStep(NEIGHBOR_BRAID, 2),
                 RewriteStep(CROSSING_CHANGE, 4),
             ),
             2,
@@ -215,8 +199,8 @@ class TestTraceBuilder:
         tb.run((RewriteStep(CONJUGATE, amount=7),))
         expected = [
             RewriteStep(DISTANT_SWAP, 2),
-            RewriteStep(NEIGHBOR_BRAID, 4, "forward"),
-            RewriteStep(NEIGHBOR_BRAID, 4, "backward"),
+            RewriteStep(NEIGHBOR_BRAID, 4),
+            RewriteStep(NEIGHBOR_BRAID, 4),
             RewriteStep(CROSSING_CHANGE, 6),
             RewriteStep(CONJUGATE, amount=1),
         ]
@@ -226,12 +210,6 @@ class TestTraceBuilder:
         assert trace.final == parse_word("4: 1 3 1 2 3 1")
         parsed = parse_trace(serialize_trace(trace))
         assert parsed == trace and replay(parsed) == trace.final
-
-    def test_neighbor_braid_rejects_a_wrong_direction(self):
-        tb = TraceBuilder(BraidWord(3, (1, 2, 1)))
-        with pytest.raises(IllegalStep):
-            tb.apply(RewriteStep(NEIGHBOR_BRAID, 0, "backward"))
-        assert tb.letters == [1, 2, 1] and not tb.steps
 
     def test_words_property_lists_the_ride(self):
         tb = TraceBuilder(BraidWord(2, (1, 1, 1)))
@@ -323,20 +301,21 @@ class TestBoolParameters:
 class TestStrayParameters:
     """A step that carries a parameter its rule does not take is illegal
     everywhere, worded as parse_trace words its step line, so the builder
-    never records a step whose trace cannot be read back."""
+    never records a step whose trace cannot be read back.  A parameter is
+    there when it is not None, even when it is zero or False."""
 
     @pytest.mark.parametrize(
         "text, step, key",
         [
-            ("4: 1 3", RewriteStep(DISTANT_SWAP, 0, direction="forward"), "direction"),
+            ("4: 1 3", RewriteStep(DISTANT_SWAP, 0, amount=0), "amount"),
             ("4: 1 3", RewriteStep(DISTANT_SWAP, 0, amount=3), "amount"),
-            ("3: 1 2 1", RewriteStep(NEIGHBOR_BRAID, 0, "forward", amount=5), "amount"),
+            ("3: 1 2 1", RewriteStep(NEIGHBOR_BRAID, 0, amount=5), "amount"),
             ("3: 1 2", RewriteStep(CONJUGATE, 0, amount=1), "pos"),
-            ("3: 1 2", RewriteStep(CONJUGATE, direction="backward", amount=1), "direction"),
+            ("3: 1 2", RewriteStep(CONJUGATE, False, amount=1), "pos"),
             ("3: 1 2", RewriteStep(DESTABILIZE, 4), "pos"),
-            ("3: 1 2", RewriteStep(DESTABILIZE, direction="forward"), "direction"),
+            ("3: 1 2", RewriteStep(DESTABILIZE, amount=0), "amount"),
             ("3: 1 2", RewriteStep(DESTABILIZE, amount=2), "amount"),
-            ("2: 1 1", RewriteStep(CROSSING_CHANGE, 0, direction="backward"), "direction"),
+            ("2: 1 1", RewriteStep(CROSSING_CHANGE, 0, amount=0), "amount"),
             ("2: 1 1", RewriteStep(CROSSING_CHANGE, 0, amount=1), "amount"),
         ],
     )
@@ -373,15 +352,15 @@ class TestSerialization:
         trace = RewriteTrace(word, (), word)
         assert parse_trace(serialize_trace(trace)) == trace
 
-    def test_writes_version_2(self):
+    def test_writes_version_3(self):
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 1, 1)))
         tb.neighbor_braid(0)
         tb.conjugate(1)
         tb.crossing_change(2)
         assert serialize_trace(tb.snapshot()).splitlines() == [
-            "trace v2",
+            "trace v3",
             "initial: 3: 1 2 1 1 1",
-            "step: neighbor-braid pos=0 direction=forward",
+            "step: neighbor-braid pos=0",
             "step: conjugate amount=1",
             "step: crossing-change pos=2",
             "final: 3: 1 2 2",
@@ -391,7 +370,7 @@ class TestSerialization:
 
     def test_v2_wrong_final_detected_after_the_last_step(self):
         text = (
-            "trace v2\n"
+            "trace v3\n"
             "initial: 2: 1 1 1\n"
             "step: crossing-change pos=1\n"
             "final: 2: 1 1 1\n"
@@ -403,13 +382,13 @@ class TestSerialization:
         assert info.value.step_index == 1
 
     def test_v2_requires_final_line(self):
-        text = "trace v2\ninitial: 2: 1 1 1\nstep: crossing-change pos=1\ncrossing_changes: 1\nend\n"
+        text = "trace v3\ninitial: 2: 1 1 1\nstep: crossing-change pos=1\ncrossing_changes: 1\nend\n"
         with pytest.raises(ParseError):
             parse_trace(text)
 
     def test_v2_rejects_result_words_on_step_lines(self):
         text = (
-            "trace v2\n"
+            "trace v3\n"
             "initial: 2: 1 1 1\n"
             "step: crossing-change pos=1 -> 2: 1\n"
             "final: 2: 1\n"
@@ -428,7 +407,7 @@ class TestSerialization:
         ],
     )
     def test_malformed_numbers_are_parse_errors(self, line):
-        text = f"trace v2\ninitial: 2: 1 1 1\n{line}\nfinal: 2: 1\ncrossing_changes: 0\nend\n"
+        text = f"trace v3\ninitial: 2: 1 1 1\n{line}\nfinal: 2: 1\ncrossing_changes: 0\nend\n"
         with pytest.raises(ParseError, match="malformed"):
             parse_trace(text)
 
@@ -437,6 +416,7 @@ class TestSerialization:
         [
             "step: destabilize pos=7 amount=3",
             "step: destabilize direction=forward",
+            "step: neighbor-braid pos=0 direction=forward",
             "step: distant-swap pos=0 amount=1",
             "step: distant-swap pos=0 direction=forward",
             "step: crossing-change pos=0 direction=backward",
@@ -445,7 +425,7 @@ class TestSerialization:
         ],
     )
     def test_parameters_a_rule_does_not_take_are_parse_errors(self, line):
-        text = f"trace v2\ninitial: 2: 1\n{line}\nfinal: 1:\ncrossing_changes: 0\nend\n"
+        text = f"trace v3\ninitial: 2: 1\n{line}\nfinal: 1:\ncrossing_changes: 0\nend\n"
         with pytest.raises(ParseError, match="takes no"):
             parse_trace(text)
 
@@ -454,11 +434,11 @@ class TestSerialization:
         [
             "step: crossing-change pos=2 pos=0",
             "step: conjugate amount=1 amount=1",
-            "step: neighbor-braid direction=forward pos=0 direction=backward",
+            "step: neighbor-braid pos=0 pos=1",
         ],
     )
     def test_repeated_parameters_are_parse_errors(self, line):
-        text = f"trace v2\ninitial: 3: 1 1 1\n{line}\nfinal: 3: 1\ncrossing_changes: 1\nend\n"
+        text = f"trace v3\ninitial: 3: 1 1 1\n{line}\nfinal: 3: 1\ncrossing_changes: 1\nend\n"
         with pytest.raises(ParseError, match="repeated"):
             parse_trace(text)
 
@@ -474,7 +454,7 @@ class TestSerialization:
     def test_the_first_malformed_step_line_is_reported(self, first, second, message):
         good = "step: crossing-change pos=0"
         body = "\n".join([good, first, good, second, first])
-        text = f"trace v2\ninitial: 2: 1 1 1\n{body}\nfinal: 2: 1\ncrossing_changes: 1\nend\n"
+        text = f"trace v3\ninitial: 2: 1 1 1\n{body}\nfinal: 2: 1\ncrossing_changes: 1\nend\n"
         with pytest.raises(ParseError, match=message):
             parse_trace(text)
 
@@ -502,7 +482,7 @@ class TestSerialization:
 
     def test_corrupt_count_detected(self):
         text = (
-            "trace v2\n"
+            "trace v3\n"
             "initial: 2: 1 1 1\n"
             "step: crossing-change pos=1\n"
             "final: 2: 1\n"
@@ -514,7 +494,7 @@ class TestSerialization:
 
     def test_illegal_recorded_step_detected(self):
         text = (
-            "trace v2\n"
+            "trace v3\n"
             "initial: 3: 1 2\n"
             "step: distant-swap pos=0\n"
             "final: 3: 2 1\n"
