@@ -451,7 +451,7 @@ class TestVerify:
         assert run(capsys, "verify", str(path))[0] == 0
         path.write_text(text.format(" pos=7 amount=3"))
         assert_one_line_error(capsys, path, "takes no")
-        # The direction of a braid move is its triple's, no longer a parameter.
+        # A braid line carries its position alone.
         text = (
             "trace v3\ninitial: 3: 1 2 1\nstep: neighbor-braid pos=0{}\n"
             "final: 3: 2 1 2\ncrossing_changes: 0\nend\n"
