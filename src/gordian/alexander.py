@@ -7,9 +7,9 @@ Two independent routes are provided and cross-checked in the tests:
   letter costs O(strands) polynomial additions, never a matrix product.  It
   then applies the determinant formula
 
-      det(I - ρ(w)) = Δ(t) · (1 - t^n) / (1 - t)
+      det(I - ρ(w)) · (1 - t) = Δ(t) · (1 - t^n)
 
-  solving for Δ with exact polynomial division.  A positive word needs only
+  solving for Δ with exact division by 1 - t^n.  A positive word needs only
   Z[t], and each polynomial is held as one integer, its value at t = 2^b
   (Kronecker substitution), so sums, shifts by t and products run in
   CPython's integer code.  The value is exact; reading the coefficients back
@@ -21,14 +21,17 @@ Two independent routes are provided and cross-checked in the tests:
 
 * ``torus_alexander(p, q)`` evaluates the closed form for torus knots,
 
-      Δ(T(p,q)) = (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
+      Δ(T(p,q)) = (1 - t^{pq})(1 - t) / ((1 - t^p)(1 - t^q)),
 
-  again by exact division — any nonzero remainder is a bug, never rounded away.
+  dividing by 1 - t^p and then by 1 - t^q.
 
-Both return a *normalized* Laurent polynomial: multiplied by ±t^k so that the
-lowest exponent is 0 and the lowest coefficient is positive.  Alexander
-polynomials are only ever defined up to such units, so normalized equality is
-the right comparison.
+Inside the module a polynomial is a list of coefficients indexed by
+exponent, and both routes share one exact division by 1 - t^m: any nonzero
+remainder raises :class:`DomainError`, never rounded away.  Both return a
+:class:`LaurentPoly`, *normalized*: multiplied by ±t^k so that the lowest
+exponent is 0 and the lowest coefficient is positive.  Alexander polynomials
+are only ever defined up to such units, so normalized equality is the right
+comparison.
 
 Everything here is integer-exact; no floating point is involved anywhere.
 """
@@ -51,101 +54,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """An integer Laurent polynomial, stored as sorted (exponent, coefficient) pairs."""
+    """A normalized Alexander polynomial, compared and hashed as a value.
+
+    ``terms`` are the (exponent, coefficient) pairs with nonzero coefficient,
+    sorted by exponent; the lowest exponent is 0 and its coefficient is
+    positive, and the zero polynomial has no terms.
+    """
 
     terms: tuple[tuple[int, int], ...]
 
-    @staticmethod
-    def from_dict(coeffs: dict[int, int]) -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted((e, c) for e, c in coeffs.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(((0, 1),))
-
-    @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        if coefficient == 0:
-            return LaurentPoly(())
-        return LaurentPoly(((exponent, coefficient),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        coeffs = dict(self.terms)
-        for e, c in other.terms:
-            coeffs[e] = coeffs.get(e, 0) + c
-        return LaurentPoly.from_dict(coeffs)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        coeffs: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(coeffs)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
-
-    @property
-    def min_exponent(self) -> int:
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no exponents")
-        return self.terms[0][0]
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises :class:`DomainError` on a nonzero remainder."""
-        if divisor.is_zero:
-            raise DomainError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
-        shift = self.min_exponent - divisor.min_exponent
-        remainder = dict(self.shifted(-self.min_exponent).terms)
-        div_terms = divisor.shifted(-divisor.min_exponent).terms
-        lead_exp, lead_coeff = div_terms[-1]
-        quotient: dict[int, int] = {}
-        while remainder:
-            rem_exp = max(remainder)
-            rem_coeff = remainder[rem_exp]
-            if rem_exp < lead_exp or rem_coeff % lead_coeff != 0:
-                raise DomainError("polynomial division left a remainder")
-            factor = rem_coeff // lead_coeff
-            at = rem_exp - lead_exp
-            quotient[at] = factor
-            for e, c in div_terms:
-                key = e + at
-                value = remainder.get(key, 0) - factor * c
-                if value:
-                    remainder[key] = value
-                else:
-                    remainder.pop(key, None)
-        return LaurentPoly.from_dict(quotient).shifted(shift)
-
-    def normalized(self) -> "LaurentPoly":
-        """Multiply by ±t^k so the lowest exponent is 0 with positive coefficient."""
-        if self.is_zero:
-            return self
-        shifted = self.shifted(-self.min_exponent)
-        if shifted.terms[0][1] < 0:
-            shifted = -shifted
-        return shifted
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return "0"
         pieces: list[str] = []
         for e, c in self.terms:
@@ -160,6 +79,31 @@ class LaurentPoly:
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
+
+
+def _normalized(coeffs: list[int]) -> LaurentPoly:
+    """The polynomial with these coefficients (index = exponent) times ±t^-k,
+    so that its lowest exponent is 0 and its lowest coefficient positive."""
+    terms = [(e, c) for e, c in enumerate(coeffs) if c]
+    if not terms:
+        return LaurentPoly(())
+    low, sign = terms[0][0], (1 if terms[0][1] > 0 else -1)
+    return LaurentPoly(tuple((e - low, sign * c) for e, c in terms))
+
+
+def _divide(coeffs: list[int], m: int) -> list[int]:
+    """Coefficients of the exact quotient of this polynomial by 1 - t^m.
+
+    Dividing from the constant term up leaves the quotient in the low
+    coefficients; the top m must come out zero, or :class:`DomainError`.
+    """
+    quotient = list(coeffs)
+    for e in range(m, len(quotient)):
+        quotient[e] += quotient[e - m]
+    split = max(len(quotient) - m, 0)
+    if any(quotient[split:]):
+        raise DomainError("polynomial division left a remainder")
+    return quotient[:split]
 
 
 # Slot width of the Burau pass before any widening.  Every width is a
@@ -303,8 +247,6 @@ def alexander(word: BraidWord) -> LaurentPoly:
     reach 2^(bits-1) every entry is unpacked, which that bound makes exact,
     and the bound restarts from the exact norms.
     """
-    if word.strands == 1:
-        return LaurentPoly.one()
     size = word.strands - 1
     bits = _START_BITS
     rho = [[int(r == c) for c in range(size)] for r in range(size)]
@@ -325,16 +267,8 @@ def alexander(word: BraidWord) -> LaurentPoly:
                 row[r + 1] += x
             row[r] = -shifted
     det = _determinant(_cofactor_matrix(rho, bits, bound))
-    # det(I - ρ) · (1 - t) = Δ · (1 - t^n).  Dividing from the constant term
-    # up leaves Δ in the low coefficients; the top n must come out zero.
-    n = word.strands
-    quotient = [a - b for a, b in zip(det + [0], [0] + det)]
-    for e in range(n, len(quotient)):
-        quotient[e] += quotient[e - n]
-    split = max(len(quotient) - n, 0)
-    if any(quotient[split:]):
-        raise DomainError("polynomial division left a remainder")
-    return LaurentPoly.from_dict(dict(enumerate(quotient[:split]))).normalized()
+    # det(I - ρ) · (1 - t) = Δ · (1 - t^n).
+    return _normalized(_divide([a - b for a, b in zip(det + [0], [0] + det)], word.strands))
 
 
 def torus_alexander(p: int, q: int) -> LaurentPoly:
@@ -343,7 +277,7 @@ def torus_alexander(p: int, q: int) -> LaurentPoly:
         raise DomainError(f"torus parameters must be >= 1, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise DomainError(f"T({p}, {q}) is a link, not a knot")
-    one = LaurentPoly.one()
-    numerator = (LaurentPoly.monomial(p * q) - one) * (LaurentPoly.monomial(1) - one)
-    denominator = (LaurentPoly.monomial(p) - one) * (LaurentPoly.monomial(q) - one)
-    return numerator.divide_exact(denominator).normalized()
+    # (1 - t^pq)(1 - t), as a product: for pq = 1 the two factors overlap.
+    top = [1] + [0] * (p * q - 1) + [-1]
+    numerator = [a - b for a, b in zip(top + [0], [0] + top)]
+    return _normalized(_divide(_divide(numerator, p), q))

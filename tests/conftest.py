@@ -13,6 +13,6 @@ def census_m2():
 
 @pytest.fixture(scope="session")
 def census_m3():
-    """The m = 3 census within the default budget (about eight seconds on
-    two cores)."""
+    """The m = 3 census within the default budget (about five and a half
+    seconds on two cores)."""
     return enumerate_positive_knots(3)

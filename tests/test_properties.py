@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from gordian import (
     BraidWord,
     IllegalStep,
-    LaurentPoly,
     ParseError,
     RewriteStep,
     RewriteTrace,
@@ -53,7 +52,7 @@ from gordian.rules import (
 )
 from gordian.enumeration import _census_words, _least_rotation, _swap_orbit
 from gordian.moves import full_twist_letters, move_z_prog
-from oracles import OrbitLeast, swap_orbit
+from oracles import OrbitLeast, burau_product_alexander, swap_orbit
 
 
 @st.composite
@@ -317,94 +316,6 @@ def first_hits(moves) -> list[tuple[tuple, tuple]]:
         least = min((letters[r:] + letters[:r] for r in range(len(letters))), default=())
         hits.setdefault((strands, least), recipe)
     return list(hits.items())
-
-
-def _identity(size: int) -> list[list[LaurentPoly]]:
-    return [
-        [LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(size)]
-        for r in range(size)
-    ]
-
-
-def _reduced_burau_generator(index: int, strands: int) -> list[list[LaurentPoly]]:
-    """Matrix of σ_index in the reduced Burau representation (columns are images)."""
-    size = strands - 1
-    t = LaurentPoly.monomial(1)
-    minus_t = LaurentPoly.monomial(1, -1)
-    one = LaurentPoly.one()
-    matrix = _identity(size)
-    i = index  # 1-based generator index; basis vectors e_1 … e_{size}
-    if size == 1:
-        matrix[0][0] = minus_t
-        return matrix
-    if i == 1:
-        matrix[0][0] = minus_t
-        matrix[0][1] = one
-    elif i == strands - 1:
-        matrix[i - 1][i - 2] = t
-        matrix[i - 1][i - 1] = minus_t
-    else:
-        matrix[i - 1][i - 2] = t
-        matrix[i - 1][i - 1] = minus_t
-        matrix[i - 1][i] = one
-    return matrix
-
-
-def _matmul(a: list[list[LaurentPoly]], b: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    size = len(a)
-    result = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for r in range(size):
-        for k in range(size):
-            if a[r][k].is_zero:
-                continue
-            for c in range(size):
-                if not b[k][c].is_zero:
-                    result[r][c] = result[r][c] + a[r][k] * b[k][c]
-    return result
-
-
-def _determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor expansion with memoization over column subsets."""
-    size = len(matrix)
-    memo: dict[int, LaurentPoly] = {}
-
-    def minor(row: int, mask: int) -> LaurentPoly:
-        if row == size:
-            return LaurentPoly.one()
-        if mask not in memo:
-            total = LaurentPoly.zero()
-            sign = 1
-            for c in range(size):
-                bit = 1 << c
-                if not mask & bit:
-                    continue
-                entry = matrix[row][c]
-                if not entry.is_zero:
-                    part = entry * minor(row + 1, mask & ~bit)
-                    total = total + part if sign > 0 else total - part
-                sign = -sign
-            memo[mask] = total
-        return memo[mask]
-
-    return minor(0, (1 << size) - 1)
-
-
-def burau_product_alexander(word: BraidWord) -> LaurentPoly:
-    """Oracle: multiply full reduced Burau matrices over LaurentPoly, letter by letter."""
-    if word.strands == 1:
-        return LaurentPoly.one()
-    size = word.strands - 1
-    rho = _identity(size)
-    for letter in word.letters:
-        rho = _matmul(rho, _reduced_burau_generator(letter, word.strands))
-    one = LaurentPoly.one()
-    i_minus_rho = [
-        [(one if r == c else LaurentPoly.zero()) - rho[r][c] for c in range(size)]
-        for r in range(size)
-    ]
-    numerator = _determinant(i_minus_rho) * (one - LaurentPoly.monomial(1))
-    denominator = one - LaurentPoly.monomial(word.strands)
-    return numerator.divide_exact(denominator).normalized()
 
 
 # A fixed 12-strand, 67-letter knot word: 2^11 column subsets in the
