@@ -109,9 +109,9 @@ class AdjacencyCertificate:
 class CertificateCheck:
     """Result of checking a certificate.
 
-    When replay fails, ``failed_step`` is the index it failed at
-    (``len(steps)`` when the steps end off the recorded final word) and the
-    checks on the final word are not made: ``strands_match``,
+    When replay fails, ``failed_step`` is the index it failed at (the
+    trace's ``step_count`` when the steps end off the recorded final word)
+    and the checks on the final word are not made: ``strands_match``,
     ``length_match`` and ``alexander_match`` are None, and only then.
     """
 

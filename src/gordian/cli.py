@@ -153,7 +153,7 @@ def cmd_search(args) -> int:
     source = parse_word(args.source)
     target = parse_word(args.target)
     trace = positive_path_search(source, target, max_nodes=args.nodes, max_depth=args.depth)
-    print(f"steps: {len(trace.steps)}")
+    print(f"steps: {trace.step_count}")
     print(f"crossing_changes: {trace.crossing_changes}")
     if args.trace:
         _write(args.trace, "trace", serialize_trace(trace))
@@ -162,7 +162,7 @@ def cmd_search(args) -> int:
 
 def _where(step_index: int, trace) -> str:
     """Name a replay failure: a step, or the final word when every step held."""
-    return "final" if step_index == len(trace.steps) else f"step {step_index}"
+    return "final" if step_index == trace.step_count else f"step {step_index}"
 
 
 def cmd_verify(args) -> int:
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
     except TraceCorrupt as exc:
         print(f"trace: invalid at {_where(exc.step_index, trace)}: {exc}")
         return 1
-    print(f"trace: valid ({len(trace.steps)} steps, {trace.crossing_changes} crossing changes)")
+    print(f"trace: valid ({trace.step_count} steps, {trace.crossing_changes} crossing changes)")
     return 0
 
 

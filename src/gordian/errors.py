@@ -36,8 +36,8 @@ class TraceCorrupt(BraidError):
     """Raised when replaying a trace detects a mismatch.
 
     ``step_index`` is the zero-based index of the first step whose rule
-    application is illegal, or ``len(steps)`` when every step applies but
-    they end off the recorded final word.
+    application is illegal, or the trace's ``step_count`` when every step
+    applies but they end off the recorded final word.
     """
 
     def __init__(self, message: str, step_index: int):

@@ -19,12 +19,14 @@ Two layers are built on top:
   mirrored.  ``TraceBuilder.run(steps, offset)`` runs a program: it hands
   the whole program and its offset to the builder's step kernel in one
   call.  The named programs (``move_b_prog``, ``move_d_prog``,
-  ``move_z_prog``, ``ext_prog``, ``peel_prog``, ``conv_prog`` and the block
-  crossings ``cross_left_prog`` / ``cross_right_prog``) realize the
-  letter-commutation identities the larger constructions are made of; each
-  is built once per parameter set and cached as a tuple.  One function,
-  :func:`cross_left_prog`, decides whether and how a letter crosses a
-  block: it returns None when the letter cannot pass.
+  ``move_z_prog``, ``ext_prog``, ``peel_prog``, ``conv_prog``, the block
+  crossings ``cross_left_prog`` / ``cross_right_prog`` and the block
+  exchange ``exchange_prog``) realize the letter-commutation identities the
+  larger constructions are made of; each is built once per parameter set
+  and cached as a tuple, and the builder records each run of one as the
+  program and its offset.  One function, :func:`cross_left_prog`, decides
+  whether and how a letter crosses a block: it returns None when the letter
+  cannot pass.
 * **Regional programs** — step programs that may also hold a
   :class:`Rotation` of a subword, describing a rewrite of a suffix region
   *abstractly* so the same program can be replayed inside different ambient
@@ -82,6 +84,7 @@ __all__ = [
     "desc_letters",
     "cross_left_prog",
     "cross_right_prog",
+    "exchange_prog",
     "arrange_blocks",
     "cascade",
     "cascade_mirror",
@@ -426,22 +429,32 @@ def cross_right_prog(desc: tuple, letter: int) -> Program | None:
     return None if prog is None else tuple(invert_program(prog))
 
 
-def _swap_adjacent(tb: TraceBuilder, pos: int, left: tuple, right: tuple) -> None:
-    """Exchange two adjacent blocks, the left one starting at ``pos``: the
-    right block's letters pass the left block if all can, else the reverse."""
+@cache
+def exchange_prog(left: tuple, right: tuple) -> Program | None:
+    """Program for ``<left><right> → <right><left>``, relative to the left
+    block, or None when the blocks cannot pass each other: the right block's
+    letters pass the left block if all can, else the left block's letters
+    pass the right one.  Never ask about a run, which the cache would grow
+    with; ``exchange_prog.__wrapped__`` builds the program uncached."""
     if left[0] != "run":
         progs = [cross_left_prog(left, i) for i in desc_letters(right)]
         if None not in progs:
-            for c, prog in enumerate(progs):
-                tb.run(prog, pos + c)
-            return
+            return tuple(step for c, prog in enumerate(progs) for step in shift_program(prog, c))
     if right[0] != "run":
         progs = [cross_right_prog(right, i) for i in desc_letters(left)]
         if None not in progs:
-            for c in range(len(progs) - 1, -1, -1):
-                tb.run(progs[c], pos + c)
-            return
-    raise IllegalStep(f"blocks {left!r} and {right!r} cannot pass each other")
+            return tuple(step for c in range(len(progs) - 1, -1, -1) for step in shift_program(progs[c], c))
+    return None
+
+
+def _swap_adjacent(tb: TraceBuilder, pos: int, left: tuple, right: tuple) -> None:
+    """Exchange two adjacent blocks, the left one starting at ``pos``, by one
+    run of their exchange program."""
+    build = exchange_prog.__wrapped__ if "run" in (left[0], right[0]) else exchange_prog
+    prog = build(left, right)
+    if prog is None:
+        raise IllegalStep(f"blocks {left!r} and {right!r} cannot pass each other")
+    tb.run(prog, pos)
 
 
 def arrange_blocks(tb: TraceBuilder, start: int, current, target) -> None:

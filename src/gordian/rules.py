@@ -24,24 +24,45 @@ count:
 
 A :class:`RewriteStep` is one rule application: :func:`apply_step` applies it
 to a word, and :class:`TraceBuilder` applies and records a sequence of them.
-A :class:`RewriteTrace` stores the initial word, the steps and the final word;
-the words in between are derived on demand.  :func:`replay` re-applies every
-step from the initial word and is the single source of truth for validity:
-each step must be legal and the last one must reach the recorded final word.
-All of them run one in-place step kernel, a single loop over a sequence of
-steps with every legality check inline, so they accept and reject exactly
-the same steps.  Positions and amounts are ``int`` itself, never ``bool``,
-and a step that carries a parameter its rule does not take is illegal.
+A *program* is a tuple of steps whose positions are relative to an offset
+chosen when it runs.  A :class:`RewriteTrace` stores the initial word, the
+final word and its steps as *runs*, ``(program, offset)`` pairs in the order
+they ran; the builder records each program it runs as one run, and the
+steps it applies one by one as one run at offset 0.  The words in between
+are derived on demand.  :func:`replay` re-applies every run from the initial
+word and is the single source of truth for validity: each step must be
+legal and the last one must reach the recorded final word.  All of them run
+one in-place step kernel, a single loop over a sequence of steps with every
+legality check inline, so they accept and reject exactly the same steps.
+Positions and amounts are ``int`` itself, never ``bool``, and a step that
+carries a parameter its rule does not take is illegal.
 
-Trace text, version 3, is the one syntax :func:`serialize_trace` writes and
-:func:`parse_trace` reads; text under any other header is malformed::
+Trace text, version 4, is the syntax :func:`serialize_trace` writes::
 
-    trace v3
-    initial: 2: 1 1 1
-    step: crossing-change pos=0
-    final: 2: 1
+    trace v4
+    initial: 4: 1 3 1 3 1 3 1 3 1 3 2 2
+    program 0
+    step: distant-swap pos=0
+    end program
+    run 0 at=0 times=5 shift=2
+    step: crossing-change pos=10
+    final: 4: 3 1 3 1 3 1 3 1 3 1
     crossing_changes: 1
     end
+
+A program is defined once, between ``program N`` and ``end program``, its
+positions relative; ``run N at=A`` runs it at offset A, and ``run N at=A
+times=T shift=S`` runs it T ≥ 1 times, at offsets A, A + S, … A + (T − 1)S.
+There is no nesting and no ``run`` inside a program.  A step line outside a
+program is applied where it stands, its position absolute.  The writer
+numbers equal programs by first use and groups consecutive runs of one
+program at a constant stride; it defines a program only when the body, its
+two delimiting lines and one line per group take fewer lines than the steps
+written out at every run, and otherwise writes them out.  Version 3 is
+version 4 without programs; :func:`parse_trace` reads both, and text under
+any other header is malformed.  The reader refuses a text whose steps and
+program repetitions together exceed :data:`MAX_TRACE_STEPS`, counting before
+it expands a run.
 
 :func:`parse_trace` reads the exact step lines :func:`serialize_trace` writes
 directly; any other spelling goes through the full step grammar, which also
@@ -51,8 +72,7 @@ writes every parse error of a step line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter, countOf
+from operator import attrgetter, countOf, length_hint
 from typing import NamedTuple
 
 from .errors import IllegalStep, ParseError, TraceCorrupt
@@ -103,22 +123,59 @@ class RewriteStep(NamedTuple):
     amount: int | None = None
 
 
-@dataclass(frozen=True)
 class RewriteTrace:
     """An initial word, the steps applied to it in order, and the final word.
 
-    The words in between are not stored; :attr:`words` derives them by
-    replay.
+    The steps are stored as :attr:`runs`, ``(program, offset)`` entries in
+    the order they ran: a program is a tuple of steps, and its positions are
+    shifted by the offset.  ``RewriteTrace(initial, steps, final)`` keeps
+    ``steps`` as one entry at offset 0; :class:`TraceBuilder` and
+    :func:`parse_trace` store the runs they record or read.  :attr:`steps`
+    lists every step, its position shifted, on demand; :attr:`step_count`
+    and :attr:`crossing_changes` are counted from the runs.  The words in
+    between are not stored; :attr:`words` derives them by replay.  Two
+    traces are equal when their initial words, steps and final words are.
     """
 
-    initial: BraidWord
-    steps: tuple[RewriteStep, ...]
-    final: BraidWord
-    crossing_changes: int = field(init=False)
+    __slots__ = ("initial", "runs", "final", "step_count", "crossing_changes", "_steps")
 
-    def __post_init__(self):
-        count = countOf(map(attrgetter("kind"), self.steps), CROSSING_CHANGE)
-        object.__setattr__(self, "crossing_changes", count)
+    def __init__(self, initial: BraidWord, steps, final: BraidWord):
+        steps = tuple(steps)
+        self._fill(initial, ((steps, 0),) if steps else (), final, steps)
+
+    @classmethod
+    def _from_runs(cls, initial: BraidWord, runs, final: BraidWord) -> RewriteTrace:
+        """A trace of ``(program, offset)`` entries, in the order they ran."""
+        trace = object.__new__(cls)
+        trace._fill(initial, tuple(runs), final, None)
+        return trace
+
+    def _fill(self, initial, runs, final, steps) -> None:
+        count = changes = 0
+        seen: dict[int, int] = {}  # id(program) -> its crossing changes
+        for prog, _ in runs:
+            spent = seen.get(id(prog))
+            if spent is None:
+                spent = seen[id(prog)] = countOf(map(attrgetter("kind"), prog), CROSSING_CHANGE)
+            count += len(prog)
+            changes += spent
+        for name, value in zip(self.__slots__, (initial, runs, final, count, changes, steps)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a RewriteTrace")
+
+    def __reduce__(self):
+        return RewriteTrace._from_runs, (self.initial, self.runs, self.final)
+
+    @property
+    def steps(self) -> tuple[RewriteStep, ...]:
+        """Every step in order, its position shifted by its run's offset."""
+        if self._steps is None:
+            runs = self.runs
+            steps = runs[0][0] if len(runs) == 1 and not runs[0][1] else tuple(_expand(runs))
+            object.__setattr__(self, "_steps", steps)
+        return self._steps
 
     @property
     def words(self) -> tuple[BraidWord, ...]:
@@ -126,6 +183,34 @@ class RewriteTrace:
         word after each step.  An illegal step raises :class:`TraceCorrupt`."""
         after = tuple(BraidWord._trusted(strands, tuple(letters)) for strands, letters in _walk(self))
         return (self.initial,) + after
+
+    def __eq__(self, other):
+        if not isinstance(other, RewriteTrace):
+            return NotImplemented
+        return (
+            self.initial == other.initial
+            and self.final == other.final
+            and self.step_count == other.step_count
+            and (self.runs == other.runs or self.steps == other.steps)
+        )
+
+    def __hash__(self):
+        return hash((self.initial, self.steps, self.final))
+
+    def __repr__(self):
+        return f"RewriteTrace(initial={self.initial!r}, steps={self.step_count}, final={self.final!r})"
+
+
+def _expand(runs):
+    """The steps of ``runs`` one by one, positions shifted by their offsets.
+    A whole-word step carries no position and is listed as it stands."""
+    for prog, offset in runs:
+        if not offset:
+            yield from prog
+            continue
+        for step in prog:
+            position = step.position
+            yield step if position is None else tuple.__new__(RewriteStep, (step.kind, position + offset, None))
 
 
 # One kernel applies every step, for replay and for recording alike.  It works
@@ -301,29 +386,35 @@ def legal_moves(strands: int, letters: tuple[int, ...]):
 
 
 def _walk(trace: RewriteTrace):
-    """Apply the steps one at a time to one list of letters, yielding the
-    strand count and that (mutated) list after each; an illegal step raises
-    :class:`TraceCorrupt` with its index."""
+    """Apply the steps one at a time, each at its run's offset, to one list
+    of letters, yielding the strand count and that (mutated) list after each;
+    an illegal step raises :class:`TraceCorrupt` with its index."""
     letters = list(trace.initial.letters)
     strands = trace.initial.strands
-    for index, step in enumerate(trace.steps):
-        try:
-            strands = _run(letters, strands, (step,))
-        except IllegalStep as exc:
-            raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
-        yield strands, letters
+    index = 0
+    for prog, offset in trace.runs:
+        for step in prog:
+            try:
+                strands = _run(letters, strands, (step,), offset)
+            except IllegalStep as exc:
+                raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
+            index += 1
+            yield strands, letters
 
 
 def replay(trace: RewriteTrace) -> BraidWord:
     """Re-apply every step from the initial word and check where it ends.
 
-    Raises :class:`TraceCorrupt` with the index of the first illegal step; a
-    replay that ends anywhere but the recorded final word fails at index
-    ``len(steps)``.  Returns the final word.
+    Each run goes to the kernel whole, at its offset.  Raises
+    :class:`TraceCorrupt` with the index of the first illegal step, counted
+    over all steps in order; a replay that ends anywhere but the recorded
+    final word fails at index ``step_count``.  Returns the final word.
     """
     letters = list(trace.initial.letters)
+    strands = trace.initial.strands
     try:
-        strands = _run(letters, trace.initial.strands, trace.steps)
+        for prog, offset in trace.runs:
+            strands = _run(letters, strands, prog, offset)
     except IllegalStep:
         # The kernel counts no steps: walk again, one step at a time, to
         # raise TraceCorrupt at the index of the illegal one.
@@ -335,9 +426,18 @@ def replay(trace: RewriteTrace) -> BraidWord:
         raise TraceCorrupt(
             f"the steps end at {format_word(word)} "
             f"but the trace records final {format_word(trace.final)}",
-            len(trace.steps),
+            trace.step_count,
         )
     return word
+
+
+# The rules that take a position and nothing else.  A program made of them
+# alone runs at any offset, so the builder records it as one run.
+_POSITIONAL = frozenset((DISTANT_SWAP, NEIGHBOR_BRAID, CROSSING_CHANGE))
+
+
+def _positional(prog) -> bool:
+    return all(type(step) is RewriteStep and step.kind in _POSITIONAL for step in prog)
 
 
 class TraceBuilder:
@@ -346,8 +446,10 @@ class TraceBuilder:
     ``letters`` and ``strands`` are the current word; callers read them but
     change them only through :meth:`apply` and :meth:`run`, which run the
     kernel :func:`replay` uses, so the builder accepts and rejects exactly
-    the steps replay does.  A rotation is recorded modulo the length, and a
-    null rotation is not worth a step.  :attr:`word`
+    the steps replay does.  A program of positional steps is recorded as one
+    ``(program, offset)`` run, the tuple itself and not a copy; consecutive
+    single steps share one run at offset 0.  A rotation is recorded modulo
+    the length, and a null rotation is not worth a step.  :attr:`word`
     builds a :class:`BraidWord` of the current word on demand.
     """
 
@@ -355,15 +457,20 @@ class TraceBuilder:
         self.initial = initial
         self.letters = list(initial.letters)
         self.strands = initial.strands
-        self._steps: list[RewriteStep] = []
+        self._runs: list[tuple[tuple, int]] = []
+        self._loose: list[RewriteStep] = []  # steps applied one by one since the last run
+        self._checked: dict[int, tuple] = {}  # id(program) -> (program, _positional(program))
 
     @property
     def word(self) -> BraidWord:
         return BraidWord._trusted(self.strands, tuple(self.letters))
 
+    def _entries(self) -> tuple[tuple[tuple, int], ...]:
+        return (*self._runs, (tuple(self._loose), 0)) if self._loose else tuple(self._runs)
+
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
-        return tuple(self._steps)
+        return tuple(_expand(self._entries()))
 
     @property
     def crossing_changes(self) -> int:
@@ -375,7 +482,7 @@ class TraceBuilder:
 
     def apply(self, step: RewriteStep) -> None:
         """Apply ``step`` to the current word and record it."""
-        self.strands = _run(self.letters, self.strands, (step,), 0, self._steps)
+        self.strands = _run(self.letters, self.strands, (step,), 0, self._loose)
 
     def run(self, steps, offset: int = 0) -> None:
         """Apply and record ``steps`` in turn, positions shifted by ``offset``.
@@ -383,12 +490,35 @@ class TraceBuilder:
         An illegal step raises :class:`IllegalStep`; the steps before it stay
         applied and recorded.
         """
-        done = len(self._steps)
+        prog = steps if type(steps) is tuple else tuple(steps)
+        checked = self._checked.get(id(prog))
+        if checked is None or checked[0] is not prog:
+            checked = self._checked[id(prog)] = (prog, _positional(prog))
+        if not checked[1]:
+            # Whole-word steps are recorded one by one, as they applied.
+            done = len(self._loose)
+            try:
+                self.strands = _run(self.letters, self.strands, prog, offset, self._loose)
+            except IllegalStep:
+                self.strands -= sum(step.kind == DESTABILIZE for step in self._loose[done:])
+                raise
+            return
+        rest = iter(prog)
         try:
-            self.strands = _run(self.letters, self.strands, steps, offset, self._steps)
+            _run(self.letters, self.strands, rest, offset)
         except IllegalStep:
-            self.strands -= sum(step.kind == DESTABILIZE for step in self._steps[done:])
+            done = len(prog) - length_hint(rest) - 1
+            self._record(prog[:done], offset)
             raise
+        self._record(prog, offset)
+
+    def _record(self, prog: tuple, offset: int) -> None:
+        if not prog:
+            return
+        if self._loose:
+            self._runs.append((tuple(self._loose), 0))
+            self._loose = []
+        self._runs.append((prog, offset))
 
     def distant_swap(self, position: int) -> None:
         self.apply(RewriteStep(DISTANT_SWAP, position))
@@ -406,10 +536,14 @@ class TraceBuilder:
         self.apply(RewriteStep(CROSSING_CHANGE, position))
 
     def snapshot(self) -> RewriteTrace:
-        return RewriteTrace(self.initial, tuple(self._steps), self.word)
+        return RewriteTrace._from_runs(self.initial, self._entries(), self.word)
 
 
 V3_HEADER = "trace v3"
+V4_HEADER = "trace v4"
+# The most steps a trace text may expand to, each repetition of a program
+# counting one more; parse_trace checks it before it expands a run.
+MAX_TRACE_STEPS = 1 << 22
 
 
 def _format_step(step: RewriteStep) -> str:
@@ -422,15 +556,58 @@ def _format_step(step: RewriteStep) -> str:
 
 
 def serialize_trace(trace: RewriteTrace) -> str:
-    """Render a trace as version-3 text, the format read by :func:`parse_trace`."""
-    lines = [V3_HEADER, f"initial: {format_word(trace.initial)}"]
+    """Render a trace as version-4 text, the format read by :func:`parse_trace`.
+
+    Runs of equal programs are numbered by first use, and consecutive runs of
+    one program at a constant stride form one group.  A program is written
+    once, with its runs as ``run`` lines, when that takes fewer lines than
+    its steps written out at every run; otherwise its steps are written in
+    place with absolute positions, as version 3 writes them.
+    """
+    number: dict[int, int] = {}  # id(program) -> its index in programs
+    index_of: dict[tuple, int] = {}
+    programs: list[tuple] = []
+    groups: list[list[int]] = []  # [index, at, times, shift]
+    for prog, offset in trace.runs:
+        i = number.get(id(prog))
+        if i is None:
+            i = number[id(prog)] = index_of.setdefault(prog, len(programs))
+            if i == len(programs):
+                programs.append(prog)
+        last = groups[-1] if groups else None
+        if last and last[0] == i and (last[2] == 1 or offset == last[1] + last[2] * last[3]):
+            if last[2] == 1:
+                last[3] = offset - last[1]
+            last[2] += 1
+        else:
+            groups.append([i, offset, 1, 0])
+    repeats = [0] * len(programs)
+    run_lines = [0] * len(programs)
+    moved = [False] * len(programs)
+    for i, at, times, shift in groups:
+        repeats[i] += times
+        run_lines[i] += 1
+        moved[i] = moved[i] or bool(at or shift)
+    lines = [V4_HEADER, f"initial: {format_word(trace.initial)}"]
+    defined: dict[int, int] = {}
+    for i, prog in enumerate(programs):
+        # A whole-word step away from offset 0 cannot be written in place.
+        if len(prog) + 2 + run_lines[i] < len(prog) * repeats[i] or (moved[i] and not _positional(prog)):
+            lines.append(f"program {len(defined)}")
+            lines.extend(map(_format_step, prog))
+            lines.append("end program")
+            defined[i] = len(defined)
     # Steps repeat a lot; format each distinct step once.
     known: dict[RewriteStep, str] = {}
-    for step in trace.steps:
-        line = known.get(step)
-        if line is None:
-            line = known[step] = _format_step(step)
-        lines.append(line)
+    for i, at, times, shift in groups:
+        if i in defined:
+            lines.append(f"run {defined[i]} at={at}" + (f" times={times} shift={shift}" if times > 1 else ""))
+            continue
+        for step in _expand((programs[i], at + r * shift) for r in range(times)):
+            line = known.get(step)
+            if line is None:
+                line = known[step] = _format_step(step)
+            lines.append(line)
     lines.append(f"final: {format_word(trace.final)}")
     lines.append(f"crossing_changes: {trace.crossing_changes}")
     lines.append("end")
@@ -450,11 +627,11 @@ def next_line(text: str, pos: int = 0) -> tuple[str, int]:
     return match[1].rstrip(), match.end()
 
 
-def _parse_int(key: str, value: str, line: str) -> int:
+def _parse_int(key: str, value: str, line: str, what: str = "step line") -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"malformed {key} value {value!r} in step line {line!r}") from None
+        raise ParseError(f"malformed {key} value {value!r} in {what} {line!r}") from None
 
 
 # The step lines serialize_trace writes, by their text before the first "=":
@@ -493,14 +670,100 @@ def _parse_step(line: str) -> RewriteStep:
     return RewriteStep(kind, position, amount)
 
 
+_END_PROGRAM = ("end program",)
+
+
+def _parse_directive(line: str) -> tuple:
+    """A line of version 4 that is not a step line: ``("program", id)``,
+    :data:`_END_PROGRAM`, or ``("run", id, at, times, shift)``."""
+    fields = line.split()
+    if fields == ["end", "program"]:
+        return _END_PROGRAM
+    if fields[0] == "program" and len(fields) == 2:
+        return ("program", _parse_int("program id", fields[1], line, "line"))
+    if fields[0] != "run" or len(fields) < 2:
+        raise ParseError(f"unexpected line in trace body: {line!r}")
+    params: dict[str, int] = {}
+    for piece in fields[2:]:
+        key, eq, value = piece.partition("=")
+        if not eq or key not in ("at", "times", "shift"):
+            raise ParseError(f"malformed run parameter {piece!r} in {line!r}")
+        if key in params:
+            raise ParseError(f"repeated {key!r} parameter in run line {line!r}")
+        params[key] = _parse_int(key, value, line, "run line")
+    if "at" not in params:
+        raise ParseError(f"run line names no offset: {line!r}")
+    times = params.get("times", 1)
+    if times < 1:
+        raise ParseError(f"a run must repeat its program at least once: {line!r}")
+    ident = _parse_int("program id", fields[1], line, "run line")
+    return ("run", ident, params["at"], times, params.get("shift", 0))
+
+
+def _too_long() -> ParseError:
+    return ParseError(f"trace text expands to more than {MAX_TRACE_STEPS} steps")
+
+
+def _runs(body: list[str], known: dict) -> list[tuple[tuple, int]]:
+    """The ``(program, offset)`` runs of a version-4 body whose distinct
+    lines ``known`` has read: a step outside a program is applied where it
+    stands, and the steps between programs share one run at offset 0."""
+    programs: dict[int, tuple] = {}
+    runs: list[tuple[tuple, int]] = []
+    loose: list[RewriteStep] = []
+    body_of = None  # the id and steps of the program being read
+    total = 0
+    for line in body:
+        item = known[line]
+        if type(item) is RewriteStep:
+            if body_of:
+                body_of[1].append(item)
+            else:
+                loose.append(item)
+                total += 1
+        elif item[0] == "program":
+            if body_of:
+                raise ParseError(f"program {item[1]} starts inside program {body_of[0]}")
+            if item[1] in programs:
+                raise ParseError(f"program {item[1]} is defined twice")
+            body_of = (item[1], [])
+        elif item is _END_PROGRAM:
+            if not body_of:
+                raise ParseError("'end program' line outside a program")
+            programs[body_of[0]] = tuple(body_of[1])
+            body_of = None
+        else:
+            _, ident, at, times, shift = item
+            if body_of:
+                raise ParseError(f"run line inside program {body_of[0]}: {line!r}")
+            prog = programs.get(ident)
+            if prog is None:
+                raise ParseError(f"run of undefined program {ident}: {line!r}")
+            total += (len(prog) + 1) * times
+            if total > MAX_TRACE_STEPS:
+                raise _too_long()
+            if loose:
+                runs.append((tuple(loose), 0))
+                loose = []
+            runs += [(prog, at + r * shift) for r in range(times)]
+    if body_of:
+        raise ParseError(f"program {body_of[0]} has no 'end program' line")
+    if total > MAX_TRACE_STEPS:
+        raise _too_long()
+    if loose:
+        runs.append((tuple(loose), 0))
+    return runs
+
+
 def parse_trace(text: str) -> RewriteTrace:
-    """Parse version-3 trace text, as written by :func:`serialize_trace`.
+    """Parse version-4 or version-3 trace text, as :func:`serialize_trace`
+    writes it (version 3 is version 4 without programs).
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
     lines = [line for line in map(str.strip, text.splitlines()) if line]
-    if not lines or lines[0] != V3_HEADER:
-        raise ParseError("trace text must start with a 'trace v3' line")
+    if not lines or lines[0] not in (V4_HEADER, V3_HEADER):
+        raise ParseError("trace text must start with a 'trace v4' or 'trace v3' line")
     if lines[-1] != "end":
         raise ParseError("trace text must end with an 'end' line")
     if len(lines) < 4 or not lines[1].startswith("initial:"):
@@ -516,23 +779,37 @@ def parse_trace(text: str) -> RewriteTrace:
     if len(lines) < 5 or not lines[-3].startswith("final:"):
         raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
     final = parse_word(lines[-3][len("final:") :].strip())
-    # Step lines repeat a lot; parse each distinct line once, in order of
+    body = lines[2:-3]
+    # Body lines repeat a lot; parse each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.
     # A line spelled exactly as serialize_trace writes it (single spaces, one
     # parameter, a number of at most 18 ASCII digits, which int reads without
-    # fail) is read here; any other line goes to _parse_step.
-    step_lines = lines[2:-3]
-    known = dict.fromkeys(step_lines)
+    # fail) is read here; any other step line goes to _parse_step, and any
+    # other line of version 4 to _parse_directive.
+    known = dict.fromkeys(body)
+    version_4 = lines[0] == V4_HEADER
+    directives = False
     for line in known:
         head, _, value = line.partition("=")
         kind = _WRITTEN_HEADS.get(head)
         if kind is None or not (value.isdigit() and value.isascii() and len(value) < 19):
-            known[line] = RewriteStep(DESTABILIZE) if line == _WRITTEN_DESTABILIZE else _parse_step(line)
+            if line == _WRITTEN_DESTABILIZE:
+                known[line] = RewriteStep(DESTABILIZE)
+            elif version_4 and not line.startswith("step:"):
+                known[line] = _parse_directive(line)
+                directives = True
+            else:
+                known[line] = _parse_step(line)
         elif kind == CONJUGATE:
             known[line] = tuple.__new__(RewriteStep, (kind, None, int(value)))
         else:
             known[line] = tuple.__new__(RewriteStep, (kind, int(value), None))
-    trace = RewriteTrace(initial, tuple(map(known.__getitem__, step_lines)), final)
+    if directives:
+        trace = RewriteTrace._from_runs(initial, _runs(body, known), final)
+    elif len(body) > MAX_TRACE_STEPS:
+        raise _too_long()
+    else:
+        trace = RewriteTrace(initial, map(known.__getitem__, body), final)
     if trace.crossing_changes != declared:
         raise ParseError(
             f"declared crossing-change total {declared} disagrees with steps "

@@ -44,6 +44,52 @@ from gordian.moves import (
 from gordian.rules import DISTANT_SWAP
 
 
+def family_grid() -> list[AdjacencyCertificate]:
+    """162 certificates: ``t34`` for odd b = 9…59, ``t24`` for odd b = 5…59,
+    ``ci`` and ``cin`` for n = 2…5 and k = 1…3, and ``strip`` T(a, b) for
+    a = 2…6 and coprime b < 30."""
+    certs = [adjacency_3_from_4(b) for b in range(9, 60, 2)]
+    certs += [adjacency_2_from_4(b) for b in range(5, 60, 2)]
+    for n in range(2, 6):
+        for k in range(1, 4):
+            certs += [adjacency_ci(n, k), adjacency_cin(n, k)]
+    certs += [
+        strip_top_strand(TorusParams(a, b))
+        for a in range(2, 7)
+        for b in range(1, 30)
+        if math.gcd(a, b) == 1
+    ]
+    return certs
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return family_grid()
+
+
+def step_lines(trace: RewriteTrace) -> bytes:
+    """The steps of a trace one by one, each spelled as a version-3 step line
+    with its absolute position, whatever text the trace is written as."""
+    lines = []
+    for step in trace.steps:
+        line = f"step: {step.kind}"
+        if step.position is not None:
+            line += f" pos={step.position}"
+        if step.amount is not None:
+            line += f" amount={step.amount}"
+        lines.append(line + "\n")
+    return "".join(lines).encode()
+
+
+LARGE_MEMBERS = {
+    "t34-129": lambda: adjacency_3_from_4(129),
+    "t24-21": lambda: adjacency_2_from_4(21),
+    "ci-4-1": lambda: adjacency_ci(4, 1),
+    "cin-4-1": lambda: adjacency_cin(4, 1),
+    "strip-5-13": lambda: strip_top_strand(TorusParams(5, 13)),
+}
+
+
 def check_cert(cert: AdjacencyCertificate) -> None:
     check = verify_certificate(cert)
     assert check.valid, check
@@ -212,20 +258,20 @@ class TestCertificateFormat:
 
     # The largest members the certify benchmark builds, pinned byte for byte
     # by the SHA-256 of their verified serialization (the goldens under
-    # tests/golden cover only small members; these texts are up to 0.5 MB).
+    # tests/golden cover only small members; these texts are up to 24 KB).
     @pytest.mark.parametrize(
         "build, length, digest",
         [
-            (lambda: adjacency_3_from_4(129), 498567,
-             "6f0765bb60cdc04627e2715817eaf5bc2f31591aaac760cc836e13da75b00ba1"),
-            (lambda: adjacency_2_from_4(21), 17084,
-             "d117faecb27bc8bbf187f41af86f7fb979645702bace17b6a7b1ed5eaa68fc66"),
-            (lambda: adjacency_ci(4, 1), 23796,
-             "540e341a86fa9ae2443af8cb3db8f09cb7141498bf17cd12e4a67d2fa6a48fd2"),
-            (lambda: adjacency_cin(4, 1), 30045,
-             "4b5bdb59c190f1f5b622cfb39cbeb3bc71747d9650f7ee5e76c3cb513c708f3b"),
-            (lambda: strip_top_strand(TorusParams(5, 13)), 8092,
-             "73c8ea64135d28c35e749bed9c04d2b5d335d43010ac374c13660bfb6434f21e"),
+            (lambda: adjacency_3_from_4(129), 23286,
+             "ff764491fbec98bcc01565e41733ac49916a98793db23e6d5eb7c914a4e0b457"),
+            (lambda: adjacency_2_from_4(21), 3170,
+             "048dd1ad6ed9fa7d9d301bbc108b43531953f6f6a04935729a8887a561d8f044"),
+            (lambda: adjacency_ci(4, 1), 5952,
+             "39bf87f95d7ebba8b8240dbb055656d78a41510fc57ad4664c4c8719d8c4c4b1"),
+            (lambda: adjacency_cin(4, 1), 7511,
+             "adc099dc441a0ee2465eb6631d97a231c0e79c6e590ca507950c9f6793d2d612"),
+            (lambda: strip_top_strand(TorusParams(5, 13)), 3603,
+             "421c46b750c6a20bdd4707db53dcdd025cd5859f5d84a126e632b57f3a300bf4"),
         ],
         ids=["t34-129", "t24-21", "ci-4-1", "cin-4-1", "strip-5-13"],
     )
@@ -234,31 +280,43 @@ class TestCertificateFormat:
         text = serialize_certificate(cert, verify_certificate(cert)).encode()
         assert (len(text), hashlib.sha256(text).hexdigest()) == (length, digest)
 
-    def test_family_grid_serializes_to_its_frozen_digest(self):
-        """Pin every construction's output on a grid of 162 certificates:
-        ``t34`` for odd b = 9…59, ``t24`` for odd b = 5…59, ``ci`` and ``cin``
-        for n = 2…5 and k = 1…3, and ``strip`` T(a, b) for a = 2…6 and
-        coprime b < 30.  The constant is the SHA-256 of their verified
-        serializations, concatenated.  A change that alters a construction
-        on purpose re-freezes it and says so in CHANGES.md."""
-        certs = [adjacency_3_from_4(b) for b in range(9, 60, 2)]
-        certs += [adjacency_2_from_4(b) for b in range(5, 60, 2)]
-        for n in range(2, 6):
-            for k in range(1, 4):
-                certs += [adjacency_ci(n, k), adjacency_cin(n, k)]
-        certs += [
-            strip_top_strand(TorusParams(a, b))
-            for a in range(2, 7)
-            for b in range(1, 30)
-            if math.gcd(a, b) == 1
-        ]
+    def test_family_grid_serializes_to_its_frozen_digest(self, grid):
+        """Pin every construction's output on the grid of 162 certificates
+        of :func:`family_grid`.  The constant is the SHA-256 of their
+        verified serializations, concatenated.  A change that alters a
+        construction or the trace text on purpose re-freezes it and says so
+        in CHANGES.md."""
         digest = hashlib.sha256()
-        for cert in certs:
+        for cert in grid:
             digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
-        assert (len(certs), digest.hexdigest()) == (
+        assert (len(grid), digest.hexdigest()) == (
             162,
-            "74b90c2fb361d2b01756a8ea335da4a804991f13474836e9f3c84c45d37dbf93",
+            "3b2e88fef79c35b5e2078b9e3f976d9a6146d8abe769e1874545f4bbb33a1d52",
         )
+
+    # The steps themselves, apart from how the text writes them: a change of
+    # the trace text alone re-freezes the digests above, never these.
+    def test_family_grid_expands_to_its_frozen_steps(self, grid):
+        digest = hashlib.sha256()
+        for cert in grid:
+            digest.update(step_lines(cert.trace))
+        assert digest.hexdigest() == "406682897ab0b679b7f417176bbec4472ae02ed25521ffd11e80dbf8d218b554"
+
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [
+            ("t34-129", 17698, "5c4facbfc8f03f8e3a0db3f2d6643a5f23baeae1f10a43b92cc9303e85e034e2"),
+            ("t24-21", 613, "9183c1a7820d0dd288651ea89591b9fc415c711191177ff8716ca39bebbb5ed8"),
+            ("ci-4-1", 874, "193737fd5496a6c0996802d9d97272adc2f426513ada0b599bbc43a1eae33022"),
+            ("cin-4-1", 1105, "8e87a4ed67051fb6acf597b420cdbc0c5778bbb66a10862cea35aa5147ef58e4"),
+            ("strip-5-13", 288, "367e1fb5f2310e16647bccf6fd22291367e9bf50a8cc4947591dd8a25c880371"),
+        ],
+        ids=list(LARGE_MEMBERS),
+    )
+    def test_large_members_expand_to_their_frozen_steps(self, name, count, digest):
+        trace = LARGE_MEMBERS[name]().trace
+        text = step_lines(trace)
+        assert (len(trace.steps), hashlib.sha256(text).hexdigest()) == (count, digest)
 
     def test_tampered_count_fails_verification(self):
         cert = adjacency_ci(2, 1)

@@ -9,6 +9,7 @@ import pytest
 from gordian import (
     NEIGHBOR_BRAID,
     BraidWord,
+    RewriteTrace,
     TraceBuilder,
     adjacency_ci,
     ascending_run,
@@ -20,6 +21,7 @@ from gordian import (
     serialize_certificate,
     serialize_trace,
     torus_braid,
+    verify_certificate,
 )
 from gordian.cli import main
 
@@ -205,6 +207,32 @@ class TestAdjacency:
         assert out == (GOLDEN / f"adjacency_{name}.out").read_text(encoding="utf-8")
         assert (tmp_path / cert).read_bytes() == (GOLDEN / cert).read_bytes()
 
+    def test_t34_513_certificate_is_compact_and_lists_no_steps(self, capsys, tmp_path, monkeypatch):
+        """T(4,513) → T(3,577) has 273 538 steps; its version-4 text stays
+        under 400 000 bytes, and neither writing nor verifying it lists the
+        steps one by one."""
+
+        def refuse(trace):
+            raise AssertionError("the steps were listed")
+
+        monkeypatch.setattr(RewriteTrace, "steps", property(refuse))
+        path = tmp_path / "t34_513.cert"
+        code, out, err = run(capsys, "adjacency", "t34", "513", "--out", str(path))
+        assert (code, err) == (0, "") and "verification: strands=match" in out
+        assert path.stat().st_size <= 400_000
+        assert run(capsys, "verify", str(path)) == (0, "certificate: valid\n", "")
+
+    def test_version_3_certificate_still_verifies(self, capsys):
+        """A certificate written before version 4 verifies, and reads as the
+        same steps as the version-4 golden of the same member."""
+        v3 = GOLDEN / "adjacency_t34_9_v3.cert"
+        assert "trace v3" in v3.read_text() and "program 0" not in v3.read_text()
+        assert run(capsys, "verify", str(v3)) == (0, "certificate: valid\n", "")
+        old = parse_certificate(v3.read_text())
+        new = parse_certificate((GOLDEN / "adjacency_t34_9.cert").read_text())
+        assert old == new and old.trace.steps == new.trace.steps
+        assert verify_certificate(old).valid
+
 
 class TestCatalog:
     def test_family_hit_offers_certificate(self, capsys, tmp_path):
@@ -375,6 +403,12 @@ def assert_one_line_error(capsys, path, message: str) -> None:
     assert message in err
 
 
+# Program 0 swaps the σ_1 σ_3 pair at its offset; four runs at stride 2
+# turn the initial word into the final one.
+V4_TRACE = "trace v4\ninitial: 4: 1 3 1 3 1 3 1 3\n{}\nfinal: 4: 3 1 3 1 3 1 3 1\ncrossing_changes: 0\nend\n"
+V4_PROGRAM = "program 0\nstep: distant-swap pos=0\nend program\n"
+
+
 class TestVerify:
     @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
     def test_version_1_text_exits_2(self, capsys, tmp_path, embedded):
@@ -383,11 +417,48 @@ class TestVerify:
         assert "direction=backward" in v2_text(cert.trace)
         for text in v1_text(cert.trace), v2_text(cert.trace):
             if embedded:
-                header = serialize_certificate(cert).partition("trace v3")[0]
+                header = serialize_certificate(cert).partition("trace v4")[0]
                 text = header + text + "end\n"
             path = tmp_path / "old.txt"
             path.write_text(text)
-            assert_one_line_error(capsys, path, "trace text must start with a 'trace v3' line")
+            assert_one_line_error(capsys, path, "trace text must start with a 'trace v4' or 'trace v3' line")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("run 1 at=0", "run of undefined program 1"),
+            (V4_PROGRAM + "program 0\nstep: distant-swap pos=1\nend program\nrun 0 at=0", "defined twice"),
+            ("program 0\nprogram 1\nend program\nend program", "program 1 starts inside program 0"),
+            ("program 0\nstep: distant-swap pos=0", "program 0 has no 'end program' line"),
+            ("program 0\nstep: distant-swap pos=0\nrun 0 at=0\nend program", "run line inside program 0"),
+            (V4_PROGRAM + "run 0 at=0 times=0 shift=2", "at least once"),
+            (V4_PROGRAM + "run 0 at=0 times=-3 shift=2", "at least once"),
+            (V4_PROGRAM + f"run 0 at=0 times={10**18} shift=2", "steps"),
+        ],
+        ids=[
+            "undefined", "redefined", "nested", "unterminated", "run-inside", "times-0", "times-negative", "cap"
+        ],
+    )
+    def test_malformed_version_4_exits_2(self, capsys, tmp_path, body, message):
+        path = tmp_path / "malformed.trace"
+        path.write_text(V4_TRACE.format(body))
+        started = time.perf_counter()
+        assert_one_line_error(capsys, path, message)
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize(
+        "run_line, where",
+        [("run 0 at=7 times=4 shift=2", "step 0"), ("run 0 at=0 times=4 shift=1", "step 1")],
+        ids=["at", "shift"],
+    )
+    def test_wrong_offset_fails_replay_at_its_flat_index(self, capsys, tmp_path, run_line, where):
+        path = tmp_path / "moved.trace"
+        path.write_text(V4_TRACE.format(V4_PROGRAM + run_line))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith(f"trace: invalid at {where}: ")
+        path.write_text(V4_TRACE.format(V4_PROGRAM + "run 0 at=0 times=4 shift=2"))
+        assert run(capsys, "verify", str(path)) == (0, "trace: valid (4 steps, 0 crossing changes)\n", "")
 
     @pytest.mark.parametrize("embedded", [False, True], ids=["trace", "certificate"])
     def test_repeated_step_parameter_exits_2(self, capsys, tmp_path, embedded):
@@ -581,6 +652,26 @@ class TestCertificateTamper:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert out.startswith("certificate: invalid (replay at ")
+
+    def test_every_moved_distant_swap_line_is_invalid(self, capsys, tmp_path, ci32_text):
+        """The benchmark's tampered certificate moves one ``step: distant-swap
+        pos=`` line of this text to another position 0…36 (the final word has
+        38 letters).  A line of a program moves the swap of every run of it;
+        each such edit must still verify as invalid, exit 1."""
+        lines = ci32_text.split("\n")
+        swaps = [i for i, line in enumerate(lines) if line.startswith("step: distant-swap pos=")]
+        assert swaps
+        path = tmp_path / "edited.cert"
+        for index in swaps:
+            old = int(lines[index].partition("=")[2])
+            for position in range(37):
+                if position == old:
+                    continue
+                moved = f"step: distant-swap pos={position}"
+                path.write_text("\n".join(lines[:index] + [moved] + lines[index + 1 :]))
+                code, out, err = run(capsys, "verify", str(path))
+                assert (code, err) == (1, ""), (lines[index], position)
+                assert out.startswith("certificate: invalid ("), (lines[index], position)
 
     def test_crossing_change_line_deleted_is_malformed(self, capsys, tmp_path, ci32_text):
         # the declared total no longer matches the steps, which parsing checks

@@ -24,6 +24,7 @@ from gordian.moves import (
     cross_right_prog,
     decompose_region_prog,
     desc_letters,
+    exchange_prog,
     expect_word,
     ext_prog,
     form_letters,
@@ -54,6 +55,7 @@ NAMED_PROGRAMS = (
     conv_prog,
     cross_left_prog,
     cross_right_prog,
+    exchange_prog,
 )
 
 
@@ -240,11 +242,12 @@ class TestProgramCache:
             builder.cache_clear()
         small = adjacency_3_from_4(33)
         misses = [builder.cache_info().misses for builder in NAMED_PROGRAMS]
-        # T(4,129) -> T(3,145) crosses wraps thousands of times, yet
-        # move_d_prog is built once for each of its 3 parameter sets.
+        # T(4,129) -> T(3,145) exchanges blocks hundreds of times, yet
+        # move_d_prog is built once for each of its 3 parameter sets and each
+        # exchange program once.
         adjacency_3_from_4(129)
         assert move_d_prog.cache_info().misses == 3
-        assert cross_left_prog.cache_info().hits > 1000
+        assert exchange_prog.cache_info().hits > 500
         # b = 33 and b = 129 use the same programs: the cache does not grow with b.
         assert [builder.cache_info().misses for builder in NAMED_PROGRAMS] == misses
         for builder in NAMED_PROGRAMS:

@@ -539,6 +539,52 @@ class TestFormatRoundTrips:
         trace = tb.snapshot()
         assert parse_trace(serialize_trace(trace)) == trace
 
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(st.integers(1, n - 1), min_size=3, max_size=14).map(
+                lambda letters: BraidWord(n, tuple(letters))
+            )
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_program_runs_round_trip_in_version_4(self, word, data):
+        """Programs of positional steps run again and again at a drawn stride,
+        some of them illegal part way, with single steps and rotations between
+        them: whatever the builder records reads back as the same steps, and
+        the text replays to where the builder stopped."""
+        positional = st.builds(
+            RewriteStep, st.sampled_from((DISTANT_SWAP, NEIGHBOR_BRAID, CROSSING_CHANGE)), st.integers(0, 4)
+        )
+        program = st.lists(positional, min_size=1, max_size=4).map(tuple)
+        programs = data.draw(st.lists(program, min_size=1, max_size=3))
+        tb = TraceBuilder(word)
+        for _ in range(data.draw(st.integers(0, 8))):
+            recipes = legal_steps(tb.word)
+            if recipes and data.draw(st.booleans()):
+                for step in data.draw(st.sampled_from(recipes)):
+                    tb.apply(step)
+                continue
+            # A legal swap or braid move of the word, made relative (it undoes
+            # itself, so it can run again at stride 0), or a drawn program.
+            moves = [recipe[0] for recipe in recipes if recipe[0].kind in (DISTANT_SWAP, NEIGHBOR_BRAID)]
+            if moves and not data.draw(st.booleans()):
+                move = data.draw(st.sampled_from(moves))
+                prog, at = (move._replace(position=0),), move.position
+            else:
+                prog, at = data.draw(st.sampled_from(programs)), data.draw(st.integers(0, 10))
+            shift = data.draw(st.sampled_from((0, 0, 2, -1, -2)))
+            for r in range(data.draw(st.sampled_from((6, 9, 1, 2)))):
+                try:
+                    tb.run(prog, at + r * shift)
+                except IllegalStep:
+                    pass
+        trace = tb.snapshot()
+        read = parse_trace(serialize_trace(trace))
+        assert read == trace and read.steps == tb.steps
+        assert (read.step_count, read.crossing_changes) == (len(tb.steps), tb.crossing_changes)
+        assert replay(read) == tb.word
+
     @given(braid_words(max_strands=6, max_length=16))
     @settings(max_examples=100, deadline=None)
     def test_unknot_steps_round_trip_in_version_3(self, word):
@@ -708,10 +754,15 @@ step: destabilize -> 1:
 crossing_changes: 3
 end
 """
-SAMPLE_TEXTS = (V3_TRACE_TEXT, serialize_certificate(adjacency_ci(2, 1)))
+# A version-3 trace, a small certificate and one whose trace defines programs.
+SAMPLE_TEXTS = (
+    V3_TRACE_TEXT,
+    serialize_certificate(adjacency_ci(2, 1)),
+    serialize_certificate(adjacency_ci(2, 2)),
+)
 FUZZ_SEEDS = SAMPLE_TEXTS + (V2_TRACE_TEXT, V1_TRACE_TEXT)
 # Characters the formats are made of, so edits land near valid text.
-FORMAT_CHARS = " \n:=->0123456789-xtrace v3stepinitialfinalendcrossing_changestorusword"
+FORMAT_CHARS = " \n:=->0123456789-xtrace v3v4stepinitialfinalendcrossing_changestoruswordprogramrunatimeshift"
 
 
 @st.composite
@@ -754,15 +805,18 @@ class TestParsersRaiseOnlyParseError:
                 pass
 
     def test_samples_are_valid_texts(self):
-        trace, cert = SAMPLE_TEXTS
-        assert trace == serialize_trace(unknot(torus_braid(3, 4)))
+        trace, cert, programs = SAMPLE_TEXTS
+        # Version 3 is version 4 without programs: the writer changes the header alone.
+        assert trace.replace("trace v3", "trace v4") == serialize_trace(unknot(torus_braid(3, 4)))
         assert replay(parse_trace(trace)) == BraidWord(1, ())
         assert verify_certificate(parse_certificate(cert)).valid
+        assert "\nprogram 0\n" in programs and "\nrun 0 at=" in programs
+        assert verify_certificate(parse_certificate(programs)).valid
 
     def test_version_1_seed_is_malformed(self):
         """Both retired versions, 1 and 2, are malformed text."""
         for text in V1_TRACE_TEXT, V2_TRACE_TEXT:
-            with pytest.raises(ParseError, match="must start with a 'trace v3' line"):
+            with pytest.raises(ParseError, match="must start with a 'trace v4' or 'trace v3' line"):
                 parse_trace(text)
 
 

@@ -1,5 +1,8 @@
 """The five rewrite rules, trace building, replay, and serialization."""
 
+import copy
+import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -353,12 +356,14 @@ class TestSerialization:
         assert parse_trace(serialize_trace(trace)) == trace
 
     def test_writes_version_3(self):
+        """Steps outside programs are written as version 3 writes them, under
+        the version-4 header."""
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 1, 1)))
         tb.neighbor_braid(0)
         tb.conjugate(1)
         tb.crossing_change(2)
         assert serialize_trace(tb.snapshot()).splitlines() == [
-            "trace v3",
+            "trace v4",
             "initial: 3: 1 2 1 1 1",
             "step: neighbor-braid pos=0",
             "step: conjugate amount=1",
@@ -505,3 +510,150 @@ class TestSerialization:
         with pytest.raises(TraceCorrupt) as info:
             replay(trace)
         assert info.value.step_index == 0
+
+
+# Four swaps of σ_1 σ_3 pairs: program 0 swaps the pair at its offset.
+V4_BODY = "program 0\nstep: distant-swap pos=0\nend program\n{}"
+V4_TEXT = "trace v4\ninitial: 4: 1 3 1 3 1 3 1 3\n{}\nfinal: 4: 3 1 3 1 3 1 3 1\ncrossing_changes: 0\nend\n"
+
+
+class TestVersion4:
+    SWAP = (RewriteStep(DISTANT_SWAP, 0),)
+
+    def test_runs_at_a_stride_read_as_their_steps(self):
+        trace = parse_trace(V4_TEXT.format(V4_BODY.format("run 0 at=0 times=4 shift=2")))
+        assert trace.steps == tuple(RewriteStep(DISTANT_SWAP, q) for q in (0, 2, 4, 6))
+        assert trace.runs == tuple((self.SWAP, q) for q in (0, 2, 4, 6))
+        assert (trace.step_count, trace.crossing_changes) == (4, 0)
+        assert replay(trace) == trace.final
+
+    def test_version_3_reads_as_version_4_without_programs(self):
+        lines = "\n".join(f"step: distant-swap pos={q}" for q in (0, 2, 4, 6))
+        v3 = parse_trace(V4_TEXT.format(lines).replace("trace v4", "trace v3"))
+        v4 = parse_trace(V4_TEXT.format(V4_BODY.format("run 0 at=0 times=4 shift=2")))
+        assert v3 == v4 and hash(v3) == hash(v4)
+        assert serialize_trace(v3) == serialize_trace(v4)
+
+    def test_builder_records_the_program_itself(self):
+        prog = (RewriteStep(DISTANT_SWAP, 0), RewriteStep(DISTANT_SWAP, 0))
+        tb = TraceBuilder(parse_word("4: 1 3 1 3"))
+        tb.run(prog, 2)
+        tb.distant_swap(0)
+        tb.distant_swap(2)
+        trace = tb.snapshot()
+        assert trace.runs[0][0] is prog and trace.runs[0][1] == 2
+        assert trace.runs[1] == ((RewriteStep(DISTANT_SWAP, 0), RewriteStep(DISTANT_SWAP, 2)), 0)
+        assert tb.steps == trace.steps and trace.step_count == 4
+
+    def test_a_trace_of_one_tuple_lists_it_without_a_copy(self):
+        steps = (RewriteStep(CROSSING_CHANGE, 0),)
+        trace = RewriteTrace(BraidWord(2, (1, 1, 1)), steps, BraidWord(2, (1,)))
+        assert trace.steps is steps and trace.runs == ((steps, 0),)
+
+    def test_a_trace_cannot_be_changed_but_copies(self):
+        trace = parse_trace(V4_TEXT.format(V4_BODY.format("run 0 at=0 times=4 shift=2")))
+        with pytest.raises(AttributeError):
+            trace.final = BraidWord(1, ())
+        for again in copy.copy(trace), copy.deepcopy(trace), pickle.loads(pickle.dumps(trace)):
+            assert again == trace and again.runs == trace.runs and replay(again) == trace.final
+
+    @pytest.mark.parametrize(
+        "runs, defined",
+        [
+            (1, False),  # one run: 1 step line against 1 + 2 + 1 lines
+            (4, False),  # 4 step lines against 4: not fewer
+            (5, True),  # 5 step lines against 4
+        ],
+    )
+    def test_a_program_is_written_only_when_it_takes_fewer_lines(self, runs, defined):
+        tb = TraceBuilder(BraidWord(4, (1, 3) * 6))
+        for t in range(runs):
+            tb.run(self.SWAP, 2 * t)
+        text = serialize_trace(tb.snapshot())
+        assert ("program 0" in text) == defined
+        if defined:
+            assert f"run 0 at=0 times={runs} shift=2" in text.splitlines()
+        else:
+            steps = [f"step: distant-swap pos={2 * t}" for t in range(runs)]
+            assert text.splitlines()[2:-3] == steps
+        assert parse_trace(text) == tb.snapshot()
+
+    def test_equal_programs_share_one_definition(self):
+        tb = TraceBuilder(BraidWord(4, (1, 3) * 6))
+        for t in range(6):
+            tb.run((RewriteStep(DISTANT_SWAP, 0),), 2 * t)  # a new tuple each time
+        lines = serialize_trace(tb.snapshot()).splitlines()
+        assert lines[2:6] == [
+            "program 0", "step: distant-swap pos=0", "end program", "run 0 at=0 times=6 shift=2"
+        ]
+
+    def test_a_whole_word_step_away_from_offset_zero_stays_a_program(self):
+        """Written in place it would read as a rotation of the whole word, and
+        the trace that replay refuses would turn valid."""
+        text = V4_TEXT.format("program 0\nstep: conjugate amount=1\nend program\nrun 0 at=1")
+        trace = parse_trace(text)
+        again = parse_trace(serialize_trace(trace))
+        assert "run 0 at=1" in serialize_trace(trace)
+        for read in trace, again:
+            with pytest.raises(TraceCorrupt, match="cannot shift a conjugate step to offset 1") as info:
+                replay(read)
+            assert info.value.step_index == 0
+
+    @pytest.mark.parametrize(
+        "run, index",
+        [
+            ("run 0 at=7 times=4 shift=2", 0),  # runs off the end at once
+            ("run 0 at=0 times=4 shift=1", 1),  # the second run meets σ_1 σ_1
+        ],
+    )
+    def test_a_wrong_offset_parses_and_fails_replay_at_its_flat_index(self, run, index):
+        trace = parse_trace(V4_TEXT.format(V4_BODY.format(run)))
+        with pytest.raises(TraceCorrupt) as info:
+            replay(trace)
+        assert info.value.step_index == index
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("run 1 at=0", "undefined program 1"),
+            (V4_BODY.format("program 0\nstep: distant-swap pos=1\nend program\nrun 0 at=0"), "defined twice"),
+            ("program 0\nprogram 1\nend program\nend program\nrun 0 at=0", "starts inside program 0"),
+            ("program 0\nstep: distant-swap pos=0", "no 'end program' line"),
+            ("program 0\nstep: distant-swap pos=0\nrun 0 at=0\nend program", "run line inside program 0"),
+            ("end program", "outside a program"),
+            (V4_BODY.format("run 0 at=0 times=0 shift=2"), "at least once"),
+            (V4_BODY.format("run 0 at=0 times=-1 shift=2"), "at least once"),
+            (V4_BODY.format("run 0 times=4 shift=2"), "names no offset"),
+            (V4_BODY.format("run 0 at=0 at=2"), "repeated 'at'"),
+            (V4_BODY.format("run 0 at=0 stride=2"), "malformed run parameter"),
+            (V4_BODY.format("run 0 at=x"), "malformed at value"),
+            (V4_BODY.format("run x at=0"), "malformed program id value"),
+            ("program\nend program", "unexpected line"),
+        ],
+    )
+    def test_malformed_programs_and_runs(self, body, message):
+        with pytest.raises(ParseError, match=message):
+            parse_trace(V4_TEXT.format(body))
+
+    def test_programs_are_not_version_3(self):
+        with pytest.raises(ParseError, match="unexpected line in trace body"):
+            parse_trace(V4_TEXT.format(V4_BODY.format("run 0 at=0 times=4 shift=2")).replace("v4", "v3"))
+
+    @pytest.mark.parametrize("times", [rules.MAX_TRACE_STEPS // 2 + 1, 10**18])
+    def test_the_step_cap_is_checked_before_expansion(self, times):
+        text = V4_TEXT.format(V4_BODY.format(f"run 0 at=0 times={times} shift=0"))
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {rules.MAX_TRACE_STEPS} steps"):
+            parse_trace(text)
+        assert time.perf_counter() - started < 1
+
+    def test_the_cap_counts_each_step_and_each_repetition(self, monkeypatch):
+        monkeypatch.setattr(rules, "MAX_TRACE_STEPS", 8)
+        # Two steps written out and three runs of one step: 2 + 3 * 2 = 8.
+        swap = "step: distant-swap pos=0\n"
+        body = swap + swap + V4_BODY.format("run 0 at=0 times=3 shift=2")
+        parse_trace(V4_TEXT.format(body))
+        with pytest.raises(ParseError, match="more than 8 steps"):
+            parse_trace(V4_TEXT.format(body.replace("times=3", "times=4")))
+        with pytest.raises(ParseError, match="more than 8 steps"):
+            parse_trace(V4_TEXT.format("step: distant-swap pos=0\n" + body))
