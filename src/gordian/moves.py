@@ -27,13 +27,16 @@ Two layers are built on top:
   program and its offset.  One function, :func:`cross_left_prog`, decides
   whether and how a letter crosses a block: it returns None when the letter
   cannot pass.
-* **Regional programs** — step programs that may also hold a
-  :class:`Rotation` of a subword, describing a rewrite of a suffix region
-  *abstractly* so the same program can be replayed inside different ambient
-  words (:func:`run_regional`).  A rotation inverts and mirrors like any
-  other step; running it walks letters around the closure, so the ambient
-  prefix must be described by *block descriptors* the moving letters are
-  known to commute past.
+* **Regional programs** — lists of *pieces*, each a ``(program, offset)``
+  pair of a cached step program and its offset in a suffix region, or a
+  :class:`Rotation` of a subword.  They describe a rewrite of the region
+  *abstractly*, so the same program can be replayed inside different ambient
+  words (:func:`run_regional`), and each piece runs as one
+  ``TraceBuilder.run``.  :func:`invert_program` and :func:`mirror_program`
+  act on each piece, through one cache per program, and on each rotation as
+  on any other step; running a rotation walks letters around the closure,
+  so the ambient prefix must be described by *block descriptors* the moving
+  letters are known to commute past.
 
 Block descriptors are tuples: ``("letter", m)`` a single letter,
 ``("wrap", j)`` the 2j-letter wrap, ``("twist", a)`` the full twist on ``a``
@@ -208,24 +211,48 @@ def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]
     return [_step_at(step, offset) for step in prog]
 
 
-def invert_program(prog: Sequence[RewriteStep]) -> list[RewriteStep]:
-    """Reverse an isotopy program (no crossing changes, no destabilization)."""
-    return [_invert_step(step) for step in reversed(prog)]
+def invert_program(prog: Sequence) -> list:
+    """Reverse an isotopy program (no crossing changes, no destabilization),
+    or a regional program piece by piece: ``(P, offset)`` inverts to the
+    cached inverse of ``P`` at the same offset."""
+    return [(_inverse(item[0]), item[1]) if type(item) is tuple else _invert_step(item) for item in reversed(prog)]
 
 
-def mirror_program(prog: Sequence[RewriteStep], length: int) -> list[RewriteStep]:
+def mirror_program(prog: Sequence, length: int) -> list:
     """Conjugate a program by letter-order reversal.
 
     If ``prog`` rewrites a word ``w`` of the given length into ``w'``, the
     mirrored program rewrites ``reversed(w)`` into ``reversed(w')``.  The
-    running length is tracked so crossing changes stay aligned.
+    running length is tracked so crossing changes stay aligned.  A piece
+    ``(P, offset)`` of a regional program mirrors to the cached mirror image
+    of ``P`` in its window of width ``W``, at ``length - W - offset``.
     """
     out = []
-    for step in prog:
-        out.append(_mirror_step(step, length))
-        if step.kind == CROSSING_CHANGE:
+    for item in prog:
+        if type(item) is tuple:
+            mirrored, width = _mirror_image(item[0])
+            out.append((mirrored, length - width - item[1]))
+            continue
+        out.append(_mirror_step(item, length))
+        if item.kind == CROSSING_CHANGE:
             length -= 2
     return out
+
+
+@cache
+def _inverse(prog: Program) -> Program:
+    return tuple(invert_program(prog))
+
+
+@cache
+def _mirror_image(prog: Program) -> tuple[Program, int]:
+    """``prog`` mirrored in ``[0, W)``, and ``W``, the end of the letters it
+    reads.  A piece of a regional program holds only distant swaps and braid
+    moves."""
+    if any(step.kind not in (DISTANT_SWAP, NEIGHBOR_BRAID) for step in prog):
+        raise IllegalStep("a regional piece holds a step other than a distant swap or a braid move")
+    width = max((step.position + (3 if step.kind == NEIGHBOR_BRAID else 2) for step in prog), default=0)
+    return tuple(mirror_program(prog, width)), width
 
 
 def expect_word(tb: TraceBuilder, letters) -> None:
@@ -512,52 +539,51 @@ def cascade_mirror(tb: TraceBuilder, pos: int, j: int, count: int) -> None:
 # regional programs
 # ---------------------------------------------------------------------------
 #
-# A regional program is a step program whose positions are relative to the
-# start of a suffix region and which may hold Rotations.  Running it inside an
-# ambient word realizes each rotation by walking the moved letters around the
-# closure, commuting them through its delimiting blocks and through the
-# ambient prefix (also given as descriptors).
+# A regional program is a list of pieces: a (program, offset) pair, its
+# offset relative to the start of a suffix region, or a Rotation.  Running it
+# inside an ambient word runs each pair as one program and realizes each
+# rotation by walking the moved letters around the closure, commuting them
+# through its delimiting blocks and through the ambient prefix (also given as
+# descriptors).
 
 
-def decompose_region_prog(a: int, k: int) -> list[RewriteStep | Rotation]:
+@cache
+def _tail_prog(a: int) -> Program:
+    """``R_{a-2} Δ²_{a-1} → Δ²_{a-1} R_{a-2}``, relative to the run."""
+    return exchange_prog.__wrapped__(("run", descending_run(a - 2)), ("twist", a - 1))
+
+
+def decompose_region_prog(a: int, k: int) -> list[tuple[Program, int] | Rotation]:
     """Regional program rewriting ``R_{a-1}^{ak+1}`` into the layered form.
 
     Level by level (``a' = a, a-1, …, 2``) the run power splits as
     ``(Δ²_{a'})^k R_{a'-1}``; the ``k`` full twists are peeled, gathered, sent
     to the end of the live subword by rotation, and absorbed into the next
     run power, leaving ``(V_{a'-1})^k σ_{a'-1}`` of the layered form behind.
-    No crossing changes occur and the region keeps its length.
+    No crossing changes occur and the region keeps its length.  Level 2 has
+    nothing to peel, gather or absorb.
     """
     if a < 2 or k < 0:
         raise IllegalStep(f"decomposition needs a >= 2 and k >= 0, got a={a}, k={k}")
-    prog: list[RewriteStep | Rotation] = []
+    pieces = []
     stack: list[tuple] = []
     region_len = (a - 1) * (a * k + 1)
     base = 0
-    for ap in range(a, 1, -1):
+    for ap in range(a, 2, -1):
         lw = 2 * (ap - 1)
         lt = (ap - 1) * (ap - 2)
-        tw = full_twist_letters(ap - 1) if ap >= 3 else ()
-        for t in range(k):
-            prog += shift_program(peel_prog(ap), base + t * ap * (ap - 1))
-        for t in range(1, k + 1):
-            pos = base + (t - 1) * lt + t * lw
-            for _ in range(t):
-                wstart = pos - lw
-                for c, letter in enumerate(tw):
-                    prog += shift_program(cross_left_prog(("wrap", ap - 1), letter), wstart + c)
-                pos = wstart
-        if k * lt:
-            prog.append(Rotation(k * lt, region_len - base, tuple(stack)))
-        rtail = descending_run(ap - 2)
-        bpos = base + k * lw + 1
-        for _ in range(k if rtail else 0):
-            for c in range(len(rtail) - 1, -1, -1):
-                prog += shift_program(cross_right_prog(("twist", ap - 1), rtail[c]), bpos + c)
-            bpos += lt
+        pieces += [(peel_prog(ap), base + t * (lw + lt)) for t in range(k)]
+        # Each peeled twist crosses the wraps peeled before it.
+        gather = exchange_prog(("wrap", ap - 1), ("twist", ap - 1))
+        pieces += [(gather, base + t * lt + (t - s) * lw) for t in range(k) for s in range(t + 1)]
+        if k:
+            pieces.append(Rotation(k * lt, region_len - base, tuple(stack)))
+        tail = _tail_prog(ap)
+        if tail:
+            pieces += [(tail, base + k * lw + 1 + t * lt) for t in range(k)]
         stack += [("wrap", ap - 1)] * k + [("letter", ap - 1)]
         base += k * lw + 1
-    return prog
+    return pieces
 
 
 def _stack_legal(movers, descs) -> bool:
@@ -580,12 +606,12 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
     letters = tb.letters
     movers_left = letters[sub_start : sub_start + amount]
     movers_right = letters[sub_start + amount : sub_start + s]
-    if _stack_legal(movers_left, list(lb) + list(prefix) + list(rb)):
+    if _stack_legal(movers_left, [*lb, *prefix, *rb]):
         # The first `amount` letters exit leftwards around the closure.
         for t in range(amount):
             q = t + region_start + lb_len
             letter = letters[q]
-            for desc in list(reversed(list(lb))) + list(reversed(list(prefix))):
+            for desc in [*reversed(lb), *reversed(prefix)]:
                 q -= len(desc_letters(desc))
                 tb.run(cross_left_prog(desc, letter), q)
             if q != t:
@@ -594,10 +620,10 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
         for t in range(amount):
             q = sub_start + (s - amount) + t + rb_len
             letter = letters[q]
-            for desc in reversed(list(rb)):
+            for desc in reversed(rb):
                 q -= len(desc_letters(desc))
                 tb.run(cross_left_prog(desc, letter), q)
-    elif _stack_legal(movers_right, list(rb) + list(prefix) + list(lb)):
+    elif _stack_legal(movers_right, [*rb, *prefix, *lb]):
         # The trailing letters exit rightwards around the closure instead.
         back = s - amount
         for c in range(back - 1, -1, -1):
@@ -610,7 +636,7 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
         for c in range(back - 1, -1, -1):
             q = c
             letter = letters[q]
-            for desc in list(prefix) + list(lb):
+            for desc in [*prefix, *lb]:
                 tb.run(cross_right_prog(desc, letter), q)
                 q += len(desc_letters(desc))
             if q != c + sub_start:
@@ -622,16 +648,18 @@ def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotati
 def run_regional(tb: TraceBuilder, prog: list, region_start: int, prefix) -> None:
     """Run a regional program on the suffix region starting at ``region_start``.
 
-    ``prefix`` is a list of block descriptors describing the whole word before
-    the region; rotations walk their letters through these blocks and around
-    the closure, so every prefix block must commute with the letters moved.
+    Each ``(program, offset)`` piece runs as one program at ``region_start +
+    offset``.  ``prefix`` is a list of block descriptors describing the whole
+    word before the region; rotations walk their letters through these
+    blocks and around the closure, so every prefix block must commute with
+    the letters moved.
     """
     prefix = list(prefix)
     plen = sum(len(desc_letters(d)) for d in prefix)
     if plen != region_start:
         raise IllegalStep("prefix descriptors must cover the word before the region")
-    for step in prog:
-        if step.kind == RCONJ:
-            _lift_rotation(tb, region_start, prefix, step)
+    for piece in prog:
+        if type(piece) is Rotation:
+            _lift_rotation(tb, region_start, prefix, piece)
         else:
-            tb.run((step,), region_start)
+            tb.run(piece[0], region_start + piece[1])

@@ -258,12 +258,12 @@ class TestCertificateFormat:
 
     # The largest members the certify benchmark builds, pinned byte for byte
     # by the SHA-256 of their verified serialization (the goldens under
-    # tests/golden cover only small members; these texts are up to 24 KB).
+    # tests/golden cover only small members; these texts are up to 8 KB).
     @pytest.mark.parametrize(
         "build, length, digest",
         [
-            (lambda: adjacency_3_from_4(129), 23286,
-             "ff764491fbec98bcc01565e41733ac49916a98793db23e6d5eb7c914a4e0b457"),
+            (lambda: adjacency_3_from_4(129), 7711,
+             "d91b441417f07576b3843e8dd5b953daa0695cd2c1a01dffd1ff6837c37574e7"),
             (lambda: adjacency_2_from_4(21), 3170,
              "048dd1ad6ed9fa7d9d301bbc108b43531953f6f6a04935729a8887a561d8f044"),
             (lambda: adjacency_ci(4, 1), 5952,
@@ -291,7 +291,7 @@ class TestCertificateFormat:
             digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
         assert (len(grid), digest.hexdigest()) == (
             162,
-            "3b2e88fef79c35b5e2078b9e3f976d9a6146d8abe769e1874545f4bbb33a1d52",
+            "f72f15ee0ad5ea5f181d341e3db17cf228724e112de79aeabee2a66d5793d44b",
         )
 
     # The steps themselves, apart from how the text writes them: a change of

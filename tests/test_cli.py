@@ -1,5 +1,6 @@
 """Command-line surface: outputs, file emission, exit codes."""
 
+import hashlib
 import re
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from gordian import (
     verify_certificate,
 )
 from gordian.cli import main
+from test_adjacency import step_lines
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,8 +211,8 @@ class TestAdjacency:
 
     def test_t34_513_certificate_is_compact_and_lists_no_steps(self, capsys, tmp_path, monkeypatch):
         """T(4,513) → T(3,577) has 273 538 steps; its version-4 text stays
-        under 400 000 bytes, and neither writing nor verifying it lists the
-        steps one by one."""
+        under 100 000 bytes, neither writing nor verifying it lists the steps
+        one by one, and the steps it reads back are the frozen ones."""
 
         def refuse(trace):
             raise AssertionError("the steps were listed")
@@ -219,8 +221,14 @@ class TestAdjacency:
         path = tmp_path / "t34_513.cert"
         code, out, err = run(capsys, "adjacency", "t34", "513", "--out", str(path))
         assert (code, err) == (0, "") and "verification: strands=match" in out
-        assert path.stat().st_size <= 400_000
+        assert path.stat().st_size <= 100_000
         assert run(capsys, "verify", str(path)) == (0, "certificate: valid\n", "")
+        monkeypatch.undo()
+        trace = parse_certificate(path.read_text()).trace
+        assert (trace.step_count, hashlib.sha256(step_lines(trace)).hexdigest()) == (
+            273538,
+            "71f462b0dc67e22752c2acda79e9858adf5a5a8abbdc7f05c3d8a34eedb97624",
+        )
 
     def test_version_3_certificate_still_verifies(self, capsys):
         """A certificate written before version 4 verifies, and reads as the
@@ -444,6 +452,23 @@ class TestVerify:
         path.write_text(V4_TRACE.format(body))
         started = time.perf_counter()
         assert_one_line_error(capsys, path, message)
+        assert time.perf_counter() - started < 1
+
+    def test_a_sparse_program_run_many_times_verifies_fast(self, capsys, tmp_path):
+        # Two swaps 49 998 letters apart, run 25 000 times at stride 2 on a
+        # word of 100 000 letters: a run costs its two steps, not the width
+        # of the letters between them.
+        half = 24_999
+        initial = " ".join(["1 3"] * (2 * half + 2))
+        final = " ".join((["3 1"] * half + ["1 3"]) * 2)
+        program = "program 0\nstep: distant-swap pos=0\nstep: distant-swap pos=49998\nend program\n"
+        path = tmp_path / "sparse.trace"
+        path.write_text(
+            f"trace v4\ninitial: 4: {initial}\n{program}run 0 at=0 times={half + 1} shift=2\n"
+            f"final: 4: {final}\ncrossing_changes: 0\nend\n"
+        )
+        started = time.perf_counter()
+        assert run(capsys, "verify", str(path)) == (0, "trace: valid (50000 steps, 0 crossing changes)\n", "")
         assert time.perf_counter() - started < 1
 
     @pytest.mark.parametrize(

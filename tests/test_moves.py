@@ -343,6 +343,22 @@ class TestCascades:
         assert tb.word.letters == (3, 2) + wrap(1) * 2
 
 
+def flat(regional) -> list:
+    """A regional program with each ``(program, offset)`` piece written out
+    as its shifted steps, rotations left in place."""
+    out = []
+    for piece in regional:
+        out += [piece] if type(piece) is Rotation else shift_program(*piece)
+    return out
+
+
+def is_pieces(regional) -> bool:
+    return all(
+        type(piece) is Rotation or (type(piece) is tuple and type(piece[0]) is tuple and type(piece[1]) is int)
+        for piece in regional
+    )
+
+
 class TestRegionalPrograms:
     def test_decompose_run_power_into_layers(self):
         for a, k in [(2, 1), (3, 1), (3, 2), (4, 1)]:
@@ -356,19 +372,44 @@ class TestRegionalPrograms:
         a, k = 3, 2
         word = BraidWord(a, descending_run(a - 1) * (a * k + 1))
         prog = decompose_region_prog(a, k)
+        inverse = invert_program(prog)
+        # Inverted piece by piece, each program through its cache, the steps
+        # are those of the whole program inverted.
+        assert is_pieces(prog) and is_pieces(inverse)
+        assert all(p[0] is q[0] for p, q in zip(inverse, invert_program(prog)) if type(p) is tuple)
+        assert flat(inverse) == invert_program(flat(prog))
         tb = TraceBuilder(word)
         run_regional(tb, prog, 0, [])
-        run_regional(tb, invert_program(prog), 0, [])
+        run_regional(tb, inverse, 0, [])
         assert tb.word == word
 
     def test_regional_mirror_acts_on_reversed_region(self):
         a, k = 3, 1
         length = (a - 1) * (a * k + 1)
         prog = decompose_region_prog(a, k)
+        mirrored = mirror_program(prog, length)
+        assert is_pieces(mirrored) and flat(mirrored) == mirror_program(flat(prog), length)
         reversed_word = BraidWord(a, tuple(reversed(descending_run(a - 1) * (a * k + 1))))
         tb = TraceBuilder(reversed_word)
-        run_regional(tb, mirror_program(prog, length), 0, [])
+        run_regional(tb, mirrored, 0, [])
         assert tb.word.letters == tuple(reversed(form_letters(a, k)))
+
+    def test_each_piece_runs_as_one_program(self):
+        a, k = 4, 2
+        prog = decompose_region_prog(a, k)
+        tb = TraceBuilder(BraidWord(a, descending_run(a - 1) * (a * k + 1)))
+        run_regional(tb, prog, 0, [])
+        # Each piece is recorded, in order, as one run of its own program;
+        # the runs between them walk the rotations round the closure.
+        runs = iter(tb.snapshot().runs)
+        pieces = [piece for piece in prog if type(piece) is tuple]
+        assert len(pieces) > 10
+        assert all(any(run[0] is piece[0] and run[1] == piece[1] for run in runs) for piece in pieces)
+
+    @pytest.mark.parametrize("step", [RewriteStep(CONJUGATE, amount=1), RewriteStep(CROSSING_CHANGE, 0)])
+    def test_mirror_refuses_a_piece_other_than_swaps_and_braid_moves(self, step):
+        with pytest.raises(IllegalStep):
+            mirror_program([((step,), 0)], 4)
 
     def test_run_regional_requires_matching_prefix(self):
         word = BraidWord(3, (2,) + descending_run(2) * 4)
@@ -404,6 +445,7 @@ class TestRotation:
         for a, k in [(3, 1), (3, 2), (4, 1)]:
             word = BraidWord(a, form_letters(a, k))
             prog = decompose_region_prog(a, k)
+            assert is_pieces(prog) and invert_program(invert_program(prog)) == prog
             tb = TraceBuilder(word)
             run_regional(tb, invert_program(prog), 0, [])
             assert tb.word.letters == descending_run(a - 1) * (a * k + 1), (a, k)
@@ -441,9 +483,12 @@ class TestRotation:
         assert shift_program([Rotation(1, 2)], 0) == [Rotation(1, 2)]
         with pytest.raises(IllegalStep):
             shift_program([Rotation(1, 2)], 3)
+        # A regional program places a rotation by its delimiting blocks, never
+        # by an offset, and the builder refuses one at any offset.
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
-        with pytest.raises(IllegalStep):
-            tb.run([Rotation(1, 2)], offset=3)
+        for offset in (0, 3):
+            with pytest.raises(IllegalStep):
+                tb.run([Rotation(1, 2)], offset=offset)
         assert tb.steps == ()
 
     @pytest.mark.parametrize(
