@@ -27,13 +27,16 @@ to a word, and :class:`TraceBuilder` applies and records a sequence of them.
 A *program* is a tuple of steps whose positions are relative to an offset
 chosen when it runs.  A :class:`RewriteTrace` stores the initial word, the
 final word and its steps as *runs*, ``(program, offset)`` pairs in the order
-they ran; the builder records each program it runs as one run, and the
-steps it applies one by one as one run at offset 0.  The words in between
-are derived on demand.  :func:`replay` re-applies every run from the initial
-word and is the single source of truth for validity: each step must be
-legal and the last one must reach the recorded final word.  All of them run
-one in-place step kernel, a single loop over a sequence of steps with every
-legality check inline, so they accept and reject exactly the same steps.
+they ran.  The builder records each program it runs as one run; a single
+distant swap, braid move or crossing change runs as the one-step program of
+its rule at its position, and the whole-word steps it applies one by one
+share one run at offset 0.  The words in between are derived on demand.
+:func:`replay` re-applies every run from the initial word and is the single
+source of truth for validity: each step must be legal and the last one must
+reach the recorded final word.  All of them run one in-place step kernel, a
+single loop over a sequence of runs with every legality check inline, so
+they accept and reject exactly the same steps; replay hands it every run of
+a trace in one call.
 Positions and amounts are ``int`` itself, never ``bool``, and a step that
 carries a parameter its rule does not take is illegal.
 
@@ -64,15 +67,17 @@ any other header is malformed.  The reader refuses a text whose steps and
 program repetitions together exceed :data:`MAX_TRACE_STEPS`, counting before
 it expands a run.
 
-:func:`parse_trace` reads the exact step lines :func:`serialize_trace` writes
-directly; any other spelling goes through the full step grammar, which also
-writes every parse error of a step line.
+:func:`parse_trace` reads the exact step, run and program lines
+:func:`serialize_trace` writes directly; any other spelling goes through the
+full grammar, which also writes every parse error.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter, countOf, length_hint
+from itertools import compress, repeat
+from itertools import count as count_from
+from operator import countOf, is_not, itemgetter, length_hint
 from typing import NamedTuple
 
 from .errors import IllegalStep, ParseError, TraceCorrupt
@@ -132,7 +137,8 @@ class RewriteTrace:
     ``steps`` as one entry at offset 0; :class:`TraceBuilder` and
     :func:`parse_trace` store the runs they record or read.  :attr:`steps`
     lists every step, its position shifted, on demand; :attr:`step_count`
-    and :attr:`crossing_changes` are counted from the runs.  The words in
+    and :attr:`crossing_changes` are counted as the runs are recorded or
+    read, and ``_from_runs`` takes them from its caller.  The words in
     between are not stored; :attr:`words` derives them by replay.  Two
     traces are equal when their initial words, steps and final words are.
     """
@@ -141,32 +147,26 @@ class RewriteTrace:
 
     def __init__(self, initial: BraidWord, steps, final: BraidWord):
         steps = tuple(steps)
-        self._fill(initial, ((steps, 0),) if steps else (), final, steps)
+        self._fill(initial, ((steps, 0),) if steps else (), final, (len(steps), _changes(steps)), steps)
 
     @classmethod
-    def _from_runs(cls, initial: BraidWord, runs, final: BraidWord) -> RewriteTrace:
-        """A trace of ``(program, offset)`` entries, in the order they ran."""
+    def _from_runs(cls, initial: BraidWord, runs, final: BraidWord, counts) -> RewriteTrace:
+        """A trace of ``(program, offset)`` entries, in the order they ran,
+        whose (steps, crossing changes) the caller has counted."""
         trace = object.__new__(cls)
-        trace._fill(initial, tuple(runs), final, None)
+        trace._fill(initial, tuple(runs), final, counts)
         return trace
 
-    def _fill(self, initial, runs, final, steps) -> None:
-        count = changes = 0
-        seen: dict[int, int] = {}  # id(program) -> its crossing changes
-        for prog, _ in runs:
-            spent = seen.get(id(prog))
-            if spent is None:
-                spent = seen[id(prog)] = countOf(map(attrgetter("kind"), prog), CROSSING_CHANGE)
-            count += len(prog)
-            changes += spent
-        for name, value in zip(self.__slots__, (initial, runs, final, count, changes, steps)):
+    def _fill(self, initial, runs, final, counts, steps=None) -> None:
+        for name, value in zip(self.__slots__, (initial, runs, final, *counts, steps)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a RewriteTrace")
 
     def __reduce__(self):
-        return RewriteTrace._from_runs, (self.initial, self.runs, self.final)
+        counts = self.step_count, self.crossing_changes
+        return RewriteTrace._from_runs, (self.initial, self.runs, self.final, counts)
 
     @property
     def steps(self) -> tuple[RewriteStep, ...]:
@@ -199,6 +199,10 @@ class RewriteTrace:
 
     def __repr__(self):
         return f"RewriteTrace(initial={self.initial!r}, steps={self.step_count}, final={self.final!r})"
+
+
+def _changes(steps) -> int:
+    return countOf(map(itemgetter(0), steps), CROSSING_CHANGE)
 
 
 def _expand(runs):
@@ -242,9 +246,10 @@ def _stray(step: RewriteStep) -> IllegalStep:
             return IllegalStep(f"a {step.kind} step takes no {key!r} parameter")
 
 
-def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list | None = None) -> int:
-    """Apply ``steps`` in turn to ``letters`` in place, positions shifted by
-    ``offset`` (whole-word steps run only at offset 0); return the strand count.
+def _run(letters: list[int], strands: int, runs, record: list | None = None) -> int:
+    """Apply the steps of ``runs``, ``(steps, offset)`` pairs, in turn to
+    ``letters`` in place, positions shifted by each run's offset (whole-word
+    steps run only at offset 0); return the strand count.
 
     An illegal step raises :class:`IllegalStep` before it changes anything,
     and the steps before it stay applied.  A step that carries a parameter its
@@ -253,88 +258,84 @@ def _run(letters: list[int], strands: int, steps, offset: int = 0, record: list 
     a rotation modulo the length (a null rotation is not recorded).
     """
     length = len(letters)
-    for step in steps:
-        try:
-            kind, position, amount = step
-        except ValueError:
-            raise IllegalStep(f"unknown rule kind {step.kind!r}") from None
-        if kind == NEIGHBOR_BRAID:
-            if amount is not None:
-                raise _stray(step)
-            if type(position) is not int or not 0 <= (position := position + offset) <= length - 3:
-                raise _misplaced(kind, position, offset, length)
-            a = letters[position]
-            b = letters[position + 1]
-            c = letters[position + 2]
-            if a != c or (b != a + 1 and b != a - 1):
-                raise IllegalStep(f"letters {(a, b, c)} at position {position} match no braid-relation pattern")
-            letters[position] = letters[position + 2] = b
-            letters[position + 1] = a
-            if record is not None:
-                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
-        elif kind == DISTANT_SWAP:
-            if amount is not None:
-                raise _stray(step)
-            if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
-                raise _misplaced(kind, position, offset, length)
-            a = letters[position]
-            b = letters[position + 1]
-            if -2 < a - b < 2:
-                raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not distant")
-            letters[position] = b
-            letters[position + 1] = a
-            if record is not None:
-                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
-        elif kind == CROSSING_CHANGE:
-            if amount is not None:
-                raise _stray(step)
-            if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
-                raise _misplaced(kind, position, offset, length)
-            a = letters[position]
-            b = letters[position + 1]
-            if a != b:
-                raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not an equal pair")
-            del letters[position : position + 2]
-            length -= 2
-            if record is not None:
-                record.append(tuple.__new__(RewriteStep, (kind, position, None)) if offset else step)
-        elif kind == CONJUGATE:
-            if position is not None:
-                raise _stray(step)
-            if offset:
-                raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
-            if type(amount) is not int:
-                raise IllegalStep(f"conjugate requires an integer amount, got {amount!r}")
-            if not length:
-                if amount:
-                    raise IllegalStep("cannot rotate the empty word by a nonzero amount")
-                continue
-            amount %= length
-            if amount:
+    for steps, offset in runs:
+        for step in steps:
+            try:
+                kind, position, amount = step
+            except ValueError:
+                raise IllegalStep(f"unknown rule kind {step.kind!r}") from None
+            if kind == NEIGHBOR_BRAID:
+                if amount is not None:
+                    raise _stray(step)
+                if type(position) is not int or not 0 <= (position := position + offset) <= length - 3:
+                    raise _misplaced(kind, position, offset, length)
+                a = letters[position]
+                b = letters[position + 1]
+                c = letters[position + 2]
+                if a != c or (b != a + 1 and b != a - 1):
+                    raise IllegalStep(
+                        f"letters {(a, b, c)} at position {position} match no braid-relation pattern"
+                    )
+                letters[position] = letters[position + 2] = b
+                letters[position + 1] = a
+            elif kind == DISTANT_SWAP:
+                if amount is not None:
+                    raise _stray(step)
+                if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
+                    raise _misplaced(kind, position, offset, length)
+                a = letters[position]
+                b = letters[position + 1]
+                if -2 < a - b < 2:
+                    raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not distant")
+                letters[position] = b
+                letters[position + 1] = a
+            elif kind == CROSSING_CHANGE:
+                if amount is not None:
+                    raise _stray(step)
+                if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
+                    raise _misplaced(kind, position, offset, length)
+                a = letters[position]
+                b = letters[position + 1]
+                if a != b:
+                    raise IllegalStep(f"letters σ_{a} σ_{b} at position {position} are not an equal pair")
+                del letters[position : position + 2]
+                length -= 2
+            elif kind == CONJUGATE:
+                if position is not None:
+                    raise _stray(step)
+                if offset:
+                    raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
+                if type(amount) is not int:
+                    raise IllegalStep(f"conjugate requires an integer amount, got {amount!r}")
+                if not length:
+                    if amount:
+                        raise IllegalStep("cannot rotate the empty word by a nonzero amount")
+                    continue
+                amount %= length
+                if not amount:
+                    continue
                 letters[:] = letters[amount:] + letters[:amount]
-                if record is not None:
-                    record.append(tuple.__new__(RewriteStep, (kind, None, amount)))
-        elif kind == DESTABILIZE:
-            if position is not None or amount is not None:
-                raise _stray(step)
-            if offset:
-                raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
-            if strands == 1:
-                raise IllegalStep("cannot destabilize a word on one strand")
-            top = strands - 1
-            # No letter exceeds top, so σ_top is the maximal used index iff it occurs.
-            occurrences = letters.count(top)
-            if not occurrences:
-                raise IllegalStep(f"destabilize requires σ_{top} to be the maximal used index")
-            if occurrences != 1:
-                raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {occurrences}")
-            letters.remove(top)
-            length -= 1
-            strands = top
+            elif kind == DESTABILIZE:
+                if position is not None or amount is not None:
+                    raise _stray(step)
+                if offset:
+                    raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
+                if strands == 1:
+                    raise IllegalStep("cannot destabilize a word on one strand")
+                top = strands - 1
+                # No letter exceeds top, so σ_top is the maximal used index iff it occurs.
+                occurrences = letters.count(top)
+                if not occurrences:
+                    raise IllegalStep(f"destabilize requires σ_{top} to be the maximal used index")
+                if occurrences != 1:
+                    raise IllegalStep(f"destabilize requires exactly one σ_{top}, found {occurrences}")
+                letters.remove(top)
+                length -= 1
+                strands = top
+            else:
+                raise IllegalStep(f"unknown rule kind {kind!r}")
             if record is not None:
-                record.append(step)
-        else:
-            raise IllegalStep(f"unknown rule kind {kind!r}")
+                record.append(tuple.__new__(RewriteStep, (kind, position, amount)) if offset or amount else step)
     return strands
 
 
@@ -343,7 +344,7 @@ def apply_step(word: BraidWord, step: RewriteStep) -> BraidWord:
     raises :class:`IllegalStep`.  This is the one word-level entry point for
     the five rules."""
     letters = list(word.letters)
-    strands = _run(letters, word.strands, (step,))
+    strands = _run(letters, word.strands, (((step,), 0),))
     return BraidWord._trusted(strands, tuple(letters))
 
 
@@ -395,7 +396,7 @@ def _walk(trace: RewriteTrace):
     for prog, offset in trace.runs:
         for step in prog:
             try:
-                strands = _run(letters, strands, (step,), offset)
+                strands = _run(letters, strands, (((step,), offset),))
             except IllegalStep as exc:
                 raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
             index += 1
@@ -405,16 +406,14 @@ def _walk(trace: RewriteTrace):
 def replay(trace: RewriteTrace) -> BraidWord:
     """Re-apply every step from the initial word and check where it ends.
 
-    Each run goes to the kernel whole, at its offset.  Raises
+    The runs go to the kernel in one call.  Raises
     :class:`TraceCorrupt` with the index of the first illegal step, counted
     over all steps in order; a replay that ends anywhere but the recorded
     final word fails at index ``step_count``.  Returns the final word.
     """
     letters = list(trace.initial.letters)
-    strands = trace.initial.strands
     try:
-        for prog, offset in trace.runs:
-            strands = _run(letters, strands, prog, offset)
+        strands = _run(letters, trace.initial.strands, trace.runs)
     except IllegalStep:
         # The kernel counts no steps: walk again, one step at a time, to
         # raise TraceCorrupt at the index of the illegal one.
@@ -440,6 +439,11 @@ def _positional(prog) -> bool:
     return all(type(step) is RewriteStep and step.kind in _POSITIONAL for step in prog)
 
 
+# The one-step program of each positional rule, which the builder runs at the
+# position its method is given.
+_ONE_STEP = {kind: (RewriteStep(kind, 0),) for kind in _POSITIONAL}
+
+
 class TraceBuilder:
     """Applies rules in place to one mutable list of letters and records steps.
 
@@ -447,9 +451,12 @@ class TraceBuilder:
     change them only through :meth:`apply` and :meth:`run`, which run the
     kernel :func:`replay` uses, so the builder accepts and rejects exactly
     the steps replay does.  A program of positional steps is recorded as one
-    ``(program, offset)`` run, the tuple itself and not a copy; consecutive
-    single steps share one run at offset 0.  A rotation is recorded modulo
-    the length, and a null rotation is not worth a step.  :attr:`word`
+    ``(program, offset)`` run, the tuple itself and not a copy, and
+    :meth:`distant_swap`, :meth:`neighbor_braid` and :meth:`crossing_change`
+    run the one-step program of their rule at the position, so the writer
+    groups a strided loop of them into one ``run`` line; whole-word steps
+    applied one by one share one run at offset 0.  A rotation is recorded
+    modulo the length, and a null rotation is not worth a step.  :attr:`word`
     builds a :class:`BraidWord` of the current word on demand.
     """
 
@@ -482,7 +489,7 @@ class TraceBuilder:
 
     def apply(self, step: RewriteStep) -> None:
         """Apply ``step`` to the current word and record it."""
-        self.strands = _run(self.letters, self.strands, (step,), 0, self._loose)
+        self.strands = _run(self.letters, self.strands, (((step,), 0),), self._loose)
 
     def run(self, steps, offset: int = 0) -> None:
         """Apply and record ``steps`` in turn, positions shifted by ``offset``.
@@ -498,14 +505,14 @@ class TraceBuilder:
             # Whole-word steps are recorded one by one, as they applied.
             done = len(self._loose)
             try:
-                self.strands = _run(self.letters, self.strands, prog, offset, self._loose)
+                self.strands = _run(self.letters, self.strands, ((prog, offset),), self._loose)
             except IllegalStep:
                 self.strands -= sum(step.kind == DESTABILIZE for step in self._loose[done:])
                 raise
             return
         rest = iter(prog)
         try:
-            _run(self.letters, self.strands, rest, offset)
+            _run(self.letters, self.strands, ((rest, offset),))
         except IllegalStep:
             done = len(prog) - length_hint(rest) - 1
             self._record(prog[:done], offset)
@@ -520,11 +527,17 @@ class TraceBuilder:
             self._loose = []
         self._runs.append((prog, offset))
 
+    def _one_step(self, kind: str, position: int) -> None:
+        if type(position) is int:
+            self.run(_ONE_STEP[kind], position)
+        else:
+            self.apply(RewriteStep(kind, position))  # illegal, and worded as apply words it
+
     def distant_swap(self, position: int) -> None:
-        self.apply(RewriteStep(DISTANT_SWAP, position))
+        self._one_step(DISTANT_SWAP, position)
 
     def neighbor_braid(self, position: int) -> None:
-        self.apply(RewriteStep(NEIGHBOR_BRAID, position))
+        self._one_step(NEIGHBOR_BRAID, position)
 
     def conjugate(self, amount: int) -> None:
         self.apply(RewriteStep(CONJUGATE, amount=amount))
@@ -533,10 +546,12 @@ class TraceBuilder:
         self.apply(RewriteStep(DESTABILIZE))
 
     def crossing_change(self, position: int) -> None:
-        self.apply(RewriteStep(CROSSING_CHANGE, position))
+        self._one_step(CROSSING_CHANGE, position)
 
     def snapshot(self) -> RewriteTrace:
-        return RewriteTrace._from_runs(self.initial, self._entries(), self.word)
+        runs = self._entries()
+        counts = sum(map(len, map(itemgetter(0), runs))), self.crossing_changes
+        return RewriteTrace._from_runs(self.initial, runs, self.word, counts)
 
 
 V3_HEADER = "trace v3"
@@ -546,13 +561,15 @@ V4_HEADER = "trace v4"
 MAX_TRACE_STEPS = 1 << 22
 
 
-def _format_step(step: RewriteStep) -> str:
-    parts = [f"step: {step.kind}"]
-    if step.position is not None:
-        parts.append(f"pos={step.position}")
-    if step.amount is not None:
-        parts.append(f"amount={step.amount}")
-    return " ".join(parts)
+def _format_step(step: tuple) -> str:
+    """The step line of a ``(kind, position, amount)`` triple."""
+    kind, position, amount = step
+    line = f"step: {kind}"
+    if position is not None:
+        line += f" pos={position}"
+    if amount is not None:
+        line += f" amount={amount}"
+    return line
 
 
 def serialize_trace(trace: RewriteTrace) -> str:
@@ -567,20 +584,24 @@ def serialize_trace(trace: RewriteTrace) -> str:
     number: dict[int, int] = {}  # id(program) -> its index in programs
     index_of: dict[tuple, int] = {}
     programs: list[tuple] = []
-    groups: list[list[int]] = []  # [index, at, times, shift]
+    groups: list[tuple[int, int, int, int]] = []  # (index, at, times, shift)
+    last = at = times = shift = None  # the group being read
     for prog, offset in trace.runs:
         i = number.get(id(prog))
         if i is None:
             i = number[id(prog)] = index_of.setdefault(prog, len(programs))
             if i == len(programs):
                 programs.append(prog)
-        last = groups[-1] if groups else None
-        if last and last[0] == i and (last[2] == 1 or offset == last[1] + last[2] * last[3]):
-            if last[2] == 1:
-                last[3] = offset - last[1]
-            last[2] += 1
-        else:
-            groups.append([i, offset, 1, 0])
+        if i == last and (times == 1 or offset == at + times * shift):
+            if times == 1:
+                shift = offset - at
+            times += 1
+            continue
+        if last is not None:
+            groups.append((last, at, times, shift))
+        last, at, times, shift = i, offset, 1, 0
+    if last is not None:
+        groups.append((last, at, times, shift))
     repeats = [0] * len(programs)
     run_lines = [0] * len(programs)
     moved = [False] * len(programs)
@@ -597,17 +618,22 @@ def serialize_trace(trace: RewriteTrace) -> str:
             lines.extend(map(_format_step, prog))
             lines.append("end program")
             defined[i] = len(defined)
-    # Steps repeat a lot; format each distinct step once.
-    known: dict[RewriteStep, str] = {}
+    # Steps repeat a lot; format each distinct step once, keyed by its
+    # triple with the position shifted.
+    known: dict[tuple, str] = {}
     for i, at, times, shift in groups:
         if i in defined:
             lines.append(f"run {defined[i]} at={at}" + (f" times={times} shift={shift}" if times > 1 else ""))
             continue
-        for step in _expand((programs[i], at + r * shift) for r in range(times)):
-            line = known.get(step)
-            if line is None:
-                line = known[step] = _format_step(step)
-            lines.append(line)
+        for r in range(times):
+            offset = at + r * shift
+            for step in programs[i]:
+                if offset and step[1] is not None:
+                    step = (step[0], step[1] + offset, step[2])
+                line = known.get(step)
+                if line is None:
+                    line = known[step] = _format_step(step)
+                lines.append(line)
     lines.append(f"final: {format_word(trace.final)}")
     lines.append(f"crossing_changes: {trace.crossing_changes}")
     lines.append("end")
@@ -638,6 +664,12 @@ def _parse_int(key: str, value: str, line: str, what: str = "step line") -> int:
 # "pos" for a positional rule, "amount" for conjugate.
 _WRITTEN_HEADS = {f"step: {kind} {keys[0]}": kind for kind, keys in _STEP_PARAMETERS.items() if keys}
 _WRITTEN_DESTABILIZE = f"step: {DESTABILIZE}"
+# The run lines it writes, where "times" (at least 1) and "shift" come
+# together, and the first lines of its programs.
+_WRITTEN_DIRECTIVE = re.compile(
+    r"run ([0-9]{1,18}) at=(-?[0-9]{1,18})(?: times=([1-9][0-9]{0,17}) shift=(-?[0-9]{1,18}))?"
+    r"|program ([0-9]{1,18})"
+)
 
 
 def _parse_step(line: str) -> RewriteStep:
@@ -671,6 +703,7 @@ def _parse_step(line: str) -> RewriteStep:
 
 
 _END_PROGRAM = ("end program",)
+_END_BODY = ("end",)
 
 
 def _parse_directive(line: str) -> tuple:
@@ -704,55 +737,68 @@ def _too_long() -> ParseError:
     return ParseError(f"trace text expands to more than {MAX_TRACE_STEPS} steps")
 
 
-def _runs(body: list[str], known: dict) -> list[tuple[tuple, int]]:
+def _runs(body: list[str], known: dict) -> tuple[list[tuple[tuple, int]], tuple[int, int]]:
     """The ``(program, offset)`` runs of a version-4 body whose distinct
-    lines ``known`` has read: a step outside a program is applied where it
-    stands, and the steps between programs share one run at offset 0."""
-    programs: dict[int, tuple] = {}
+    lines ``known`` has read, and their (steps, crossing changes): the steps
+    between two other lines share one run at offset 0, applied where they
+    stand."""
+    items = list(map(known.__getitem__, body))
+    # Count every step line, then take the program bodies off and add the runs.
+    loose = countOf(map(type, items), RewriteStep)
+    changes = countOf(map(itemgetter(0), items), CROSSING_CHANGE)
+    items.append(_END_BODY)
+    programs: dict[int, tuple[tuple, int, int]] = {}  # id -> (steps, cost of one run, crossing changes)
     runs: list[tuple[tuple, int]] = []
-    loose: list[RewriteStep] = []
-    body_of = None  # the id and steps of the program being read
-    total = 0
-    for line in body:
-        item = known[line]
-        if type(item) is RewriteStep:
-            if body_of:
-                body_of[1].append(item)
-            else:
-                loose.append(item)
-                total += 1
-        elif item[0] == "program":
-            if body_of:
-                raise ParseError(f"program {item[1]} starts inside program {body_of[0]}")
-            if item[1] in programs:
-                raise ParseError(f"program {item[1]} is defined twice")
-            body_of = (item[1], [])
-        elif item is _END_PROGRAM:
-            if not body_of:
+    total = repeats = start = 0  # total: the steps of the runs, plus one per repetition
+    body_of = None  # the id of the program being read
+    for index in compress(count_from(), map(is_not, map(type, items), repeat(RewriteStep))):
+        item = items[index]
+        span = ()
+        if start < index:
+            span = tuple(items[start:index])
+            if body_of is None:
+                runs.append((span, 0))
+        start = index + 1
+        if body_of is None:
+            if len(item) == 5:
+                _, ident, at, times, shift = item
+                if ident not in programs:
+                    raise ParseError(f"run of undefined program {ident}: {body[index]!r}")
+                prog, cost, spent = programs[ident]
+                if times == 1:  # one entry per line: the cap can wait for the end
+                    runs.append((prog, at))
+                    total += cost
+                    changes += spent
+                    repeats += 1
+                    continue
+                total += cost * times
+                if total > MAX_TRACE_STEPS:
+                    raise _too_long()
+                changes += spent * times
+                repeats += times
+                runs += [(prog, at + r * shift) for r in range(times)]
+            elif item is _END_BODY:
+                break
+            elif item is _END_PROGRAM:
                 raise ParseError("'end program' line outside a program")
-            programs[body_of[0]] = tuple(body_of[1])
+            elif item[1] in programs:
+                raise ParseError(f"program {item[1]} is defined twice")
+            else:
+                body_of = item[1]
+        elif item is _END_PROGRAM:
+            programs[body_of] = span, len(span) + 1, _changes(span)
+            loose -= len(span)
+            changes -= programs[body_of][2]
             body_of = None
+        elif item is _END_BODY:
+            raise ParseError(f"program {body_of} has no 'end program' line")
+        elif item[0] == "program":
+            raise ParseError(f"program {item[1]} starts inside program {body_of}")
         else:
-            _, ident, at, times, shift = item
-            if body_of:
-                raise ParseError(f"run line inside program {body_of[0]}: {line!r}")
-            prog = programs.get(ident)
-            if prog is None:
-                raise ParseError(f"run of undefined program {ident}: {line!r}")
-            total += (len(prog) + 1) * times
-            if total > MAX_TRACE_STEPS:
-                raise _too_long()
-            if loose:
-                runs.append((tuple(loose), 0))
-                loose = []
-            runs += [(prog, at + r * shift) for r in range(times)]
-    if body_of:
-        raise ParseError(f"program {body_of[0]} has no 'end program' line")
-    if total > MAX_TRACE_STEPS:
+            raise ParseError(f"run line inside program {body_of}: {body[index]!r}")
+    if loose + total > MAX_TRACE_STEPS:
         raise _too_long()
-    if loose:
-        runs.append((tuple(loose), 0))
-    return runs
+    return runs, (loose + total - repeats, changes)
 
 
 def parse_trace(text: str) -> RewriteTrace:
@@ -761,7 +807,7 @@ def parse_trace(text: str) -> RewriteTrace:
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
-    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or lines[0] not in (V4_HEADER, V3_HEADER):
         raise ParseError("trace text must start with a 'trace v4' or 'trace v3' line")
     if lines[-1] != "end":
@@ -782,14 +828,22 @@ def parse_trace(text: str) -> RewriteTrace:
     body = lines[2:-3]
     # Body lines repeat a lot; parse each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.
-    # A line spelled exactly as serialize_trace writes it (single spaces, one
-    # parameter, a number of at most 18 ASCII digits, which int reads without
-    # fail) is read here; any other step line goes to _parse_step, and any
-    # other line of version 4 to _parse_directive.
+    # A step, run or program line spelled exactly as serialize_trace writes
+    # it (single spaces, numbers of at most 18 ASCII digits, which int reads
+    # without fail) is read here; any other step line goes to _parse_step,
+    # and any other line of version 4 to _parse_directive.
     known = dict.fromkeys(body)
     version_4 = lines[0] == V4_HEADER
     directives = False
     for line in known:
+        if version_4 and line[0] in "rp" and (match := _WRITTEN_DIRECTIVE.fullmatch(line)):
+            ident, at, times, shift, program = match.groups()
+            if program:
+                known[line] = ("program", int(program))
+            else:
+                known[line] = ("run", int(ident), int(at), int(times or 1), int(shift or 0))
+            directives = True
+            continue
         head, _, value = line.partition("=")
         kind = _WRITTEN_HEADS.get(head)
         if kind is None or not (value.isdigit() and value.isascii() and len(value) < 19):
@@ -805,7 +859,8 @@ def parse_trace(text: str) -> RewriteTrace:
         else:
             known[line] = tuple.__new__(RewriteStep, (kind, int(value), None))
     if directives:
-        trace = RewriteTrace._from_runs(initial, _runs(body, known), final)
+        runs, counts = _runs(body, known)
+        trace = RewriteTrace._from_runs(initial, runs, final, counts)
     elif len(body) > MAX_TRACE_STEPS:
         raise _too_long()
     else:

@@ -13,12 +13,28 @@ Driving that reduction at the top index and destabilizing whenever exactly
 one copy of the highest generator is left shrinks every knotted closure all
 the way to the empty word on one strand, spending exactly one crossing change
 per unit of the unknotting number.
+
+Each elimination runs as one cached program at the offset of its pair: the
+slide and cancel is :func:`_cancel_prog`, the slide and merge
+:func:`_merge_prog`.  A trace therefore holds each shape once, however often
+it recurs, and its text defines a recurring shape once and runs it by offset,
+a strided series of runs on one line.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import BlockedByFreeStrand, DomainError, NoSingleGenerator
-from .rules import CROSSING_CHANGE, RewriteTrace, TraceBuilder, replay
+from .rules import (
+    CROSSING_CHANGE,
+    DISTANT_SWAP,
+    NEIGHBOR_BRAID,
+    RewriteStep,
+    RewriteTrace,
+    TraceBuilder,
+    replay,
+)
 from .words import BraidWord, is_knot
 
 __all__ = [
@@ -81,18 +97,34 @@ def _reduce(tb: TraceBuilder, start: int, length: int, n: int) -> int:
                 break
         if r is None:
             # Nothing in between interacts: slide the pair together and cancel it.
-            for q in range(s, second - 1):
-                tb.distant_swap(q)
-            tb.crossing_change(second - 1)
+            tb.run(_cancel_prog(second - 1 - s), s)
             end -= 2
             continue
         # A single σ_{n-1} separates the pair: close in on it from both sides and
         # merge the pair into one occurrence by the braid relation.
-        for q in range(s, r - 1):
-            tb.distant_swap(q)
-        for q in range(second - 1, r, -1):
-            tb.distant_swap(q)
-        tb.neighbor_braid(r - 1)
+        tb.run(_merge_prog(r - 1 - s, second - 1 - s), s)
+
+
+# The two maneuvers of _reduce, as programs relative to the first letter of
+# the pair, cached per shape; their swaps are shared step objects.
+@functools.cache
+def _swap(q: int) -> RewriteStep:
+    return RewriteStep(DISTANT_SWAP, q)
+
+
+@functools.cache
+def _cancel_prog(k: int) -> tuple[RewriteStep, ...]:
+    """Slide the first letter of a pair ``k`` places right and cancel it with
+    the second: swaps at 0 … k−1, then a crossing change at k."""
+    return (*map(_swap, range(k)), RewriteStep(CROSSING_CHANGE, k))
+
+
+@functools.cache
+def _merge_prog(a: int, c: int) -> tuple[RewriteStep, ...]:
+    """Close a pair in on the single σ_{n−1} at a + 1 between them, the first
+    letter at 0 and the second at c + 1: swaps at 0 … a−1, then at c, c−1 …
+    a+2, then the braid move at a that merges the pair."""
+    return (*map(_swap, range(a)), *map(_swap, range(c, a + 1, -1)), RewriteStep(NEIGHBOR_BRAID, a))
 
 
 def unknot(word: BraidWord) -> RewriteTrace:

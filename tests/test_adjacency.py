@@ -262,10 +262,10 @@ class TestCertificateFormat:
     @pytest.mark.parametrize(
         "build, length, digest",
         [
-            (lambda: adjacency_3_from_4(129), 7711,
-             "d91b441417f07576b3843e8dd5b953daa0695cd2c1a01dffd1ff6837c37574e7"),
-            (lambda: adjacency_2_from_4(21), 3170,
-             "048dd1ad6ed9fa7d9d301bbc108b43531953f6f6a04935729a8887a561d8f044"),
+            (lambda: adjacency_3_from_4(129), 6383,
+             "35e12296c94b6870aa8e32b9c2919511bd985a235539de70357e6e54cfa7630f"),
+            (lambda: adjacency_2_from_4(21), 2903,
+             "3cc5f7510d9ab206d5bd47eacaf355d8cdcef436f306fc39671bfda73dfa1bd3"),
             (lambda: adjacency_ci(4, 1), 5952,
              "39bf87f95d7ebba8b8240dbb055656d78a41510fc57ad4664c4c8719d8c4c4b1"),
             (lambda: adjacency_cin(4, 1), 7511,
@@ -291,7 +291,7 @@ class TestCertificateFormat:
             digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
         assert (len(grid), digest.hexdigest()) == (
             162,
-            "f72f15ee0ad5ea5f181d341e3db17cf228724e112de79aeabee2a66d5793d44b",
+            "fca8ea14be2a464bf468b06a633205b0a1d5109e7969d2f7ce33c35cd148e162",
         )
 
     # The steps themselves, apart from how the text writes them: a change of

@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import random
+import re
 from itertools import permutations, product
 from unittest import mock
 
@@ -588,8 +589,28 @@ class TestFormatRoundTrips:
     @given(braid_words(max_strands=6, max_length=16))
     @settings(max_examples=100, deadline=None)
     def test_unknot_steps_round_trip_in_version_3(self, word):
+        """Written in place, as version 3 writes it, every braid step of an
+        unknot trace is a line of its own."""
         if is_knot(word):
-            assert_version_3_round_trip(unknot(word))
+            trace = unknot(word)
+            assert_version_3_round_trip(RewriteTrace(trace.initial, trace.steps, trace.final))
+
+    @given(st.integers(2, 9), st.integers(0, 60), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_unknot_text_is_never_larger_than_in_place(self, strands, length, seed):
+        """The reducer's slides run as programs: the text reads back to the
+        same steps, and it has no more lines or bytes than the same steps
+        written in place."""
+        length = max(length, strands - 1)  # a knot needs this many letters
+        length += (length - strands + 1) % 2  # and this parity
+        trace = unknot(seeded_knot_word(seed, strands, length))
+        text = serialize_trace(trace)
+        in_place = serialize_trace(RewriteTrace(trace.initial, trace.steps, trace.final))
+        read = parse_trace(text)
+        assert read == trace and read.steps == trace.steps and replay(read) == trace.final
+        assert (read.step_count, read.crossing_changes) == (trace.step_count, trace.crossing_changes)
+        assert text.count("\n") <= in_place.count("\n")
+        assert len(text.encode()) <= len(in_place.encode())
 
     def test_shifted_program_steps_round_trip_in_version_3(self):
         # The full twist on four strands, a trailing σ_2 and two letters ahead.
@@ -676,6 +697,85 @@ class TestStepLineReading:
             assert read == expected
 
 
+# Values for the slots of a run line: the writer's spellings and near misses
+# of them (a sign, leading zeros, 19 digits, other digits, no digits).
+RUN_VALUES = st.one_of(
+    st.integers(-12, 40).map(str),
+    st.sampled_from(("+5", "007", "-0", "00", "1" * 18, "1" * 19, "-" + "9" * 19, "\u0663", "1_0", "", "x")),
+)
+
+
+@st.composite
+def run_lines(draw) -> str:
+    """A run line as serialize_trace writes it, with any value in its slots,
+    and near misses: ``times`` or ``shift`` alone, a repeated or unknown
+    field, fields in another order, and doubled or other separators."""
+    fields = [f"at={draw(RUN_VALUES)}"]
+    if draw(st.booleans()):
+        fields += [f"times={draw(RUN_VALUES)}", f"shift={draw(RUN_VALUES)}"]
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(("at", "times", "shift", "stride")))
+        fields.insert(draw(st.integers(0, len(fields))), f"{extra}={draw(RUN_VALUES)}")
+    if draw(st.booleans()):
+        fields = draw(st.permutations(fields))
+    separator = draw(st.sampled_from((" ", " ", " ", "  ", "\t")))
+    ident = draw(st.sampled_from(("0", "0", "1", "00", "+0", "-1", "x")))
+    if draw(st.integers(0, 5)) == 0:  # the line that starts a program
+        return separator.join(["program", ident] + fields[: draw(st.integers(0, 1))])
+    return separator.join(["run", ident] + fields)
+
+
+# Program 0 swaps the pair at its offset; the body line is drawn.
+V4_SWAP_TEXT = (
+    "trace v4\ninitial: 4: 1 3 1 3\nprogram 0\nstep: distant-swap pos=0\nend program\n{}\n"
+    "final: 4: 1 3 1 3\ncrossing_changes: 0\nend\n"
+)
+
+
+def runs_or_message(text):
+    try:
+        return parse_trace(text).runs
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestRunLineReading:
+    @given(run_lines())
+    @example("run 0 at=3 times=0 shift=2")
+    @example("run 0 at=3 times=1 shift=2")
+    @example("run 0 at=-3 times=2 shift=-1")
+    @example("run 0 at=3 shift=2")
+    @example("run 0 at=1111111111111111111")
+    @example("run 0 at=3 times=1111111111111111111 shift=2")
+    @example("run 0  at=3 times=2 shift=2")
+    @example("run 0 at=+5 times=2 shift=2")
+    @example("run 00 at=007 times=02 shift=-03")
+    @example("program 1")
+    @example("program 007")
+    @example("program -1")
+    @settings(max_examples=1000)
+    def test_parse_trace_reads_a_run_line_as_the_full_grammar_does(self, line):
+        """parse_trace reads the run and program lines serialize_trace writes
+        without _parse_directive; it gives the runs the full grammar gives, or
+        its message."""
+        text = V4_SWAP_TEXT.format(line)
+        with mock.patch.object(rules, "_WRITTEN_DIRECTIVE", re.compile("(?!)")):
+            expected = runs_or_message(text)
+        assert runs_or_message(text) == expected
+
+    def test_the_directives_the_writer_emits_never_reach_the_full_grammar(self):
+        text = serialize_trace(unknot(parse_word(UNKNOT_SAMPLE)))
+        full, read = rules._parse_directive, []
+
+        def spy(line):
+            read.append(line)
+            return full(line)
+
+        with mock.patch.object(rules, "_parse_directive", spy):
+            assert replay(parse_trace(text)) == BraidWord(1, ())
+        assert " times=" in text and read == ["end program"]
+
+
 def word_outcome(build):
     try:
         return build()
@@ -754,11 +854,16 @@ step: destabilize -> 1:
 crossing_changes: 3
 end
 """
-# A version-3 trace, a small certificate and one whose trace defines programs.
+# A knot word whose unknot trace defines programs of one and of three steps
+# and runs them at strides.
+UNKNOT_SAMPLE = "4: 3 2 3 2 3 3 3 3 1 2 1 3 1 1 1 2 2 1 2 3 1"
+# A version-3 trace, a small certificate, one whose trace defines programs,
+# and an unknot trace with programs.
 SAMPLE_TEXTS = (
     V3_TRACE_TEXT,
     serialize_certificate(adjacency_ci(2, 1)),
     serialize_certificate(adjacency_ci(2, 2)),
+    serialize_trace(unknot(parse_word(UNKNOT_SAMPLE))),
 )
 FUZZ_SEEDS = SAMPLE_TEXTS + (V2_TRACE_TEXT, V1_TRACE_TEXT)
 # Characters the formats are made of, so edits land near valid text.
@@ -805,13 +910,15 @@ class TestParsersRaiseOnlyParseError:
                 pass
 
     def test_samples_are_valid_texts(self):
-        trace, cert, programs = SAMPLE_TEXTS
+        trace, cert, programs, unknotted = SAMPLE_TEXTS
         # Version 3 is version 4 without programs: the writer changes the header alone.
         assert trace.replace("trace v3", "trace v4") == serialize_trace(unknot(torus_braid(3, 4)))
         assert replay(parse_trace(trace)) == BraidWord(1, ())
         assert verify_certificate(parse_certificate(cert)).valid
         assert "\nprogram 0\n" in programs and "\nrun 0 at=" in programs
         assert verify_certificate(parse_certificate(programs)).valid
+        assert "\nprogram 2\n" in unknotted and " times=" in unknotted
+        assert replay(parse_trace(unknotted)) == BraidWord(1, ())
 
     def test_version_1_seed_is_malformed(self):
         """Both retired versions, 1 and 2, are malformed text."""

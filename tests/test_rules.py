@@ -535,15 +535,36 @@ class TestVersion4:
         assert serialize_trace(v3) == serialize_trace(v4)
 
     def test_builder_records_the_program_itself(self):
+        """A program runs as one run, the tuple itself; a single positional
+        step runs as the one cached one-step program of its rule, at its
+        position; whole-word steps applied one by one share one run."""
         prog = (RewriteStep(DISTANT_SWAP, 0), RewriteStep(DISTANT_SWAP, 0))
-        tb = TraceBuilder(parse_word("4: 1 3 1 3"))
+        tb = TraceBuilder(parse_word("4: 1 3 1 3 2 2"))
         tb.run(prog, 2)
         tb.distant_swap(0)
         tb.distant_swap(2)
+        tb.conjugate(1)
+        tb.conjugate(2)
+        tb.crossing_change(1)
         trace = tb.snapshot()
         assert trace.runs[0][0] is prog and trace.runs[0][1] == 2
-        assert trace.runs[1] == ((RewriteStep(DISTANT_SWAP, 0), RewriteStep(DISTANT_SWAP, 2)), 0)
-        assert tb.steps == trace.steps and trace.step_count == 4
+        assert trace.runs[1] == (self.SWAP, 0) and trace.runs[2] == (self.SWAP, 2)
+        assert trace.runs[1][0] is trace.runs[2][0]
+        assert trace.runs[3] == ((RewriteStep(CONJUGATE, amount=1), RewriteStep(CONJUGATE, amount=2)), 0)
+        assert trace.runs[4] == ((RewriteStep(CROSSING_CHANGE, 0),), 1)
+        assert tb.steps == trace.steps and (trace.step_count, trace.crossing_changes) == (7, 1)
+
+    def test_strided_single_steps_are_one_run_line(self):
+        """A loop of single steps at a constant stride, as the cascades of
+        the constructions make, is written as one run line."""
+        tb = TraceBuilder(BraidWord(2, (1,) * 12))
+        for j in range(5):
+            tb.crossing_change(8 - 2 * j)
+        lines = serialize_trace(tb.snapshot()).splitlines()
+        assert lines[2:6] == [
+            "program 0", "step: crossing-change pos=0", "end program", "run 0 at=8 times=5 shift=-2"
+        ]
+        assert parse_trace("\n".join(lines)).steps == tb.steps
 
     def test_a_trace_of_one_tuple_lists_it_without_a_copy(self):
         steps = (RewriteStep(CROSSING_CHANGE, 0),)

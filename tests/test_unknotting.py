@@ -1,6 +1,8 @@
 """Reduction to the trivial word and its crossing-change accounting."""
 
+import hashlib
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -28,6 +30,7 @@ from gordian import (
 )
 from gordian import unknotting
 from gordian.unknotting import _reduce
+from test_adjacency import step_lines
 
 
 def reduce_recursive(tb: TraceBuilder, start: int, length: int, n: int) -> int:
@@ -209,6 +212,47 @@ class TestLongWords:
         cert = delete_link_subword(BraidWord(3, (1, 2, 1, 2)), tail)
         assert cert.claimed_cc == 2500
         assert replay(cert.trace) == BraidWord(3, (1, 2, 1, 2))
+
+
+# The torus words of the knots benchmark, then T(3,2500).
+FROZEN_TORUS = (
+    (2, 11), (2, 301), (3, 7), (3, 20), (3, 200), (4, 9), (4, 15), (4, 101), (5, 6),
+    (5, 12), (5, 76), (6, 7), (6, 37), (7, 8), (7, 22), (8, 17), (9, 10), (9, 13), (3, 2500),
+)
+
+
+def seeded_knot_words() -> list[BraidWord]:
+    """Uniform random knot words of 3–9 strands and 8–301 letters, each the
+    first draw of its slot whose closure is a knot."""
+    rng = random.Random(2019)
+    found = []
+    for strands in range(3, 10):
+        for length in (8, 21, 40, 101, 300):
+            length += (length - strands + 1) % 2  # a knot needs this parity
+            while True:
+                word = BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
+                if is_knot(word):
+                    found.append(word)
+                    break
+    return found
+
+
+class TestFrozenSteps:
+    def test_unknot_expands_to_its_frozen_steps(self):
+        """Pin the steps ``unknot`` takes, apart from how the text writes
+        them: the SHA-256 of their version-3 step lines, concatenated."""
+        words = [torus_braid(p, q) for p, q in FROZEN_TORUS] + seeded_knot_words()
+        digest = hashlib.sha256()
+        count = 0
+        for word in words:
+            trace = unknot(word)
+            digest.update(step_lines(trace))
+            count += trace.step_count
+        assert (len(words), count, digest.hexdigest()) == (
+            54,
+            21271,
+            "42ba8cc1da6b8a4c0ca6b0548b41608a9dcfdbffd8cea0a2aca33c187b95b877",
+        )
 
 
 class TestUnknottingSequence:
