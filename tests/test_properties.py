@@ -330,6 +330,8 @@ TWELVE_STRAND_KNOT = BraidWord(12, (
 
 def seeded_knot_word(seed: int, strands: int, length: int) -> BraidWord:
     """The first knot word of ``length`` uniform letters drawn from ``seed``."""
+    if length < strands - 1 or (length - strands + 1) % 2:
+        raise ValueError(f"no knot word on {strands} strands has {length} letters")
     rng = random.Random(seed)
     while True:
         word = BraidWord(strands, tuple(rng.randint(1, strands - 1) for _ in range(length)))
