@@ -34,9 +34,7 @@ from .enumeration import (
     EnumerationResult,
     KnotClass,
     enumerate_positive_knots,
-    format_enumeration_report,
     minimize_word,
-    positive_path_diagnostic,
     positive_path_search,
     verify_positive_path,
 )
@@ -73,31 +71,16 @@ from .unknotting import (
 )
 from .words import (
     BraidWord,
-    ClosureInfo,
     TorusParams,
-    ascending_run,
-    closure_info,
-    descending_run,
-    format_word,
-    is_knot,
     parse_word,
     torus_braid,
     unknotting_number,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "__version__",
     # words
     "BraidWord",
-    "ClosureInfo",
     "TorusParams",
-    "ascending_run",
-    "closure_info",
-    "descending_run",
-    "format_word",
-    "is_knot",
     "parse_word",
     "torus_braid",
     "unknotting_number",
@@ -143,9 +126,7 @@ __all__ = [
     "EnumerationResult",
     "KnotClass",
     "enumerate_positive_knots",
-    "format_enumeration_report",
     "minimize_word",
-    "positive_path_diagnostic",
     "positive_path_search",
     "verify_positive_path",
     # errors

@@ -55,7 +55,6 @@ __all__ = [
     "format_enumeration_report",
     "positive_path_search",
     "verify_positive_path",
-    "positive_path_diagnostic",
 ]
 
 
@@ -436,7 +435,7 @@ def positive_path_search(
     bounds the classes expanded, which excludes those at ``max_depth``.  The
     path found is recorded by :class:`TraceBuilder`, which accepts exactly
     the steps :func:`replay` does, from a knot, so it is a positive path
-    (see :func:`positive_path_diagnostic`); the returned trace ends at
+    (see :func:`verify_positive_path`); the returned trace ends at
     ``target`` letter for letter.  Raises
     :class:`NotFoundWithinBudget` when the limits are hit — which is not a
     nonexistence proof.
@@ -484,9 +483,9 @@ def positive_path_search(
     return tb.snapshot()
 
 
-def positive_path_diagnostic(trace: RewriteTrace) -> str | None:
-    """None when the trace is a positive path through knots with unit
-    crossing-change drops; otherwise a sentence naming the first violation.
+def verify_positive_path(trace: RewriteTrace) -> bool:
+    """True iff the trace replays and every intermediate closure is a knot
+    with the unknotting number dropping exactly 1 per crossing change.
 
     Replay and a knot at the start suffice: every rule keeps the closure's
     cycle count, a crossing change lowers (length - strands + 1)/2 by
@@ -494,14 +493,6 @@ def positive_path_diagnostic(trace: RewriteTrace) -> str | None:
     """
     try:
         replay(trace)
-    except TraceCorrupt as exc:
-        return f"trace does not replay: {exc}"
-    if not is_knot(trace.initial):
-        return "the initial closure is not a knot"
-    return None
-
-
-def verify_positive_path(trace: RewriteTrace) -> bool:
-    """True iff the trace replays and every intermediate closure is a knot
-    with the unknotting number dropping exactly 1 per crossing change."""
-    return positive_path_diagnostic(trace) is None
+    except TraceCorrupt:
+        return False
+    return is_knot(trace.initial)

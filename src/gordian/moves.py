@@ -56,7 +56,6 @@ from typing import NamedTuple
 from .errors import IllegalStep
 from .rules import (
     CONJUGATE,
-    CROSSING_CHANGE,
     DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
@@ -179,13 +178,11 @@ def _mirror_desc(desc: tuple) -> tuple:
 def _invert_step(step: RewriteStep) -> RewriteStep:
     """The isotopy step that undoes ``step`` on the word ``step`` produced.
 
-    Distant swaps and braid-relation rewrites undo themselves in place;
-    rotations invert by rotating the rest of the way round.
+    Distant swaps and braid-relation rewrites undo themselves in place; a
+    subword rotation inverts by rotating the rest of the way round.
     """
     if step.kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
         return step
-    if step.kind == CONJUGATE:
-        return RewriteStep(CONJUGATE, amount=-step.amount)
     if step.kind == RCONJ:
         return step._replace(amount=step.length - step.amount)
     raise IllegalStep(f"a {step.kind} step cannot be inverted")
@@ -195,10 +192,8 @@ def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
     """``step`` conjugated by reversal of a word of ``length`` letters."""
     if step.kind == NEIGHBOR_BRAID:
         return RewriteStep(NEIGHBOR_BRAID, length - 3 - step.position)
-    if step.kind in (DISTANT_SWAP, CROSSING_CHANGE):
-        return RewriteStep(step.kind, length - 2 - step.position)
-    if step.kind == CONJUGATE:
-        return RewriteStep(CONJUGATE, amount=length - step.amount)
+    if step.kind == DISTANT_SWAP:
+        return RewriteStep(DISTANT_SWAP, length - 2 - step.position)
     if step.kind == RCONJ:
         lb = tuple(_mirror_desc(d) for d in reversed(step.rb))
         rb = tuple(_mirror_desc(d) for d in reversed(step.lb))
@@ -212,7 +207,7 @@ def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]
 
 
 def invert_program(prog: Sequence) -> list:
-    """Reverse an isotopy program (no crossing changes, no destabilization),
+    """Reverse a program of distant swaps, braid moves and subword rotations,
     or a regional program piece by piece: ``(P, offset)`` inverts to the
     cached inverse of ``P`` at the same offset."""
     return [(_inverse(item[0]), item[1]) if type(item) is tuple else _invert_step(item) for item in reversed(prog)]
@@ -222,20 +217,19 @@ def mirror_program(prog: Sequence, length: int) -> list:
     """Conjugate a program by letter-order reversal.
 
     If ``prog`` rewrites a word ``w`` of the given length into ``w'``, the
-    mirrored program rewrites ``reversed(w)`` into ``reversed(w')``.  The
-    running length is tracked so crossing changes stay aligned.  A piece
-    ``(P, offset)`` of a regional program mirrors to the cached mirror image
-    of ``P`` in its window of width ``W``, at ``length - W - offset``.
+    mirrored program rewrites ``reversed(w)`` into ``reversed(w')``.  It holds
+    distant swaps, braid moves and subword rotations, none of which changes
+    the length.  A piece ``(P, offset)`` of a regional program mirrors to the
+    cached mirror image of ``P`` in its window of width ``W``, at
+    ``length - W - offset``.
     """
     out = []
     for item in prog:
         if type(item) is tuple:
             mirrored, width = _mirror_image(item[0])
             out.append((mirrored, length - width - item[1]))
-            continue
-        out.append(_mirror_step(item, length))
-        if item.kind == CROSSING_CHANGE:
-            length -= 2
+        else:
+            out.append(_mirror_step(item, length))
     return out
 
 

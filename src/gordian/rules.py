@@ -495,8 +495,11 @@ class TraceBuilder:
         """Apply and record ``steps`` in turn, positions shifted by ``offset``.
 
         An illegal step raises :class:`IllegalStep`; the steps before it stay
-        applied and recorded.
+        applied and recorded.  An ``offset`` that is not an ``int`` (a ``bool``
+        neither) raises it before any step applies.
         """
+        if type(offset) is not int:
+            raise IllegalStep(f"a run requires an integer offset, got {offset!r}")
         prog = steps if type(steps) is tuple else tuple(steps)
         checked = self._checked.get(id(prog))
         if checked is None or checked[0] is not prog:
@@ -527,17 +530,11 @@ class TraceBuilder:
             self._loose = []
         self._runs.append((prog, offset))
 
-    def _one_step(self, kind: str, position: int) -> None:
-        if type(position) is int:
-            self.run(_ONE_STEP[kind], position)
-        else:
-            self.apply(RewriteStep(kind, position))  # illegal, and worded as apply words it
-
     def distant_swap(self, position: int) -> None:
-        self._one_step(DISTANT_SWAP, position)
+        self.run(_ONE_STEP[DISTANT_SWAP], position)
 
     def neighbor_braid(self, position: int) -> None:
-        self._one_step(NEIGHBOR_BRAID, position)
+        self.run(_ONE_STEP[NEIGHBOR_BRAID], position)
 
     def conjugate(self, amount: int) -> None:
         self.apply(RewriteStep(CONJUGATE, amount=amount))
@@ -546,7 +543,7 @@ class TraceBuilder:
         self.apply(RewriteStep(DESTABILIZE))
 
     def crossing_change(self, position: int) -> None:
-        self._one_step(CROSSING_CHANGE, position)
+        self.run(_ONE_STEP[CROSSING_CHANGE], position)
 
     def snapshot(self) -> RewriteTrace:
         runs = self._entries()

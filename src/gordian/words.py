@@ -93,9 +93,6 @@ class TorusParams:
         if self.p < 1 or self.q < 1:
             raise DomainError(f"torus parameters must be >= 1, got ({self.p}, {self.q})")
 
-    def __str__(self) -> str:
-        return f"torus {self.p} {self.q}"
-
 
 @dataclass(frozen=True)
 class ClosureInfo:

@@ -14,16 +14,13 @@ from pathlib import Path
 from gordian import (
     BraidWord,
     RewriteStep,
-    ascending_run,
     adjacency_2_from_4,
     adjacency_3_from_4,
     adjacency_ci,
     adjacency_cin,
     alexander,
-    closure_info,
     delete_link_subword,
     enumerate_positive_knots,
-    format_enumeration_report,
     legal_moves,
     minimize_word,
     replay,
@@ -46,6 +43,8 @@ from gordian.rules import (
     NEIGHBOR_BRAID,
     apply_step,
 )
+from gordian.enumeration import format_enumeration_report
+from gordian.words import ascending_run, closure_info
 from oracles import OrbitLeast
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -27,7 +27,6 @@ from gordian import (
     replay,
     serialize_certificate,
     strip_top_strand,
-    is_knot,
     torus_braid,
     unknotting_number,
     verify_certificate,
@@ -42,6 +41,7 @@ from gordian.moves import (
     wrap,
 )
 from gordian.rules import DISTANT_SWAP
+from gordian.words import is_knot
 
 
 def family_grid() -> list[AdjacencyCertificate]:

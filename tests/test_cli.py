@@ -13,9 +13,6 @@ from gordian import (
     RewriteTrace,
     TraceBuilder,
     adjacency_ci,
-    ascending_run,
-    descending_run,
-    format_word,
     parse_certificate,
     parse_trace,
     parse_word,
@@ -25,6 +22,7 @@ from gordian import (
     verify_certificate,
 )
 from gordian.cli import main
+from gordian.words import ascending_run, descending_run, format_word
 from test_adjacency import step_lines
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -4,7 +4,8 @@ Tools that walk the public API (the perfbench tracer among them) read
 ``module.__dict__[name]`` for each ``__all__`` entry, so a stale entry is an
 error there, not just at ``from gordian.x import *``.  And an exported name
 is either called by the package or documented in README.md: a public name
-that only tests call is surface to delete.
+that only tests call is surface to delete.  The package itself re-exports
+only what README.md documents.
 """
 
 import ast
@@ -70,3 +71,7 @@ def test_module_all_names_are_called_or_documented(name):
     called = {attr for stem, attr, owner in code_reads() if not (stem == name and owner == attr)}
     unused = set(getattr(module, "__all__", [])) - called - readme_names()
     assert sorted(unused) == []
+
+
+def test_package_all_names_are_documented():
+    assert sorted(set(gordian.__all__) - readme_names()) == []

@@ -8,8 +8,6 @@ from gordian import (
     RewriteStep,
     TraceBuilder,
     adjacency_3_from_4,
-    ascending_run,
-    descending_run,
     parse_word,
     replay,
 )
@@ -42,6 +40,7 @@ from gordian.moves import (
     wrap,
 )
 from gordian.rules import CONJUGATE, CROSSING_CHANGE, DESTABILIZE, DISTANT_SWAP, NEIGHBOR_BRAID
+from gordian.words import ascending_run, descending_run
 
 SWAP_AT_0 = RewriteStep(DISTANT_SWAP, 0)
 BRAID_AT_2 = RewriteStep(NEIGHBOR_BRAID, 2)
@@ -410,6 +409,15 @@ class TestRegionalPrograms:
     def test_mirror_refuses_a_piece_other_than_swaps_and_braid_moves(self, step):
         with pytest.raises(IllegalStep):
             mirror_program([((step,), 0)], 4)
+
+    @pytest.mark.parametrize(
+        "step", [RewriteStep(CONJUGATE, amount=1), RewriteStep(CROSSING_CHANGE, 0), RewriteStep(DESTABILIZE)]
+    )
+    def test_invert_and_mirror_refuse_a_step_other_than_swaps_braid_moves_and_rotations(self, step):
+        with pytest.raises(IllegalStep, match="cannot be inverted"):
+            invert_program([SWAP_AT_0, step])
+        with pytest.raises(IllegalStep, match="cannot be mirrored"):
+            mirror_program([SWAP_AT_0, step], 4)
 
     def test_run_regional_requires_matching_prefix(self):
         word = BraidWord(3, (2,) + descending_run(2) * 4)

@@ -21,13 +21,10 @@ from gordian import (
     TraceCorrupt,
     adjacency_ci,
     alexander,
-    closure_info,
     enumerate_positive_knots,
     parse_certificate,
     parse_trace,
     parse_word,
-    format_word,
-    is_knot,
     legal_moves,
     minimize_word,
     replay,
@@ -53,6 +50,7 @@ from gordian.rules import (
 )
 from gordian.enumeration import _census_words, _least_rotation, _swap_orbit
 from gordian.moves import full_twist_letters, move_z_prog
+from gordian.words import closure_info, format_word, is_knot
 from oracles import OrbitLeast, burau_product_alexander, swap_orbit
 
 

@@ -116,7 +116,7 @@ class TestCrossingChange:
             apply_step(BraidWord(3, (1, 2)), RewriteStep(CROSSING_CHANGE, 0))
 
     def test_preserves_permutation(self):
-        from gordian import closure_info
+        from gordian.words import closure_info
 
         word = BraidWord(3, (2, 2, 1, 2))
         after = apply_step(word, RewriteStep(CROSSING_CHANGE, 0))
@@ -299,6 +299,35 @@ class TestBoolParameters:
         with pytest.raises(TraceCorrupt) as info:
             replay(RewriteTrace(word, (step,), after))
         assert info.value.step_index == 0
+
+
+class TestRunOffset:
+    """A program runs at an ``int`` offset, and a rule method at an ``int``
+    position; anything else is refused before a step applies or is recorded,
+    never recorded as ``pos=True`` or left to fail inside the kernel."""
+
+    BAD = [None, True, 1.0, "1"]
+
+    @pytest.mark.parametrize("offset", BAD)
+    def test_run_refuses_an_offset_that_is_not_an_int(self, offset):
+        word = parse_word("4: 1 3 1 3")
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match="integer offset"):
+            tb.run((RewriteStep(DISTANT_SWAP, 0),), offset)
+        assert tb.word == word and not tb.snapshot().steps
+
+    @pytest.mark.parametrize("position", BAD)
+    @pytest.mark.parametrize(
+        "text, method",
+        [("4: 1 3 1 3", "distant_swap"), ("3: 2 1 2 1", "neighbor_braid"), ("3: 2 1 1", "crossing_change")],
+    )
+    def test_rule_methods_refuse_a_position_that_is_not_an_int(self, text, method, position):
+        word = parse_word(text)
+        getattr(TraceBuilder(word), method)(1)  # the integer position is legal
+        tb = TraceBuilder(word)
+        with pytest.raises(IllegalStep, match="integer offset"):
+            getattr(tb, method)(position)
+        assert tb.word == word and not tb.snapshot().steps
 
 
 class TestStrayParameters:

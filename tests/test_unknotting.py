@@ -16,10 +16,7 @@ from gordian import (
     NoSingleGenerator,
     TraceBuilder,
     alexander,
-    ascending_run,
     delete_link_subword,
-    descending_run,
-    is_knot,
     parse_word,
     reduce_single_generator,
     replay,
@@ -30,6 +27,7 @@ from gordian import (
 )
 from gordian import unknotting
 from gordian.unknotting import _reduce
+from gordian.words import ascending_run, descending_run, is_knot
 from test_adjacency import step_lines
 
 

@@ -4,19 +4,14 @@ import pytest
 
 from gordian import (
     BraidWord,
-    ClosureInfo,
     DomainError,
     ParseError,
     TorusParams,
-    ascending_run,
-    closure_info,
-    descending_run,
-    format_word,
-    is_knot,
     parse_word,
     torus_braid,
     unknotting_number,
 )
+from gordian.words import ClosureInfo, ascending_run, closure_info, descending_run, format_word, is_knot
 
 
 class TestBraidWord:
