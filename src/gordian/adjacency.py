@@ -48,7 +48,7 @@ from .moves import (
     run_regional,
     wrap,
 )
-from .rules import RewriteTrace, TraceBuilder, next_line, parse_trace, replay, serialize_trace
+from .rules import RewriteTrace, TraceBuilder, next_line, parse_trace, read_count, replay, serialize_trace
 from .unknotting import _reduce, unknot
 from .words import (
     BraidWord,
@@ -246,10 +246,7 @@ def parse_certificate(text: str) -> AdjacencyCertificate:
         if not lines[index].startswith(prefix):
             raise ParseError(f"certificate line {index + 1} must start with {prefix!r}")
         header[key] = lines[index][len(prefix) :].strip()
-    try:
-        claimed_cc = int(header["claimed_cc"])
-    except ValueError:
-        raise ParseError(f"malformed crossing-change claim: {header['claimed_cc']!r}") from None
+    claimed_cc = read_count(lines[3], "claimed_cc:", "crossing-change claim")
     trace = parse_trace(block)
     return AdjacencyCertificate(
         source=_parse_endpoint(header["source"]),

@@ -55,8 +55,6 @@ from typing import NamedTuple
 
 from .errors import IllegalStep
 from .rules import (
-    CONJUGATE,
-    DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
     RewriteStep,
@@ -156,17 +154,6 @@ class Rotation(NamedTuple):
     kind = RCONJ
 
 
-def _step_at(step: RewriteStep, offset: int) -> RewriteStep:
-    """``step`` with its position translated by ``offset``.  A rotation or a
-    whole-word step (conjugate, destabilize) shifts only by 0, unchanged,
-    whatever position it carries; so does a positional step without one."""
-    if step.kind in (RCONJ, CONJUGATE, DESTABILIZE) or step.position is None:
-        if offset:
-            raise IllegalStep(f"cannot shift a {step.kind} step to offset {offset}")
-        return step
-    return RewriteStep(step.kind, step.position + offset)
-
-
 def _mirror_desc(desc: tuple) -> tuple:
     if desc[0] in ("letter", "wrap"):
         return desc
@@ -202,8 +189,16 @@ def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
 
 
 def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]:
-    """Translate the positional steps of a program by ``offset``."""
-    return [_step_at(step, offset) for step in prog]
+    """Translate a program of distant swaps and braid moves, each with an
+    integer position and no amount, by ``offset``.  Any other step, a
+    rotation among them, raises :class:`IllegalStep`."""
+    out = []
+    for step in prog:
+        kind = step.kind
+        if kind not in (DISTANT_SWAP, NEIGHBOR_BRAID) or type(step.position) is not int or step.amount is not None:
+            raise IllegalStep(f"cannot shift a {kind} step")
+        out.append(RewriteStep(kind, step.position + offset))
+    return out
 
 
 def invert_program(prog: Sequence) -> list:

@@ -67,9 +67,10 @@ any other header is malformed.  The reader refuses a text whose steps and
 program repetitions together exceed :data:`MAX_TRACE_STEPS`, counting before
 it expands a run.
 
-:func:`parse_trace` reads the exact step, run and program lines
-:func:`serialize_trace` writes directly; any other spelling goes through the
-full grammar, which also writes every parse error.
+:func:`parse_trace` reads exactly the lines :func:`serialize_trace` writes,
+each padded or not and blank lines between them: numbers are 1-18 ASCII
+digits, signed only in ``at`` and ``shift`` (a ``times`` starts with 1-9),
+and any other spelling of a body line is a parse error that names it.
 """
 
 from __future__ import annotations
@@ -239,8 +240,7 @@ def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
 
 
 def _stray(step: RewriteStep) -> IllegalStep:
-    """The error for a step that carries a parameter its rule does not take,
-    worded as :func:`parse_trace` words it for a step line."""
+    """The error for a step that carries a parameter its rule does not take."""
     for key, value in zip(("pos", "amount"), step[1:]):
         if value is not None and key not in _STEP_PARAMETERS[step.kind]:
             return IllegalStep(f"a {step.kind} step takes no {key!r} parameter")
@@ -650,11 +650,17 @@ def next_line(text: str, pos: int = 0) -> tuple[str, int]:
     return match[1].rstrip(), match.end()
 
 
-def _parse_int(key: str, value: str, line: str, what: str = "step line") -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"malformed {key} value {value!r} in {what} {line!r}") from None
+# A count on a header line, after its key: one space and 1-18 ASCII digits.
+_COUNT = re.compile(r" ([0-9]{1,18})")
+
+
+def read_count(line: str, key: str, what: str) -> int:
+    """The count after ``key`` on a header line that starts with it, spelled
+    as the writers spell it; any other spelling is a malformed ``what``."""
+    match = _COUNT.fullmatch(line, len(key))
+    if match is None:
+        raise ParseError(f"malformed {what}: {line!r}")
+    return int(match[1])
 
 
 # The step lines serialize_trace writes, by their text before the first "=":
@@ -662,72 +668,13 @@ def _parse_int(key: str, value: str, line: str, what: str = "step line") -> int:
 _WRITTEN_HEADS = {f"step: {kind} {keys[0]}": kind for kind, keys in _STEP_PARAMETERS.items() if keys}
 _WRITTEN_DESTABILIZE = f"step: {DESTABILIZE}"
 # The run lines it writes, where "times" (at least 1) and "shift" come
-# together, and the first lines of its programs.
+# together, and the lines that open and close its programs.
 _WRITTEN_DIRECTIVE = re.compile(
     r"run ([0-9]{1,18}) at=(-?[0-9]{1,18})(?: times=([1-9][0-9]{0,17}) shift=(-?[0-9]{1,18}))?"
     r"|program ([0-9]{1,18})"
 )
-
-
-def _parse_step(line: str) -> RewriteStep:
-    """The full step-line grammar: any run of whitespace between fields,
-    parameters in any order, any spelling ``int`` reads; every parse error of
-    a step line is raised here."""
-    if not line.startswith("step:"):
-        raise ParseError(f"unexpected line in trace body: {line!r}")
-    fields = line[len("step:") :].split()
-    if not fields:
-        raise ParseError(f"step line names no rule: {line!r}")
-    kind = fields[0]
-    if kind not in _STEP_PARAMETERS:
-        raise ParseError(f"unknown rule kind {kind!r}")
-    position = amount = None
-    seen = set()
-    for piece in fields[1:]:
-        key, eq, value = piece.partition("=")
-        if not eq:
-            raise ParseError(f"malformed step parameter {piece!r}")
-        if key not in _STEP_PARAMETERS[kind]:
-            raise ParseError(f"a {kind} step takes no {key!r} parameter: {line!r}")
-        if key in seen:
-            raise ParseError(f"repeated {key!r} parameter in step line {line!r}")
-        seen.add(key)
-        if key == "pos":
-            position = _parse_int(key, value, line)
-        else:
-            amount = _parse_int(key, value, line)
-    return RewriteStep(kind, position, amount)
-
-
 _END_PROGRAM = ("end program",)
 _END_BODY = ("end",)
-
-
-def _parse_directive(line: str) -> tuple:
-    """A line of version 4 that is not a step line: ``("program", id)``,
-    :data:`_END_PROGRAM`, or ``("run", id, at, times, shift)``."""
-    fields = line.split()
-    if fields == ["end", "program"]:
-        return _END_PROGRAM
-    if fields[0] == "program" and len(fields) == 2:
-        return ("program", _parse_int("program id", fields[1], line, "line"))
-    if fields[0] != "run" or len(fields) < 2:
-        raise ParseError(f"unexpected line in trace body: {line!r}")
-    params: dict[str, int] = {}
-    for piece in fields[2:]:
-        key, eq, value = piece.partition("=")
-        if not eq or key not in ("at", "times", "shift"):
-            raise ParseError(f"malformed run parameter {piece!r} in {line!r}")
-        if key in params:
-            raise ParseError(f"repeated {key!r} parameter in run line {line!r}")
-        params[key] = _parse_int(key, value, line, "run line")
-    if "at" not in params:
-        raise ParseError(f"run line names no offset: {line!r}")
-    times = params.get("times", 1)
-    if times < 1:
-        raise ParseError(f"a run must repeat its program at least once: {line!r}")
-    ident = _parse_int("program id", fields[1], line, "run line")
-    return ("run", ident, params["at"], times, params.get("shift", 0))
 
 
 def _too_long() -> ParseError:
@@ -735,10 +682,9 @@ def _too_long() -> ParseError:
 
 
 def _runs(body: list[str], known: dict) -> tuple[list[tuple[tuple, int]], tuple[int, int]]:
-    """The ``(program, offset)`` runs of a version-4 body whose distinct
-    lines ``known`` has read, and their (steps, crossing changes): the steps
-    between two other lines share one run at offset 0, applied where they
-    stand."""
+    """The ``(program, offset)`` runs of a body whose distinct lines
+    ``known`` has read, and their (steps, crossing changes): the steps between
+    two other lines share one run at offset 0, applied where they stand."""
     items = list(map(known.__getitem__, body))
     # Count every step line, then take the program bodies off and add the runs.
     loose = countOf(map(type, items), RewriteStep)
@@ -800,7 +746,8 @@ def _runs(body: list[str], known: dict) -> tuple[list[tuple[tuple, int]], tuple[
 
 def parse_trace(text: str) -> RewriteTrace:
     """Parse version-4 or version-3 trace text, as :func:`serialize_trace`
-    writes it (version 3 is version 4 without programs).
+    writes it (version 3 is version 4 without programs); any other spelling
+    of a body line is malformed.
 
     Parsing checks structure only; call :func:`replay` to validate the steps.
     """
@@ -815,23 +762,16 @@ def parse_trace(text: str) -> RewriteTrace:
     count_line = lines[-2]
     if not count_line.startswith("crossing_changes:"):
         raise ParseError("trace text must have a 'crossing_changes:' line before 'end'")
-    try:
-        declared = int(count_line[len("crossing_changes:") :].strip())
-    except ValueError:
-        raise ParseError(f"malformed crossing-change total: {count_line!r}") from None
+    declared = read_count(count_line, "crossing_changes:", "crossing-change total")
     if len(lines) < 5 or not lines[-3].startswith("final:"):
         raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
     final = parse_word(lines[-3][len("final:") :].strip())
     body = lines[2:-3]
-    # Body lines repeat a lot; parse each distinct line once, in order of
+    # Body lines repeat a lot; read each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.
-    # A step, run or program line spelled exactly as serialize_trace writes
-    # it (single spaces, numbers of at most 18 ASCII digits, which int reads
-    # without fail) is read here; any other step line goes to _parse_step,
-    # and any other line of version 4 to _parse_directive.
+    # The numbers have at most 18 ASCII digits, which int reads without fail.
     known = dict.fromkeys(body)
     version_4 = lines[0] == V4_HEADER
-    directives = False
     for line in known:
         if version_4 and line[0] in "rp" and (match := _WRITTEN_DIRECTIVE.fullmatch(line)):
             ident, at, times, shift, program = match.groups()
@@ -839,29 +779,22 @@ def parse_trace(text: str) -> RewriteTrace:
                 known[line] = ("program", int(program))
             else:
                 known[line] = ("run", int(ident), int(at), int(times or 1), int(shift or 0))
-            directives = True
             continue
         head, _, value = line.partition("=")
         kind = _WRITTEN_HEADS.get(head)
         if kind is None or not (value.isdigit() and value.isascii() and len(value) < 19):
             if line == _WRITTEN_DESTABILIZE:
                 known[line] = RewriteStep(DESTABILIZE)
-            elif version_4 and not line.startswith("step:"):
-                known[line] = _parse_directive(line)
-                directives = True
+            elif version_4 and line == _END_PROGRAM[0]:
+                known[line] = _END_PROGRAM
             else:
-                known[line] = _parse_step(line)
+                raise ParseError(f"malformed line in trace body: {line!r}")
         elif kind == CONJUGATE:
             known[line] = tuple.__new__(RewriteStep, (kind, None, int(value)))
         else:
             known[line] = tuple.__new__(RewriteStep, (kind, int(value), None))
-    if directives:
-        runs, counts = _runs(body, known)
-        trace = RewriteTrace._from_runs(initial, runs, final, counts)
-    elif len(body) > MAX_TRACE_STEPS:
-        raise _too_long()
-    else:
-        trace = RewriteTrace(initial, map(known.__getitem__, body), final)
+    runs, counts = _runs(body, known)
+    trace = RewriteTrace._from_runs(initial, runs, final, counts)
     if trace.crossing_changes != declared:
         raise ParseError(
             f"declared crossing-change total {declared} disagrees with steps "

@@ -408,6 +408,14 @@ class TestCertificateFormat:
         with pytest.raises(ParseError, match="certificate text must end with an 'end' line"):
             parse_certificate(header + tail)
 
+    # A count is 1-18 ASCII digits after one space, as the writer spells it.
+    @pytest.mark.parametrize("value", ["x", "+1", "0_1", "\u0661", " 1 ", "1" * 19, "-1", ""])
+    def test_a_malformed_claim_is_a_parse_error(self, value):
+        text = serialize_certificate(adjacency_ci(2, 1))
+        assert "\nclaimed_cc: 1\n" in text
+        with pytest.raises(ParseError, match="malformed crossing-change claim"):
+            parse_certificate(text.replace("\nclaimed_cc: 1\n", f"\nclaimed_cc: {value}\n"))
+
     def test_word_endpoints_serialize(self):
         word = torus_braid(2, 3)
         cert = delete_link_subword(word, BraidWord(2, full_twist_letters(2)))

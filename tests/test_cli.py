@@ -413,6 +413,8 @@ def assert_one_line_error(capsys, path, message: str) -> None:
 # turn the initial word into the final one.
 V4_TRACE = "trace v4\ninitial: 4: 1 3 1 3 1 3 1 3\n{}\nfinal: 4: 3 1 3 1 3 1 3 1\ncrossing_changes: 0\nend\n"
 V4_PROGRAM = "program 0\nstep: distant-swap pos=0\nend program\n"
+# The one parse error of a body line spelled otherwise than the writer spells it.
+MALFORMED = "malformed line in trace body:"
 
 
 class TestVerify:
@@ -437,9 +439,9 @@ class TestVerify:
             ("program 0\nprogram 1\nend program\nend program", "program 1 starts inside program 0"),
             ("program 0\nstep: distant-swap pos=0", "program 0 has no 'end program' line"),
             ("program 0\nstep: distant-swap pos=0\nrun 0 at=0\nend program", "run line inside program 0"),
-            (V4_PROGRAM + "run 0 at=0 times=0 shift=2", "at least once"),
-            (V4_PROGRAM + "run 0 at=0 times=-3 shift=2", "at least once"),
-            (V4_PROGRAM + f"run 0 at=0 times={10**18} shift=2", "steps"),
+            (V4_PROGRAM + "run 0 at=0 times=0 shift=2", f"{MALFORMED} 'run 0 at=0 times=0 shift=2'"),
+            (V4_PROGRAM + "run 0 at=0 times=-3 shift=2", f"{MALFORMED} 'run 0 at=0 times=-3 shift=2'"),
+            (V4_PROGRAM + f"run 0 at=0 times={10**17} shift=2", "steps"),
         ],
         ids=[
             "undefined", "redefined", "nested", "unterminated", "run-inside", "times-0", "times-negative", "cap"
@@ -493,7 +495,8 @@ class TestVerify:
             tb = TraceBuilder(parse_word("3: 1 1 1"))
             tb.crossing_change(0)
             path.write_text(serialize_trace(tb.snapshot()).replace("pos=0", "pos=2 pos=0"))
-        assert_one_line_error(capsys, path, "repeated 'pos' parameter")
+        line = "step: crossing-change pos=0 pos=" if embedded else "step: crossing-change pos=2 pos=0'"
+        assert_one_line_error(capsys, path, f"{MALFORMED} '{line}")
 
     def test_corrupt_v2_step_names_step(self, capsys, tmp_path):
         bad = tmp_path / "bad.trace"
@@ -521,22 +524,23 @@ class TestVerify:
         edit_line(path, f"step: {'conjugate' if key == 'amount' else 'crossing-change'}",
                   lambda line: re.sub(key + r"=\d+", key + "=x", line))
         assert f"{key}=x" in path.read_text()
-        assert_one_line_error(capsys, path, f"malformed {key} value")
+        kind = "conjugate" if key == "amount" else "crossing-change"
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: {kind} {key}=x'")
 
     def test_step_number_past_the_digit_limit_exits_2(self, capsys, tmp_path):
-        """int refuses a number of 5 000 digits with a ValueError, which must
-        surface as the one-line parse error, not a traceback."""
+        """A number of more than 18 digits, 5 000 here, which int would refuse
+        with a ValueError, is the one-line parse error, not a traceback."""
         path = tmp_path / "long.trace"
         tb = TraceBuilder(parse_word("2: 1 1 1"))
         tb.crossing_change(0)
         path.write_text(serialize_trace(tb.snapshot()).replace("pos=0", "pos=" + "9" * 5000))
-        assert_one_line_error(capsys, path, "malformed pos value")
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: crossing-change pos={'9' * 5000}'")
 
     def test_malformed_step_number_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "step: neighbor-braid", lambda line: line.replace("pos=2", "pos=x"))
-        assert_one_line_error(capsys, path, "malformed pos value")
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: neighbor-braid pos=x'")
 
     def test_parameter_the_rule_does_not_take_exits_2(self, capsys, tmp_path):
         path = tmp_path / "stray.trace"
@@ -544,7 +548,7 @@ class TestVerify:
         path.write_text(text.format(""))
         assert run(capsys, "verify", str(path))[0] == 0
         path.write_text(text.format(" pos=7 amount=3"))
-        assert_one_line_error(capsys, path, "takes no")
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: destabilize pos=7 amount=3'")
         # A braid line carries its position alone.
         text = (
             "trace v3\ninitial: 3: 1 2 1\nstep: neighbor-braid pos=0{}\n"
@@ -553,13 +557,13 @@ class TestVerify:
         path.write_text(text.format(""))
         assert run(capsys, "verify", str(path))[0] == 0
         path.write_text(text.format(" direction=forward"))
-        assert_one_line_error(capsys, path, "a neighbor-braid step takes no 'direction' parameter")
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: neighbor-braid pos=0 direction=forward'")
 
     def test_parameter_the_rule_does_not_take_in_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
         run(capsys, "adjacency", "ci", "2", "1", "--out", str(path))
         edit_line(path, "step: destabilize", lambda line: line + " amount=3")
-        assert_one_line_error(capsys, path, "takes no")
+        assert_one_line_error(capsys, path, f"{MALFORMED} 'step: destabilize amount=3'")
 
     def test_out_of_domain_torus_endpoint_exits_2(self, capsys, tmp_path):
         path = tmp_path / "ci21.cert"
@@ -567,8 +571,9 @@ class TestVerify:
         edit_line(path, "source:", lambda line: "source: torus 0 5")
         assert_one_line_error(capsys, path, "torus")
 
-    # Line endings and blank lines do not matter, neither in the header a
-    # certificate reads line by line nor in the trace block it hands on.
+    # Line endings, blank lines and whitespace around a line do not matter,
+    # neither in the header a certificate reads line by line nor in the trace
+    # block it hands on.
     @pytest.mark.parametrize(
         "golden, verdict",
         [
@@ -580,7 +585,7 @@ class TestVerify:
         "variant",
         [
             lambda text: text.replace("\n", "\r\n"),
-            lambda text: "\n \n" + text.replace("\n", "\n\n\t \n").replace("end", "  end \t"),
+            lambda text: "\n \n" + "".join(f"  {line} \t\n\n\t \n" for line in text.splitlines()),
         ],
         ids=["crlf", "blank-lines"],
     )

@@ -150,6 +150,9 @@ class TestRunProgram:
             RewriteStep(DISTANT_SWAP, 5),
             RewriteStep(NEIGHBOR_BRAID, 7),
         ]
+        # A swap with a stray amount is illegal, and shifting it keeps it so.
+        with pytest.raises(IllegalStep, match="cannot shift a distant-swap step"):
+            shift_program([RewriteStep(DISTANT_SWAP, 0, amount=1)], 5)
         word = BraidWord(4, (1, 3, 1, 2, 1))
         tb = TraceBuilder(word)
         prog = [SWAP_AT_0, BRAID_AT_2]
@@ -487,10 +490,10 @@ class TestRotation:
         run_regional(tb, [Rotation(1, 4, (("wrap", 1),))], 0, [])
         assert tb.word.letters == (1, 1, 2, 3, 3, 3)
 
-    def test_rotation_shifts_only_by_zero(self):
-        assert shift_program([Rotation(1, 2)], 0) == [Rotation(1, 2)]
-        with pytest.raises(IllegalStep):
-            shift_program([Rotation(1, 2)], 3)
+    def test_rotation_does_not_shift(self):
+        for offset in (0, 3):
+            with pytest.raises(IllegalStep, match="cannot shift a rconj step"):
+                shift_program([Rotation(1, 2)], offset)
         # A regional program places a rotation by its delimiting blocks, never
         # by an offset, and the builder refuses one at any offset.
         tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
@@ -502,8 +505,8 @@ class TestRotation:
     @pytest.mark.parametrize(
         "step", [RewriteStep(CONJUGATE, 0, amount=1), RewriteStep(DESTABILIZE, 4), RewriteStep(CONJUGATE, amount=2)]
     )
-    def test_whole_word_steps_shift_only_by_zero_whatever_their_position(self, step):
+    def test_whole_word_steps_do_not_shift_whatever_their_position(self, step):
         # The rule kind, not a stray position, makes a step whole-word.
-        assert shift_program([step], 0) == [step]
-        with pytest.raises(IllegalStep, match=f"cannot shift a {step.kind} step to offset 2"):
-            shift_program([step], 2)
+        for offset in (0, 2):
+            with pytest.raises(IllegalStep, match=f"cannot shift a {step.kind} step"):
+                shift_program([step], offset)

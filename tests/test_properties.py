@@ -677,26 +677,6 @@ def outcome_or_message(parse, text):
         return str(exc)
 
 
-class TestStepLineReading:
-    @given(st.one_of(written_step_lines(), any_step_lines()))
-    @example("step: crossing-change pos=" + "9" * 5000)
-    @example("step: neighbor-braid pos=007")
-    @example("step: neighbor-braid pos=7 direction=forward")
-    @example("step: conjugate amount=\u0663")
-    @settings(max_examples=1000)
-    def test_parse_trace_reads_a_step_line_as_the_full_grammar_does(self, line):
-        """parse_trace gives the step _parse_step gives, or its message."""
-        expected = outcome_or_message(rules._parse_step, line.strip())
-        changes = int(isinstance(expected, RewriteStep) and expected.kind == CROSSING_CHANGE)
-        text = f"trace v3\ninitial: 2: 1 1\n{line}\nfinal: 2: 1 1\ncrossing_changes: {changes}\nend\n"
-        read = outcome_or_message(parse_trace, text)
-        if isinstance(expected, RewriteStep):
-            assert read.steps == (expected,)
-            assert list(map(type, read.steps[0])) == list(map(type, expected))
-        else:
-            assert read == expected
-
-
 # Values for the slots of a run line: the writer's spellings and near misses
 # of them (a sign, leading zeros, 19 digits, other digits, no digits).
 RUN_VALUES = st.one_of(
@@ -725,55 +705,84 @@ def run_lines(draw) -> str:
     return separator.join(["run", ident] + fields)
 
 
-# Program 0 swaps the pair at its offset; the body line is drawn.
-V4_SWAP_TEXT = (
+# The texts a drawn body line is read in: a step line (or any line of
+# version 3) alone in the body, a run line after program 0, which swaps the
+# pair at its offset, and a program line before the line that ends it.
+STEP_TEXT = "trace {}\ninitial: 2: 1 1\n{}\nfinal: 2: 1 1\ncrossing_changes: {}\nend\n"
+RUN_TEXT = (
     "trace v4\ninitial: 4: 1 3 1 3\nprogram 0\nstep: distant-swap pos=0\nend program\n{}\n"
     "final: 4: 1 3 1 3\ncrossing_changes: 0\nend\n"
 )
+PROGRAM_TEXT = "trace v4\ninitial: 1:\n{}\nend program\nfinal: 1:\ncrossing_changes: 0\nend\n"
 
 
-def runs_or_message(text):
-    try:
-        return parse_trace(text).runs
-    except ParseError as exc:
-        return str(exc)
+def canonical(line: str) -> str:
+    """``line`` with each ASCII number as str writes its int: no leading
+    zeros and no sign on zero."""
+    return re.sub("-?[0-9]+", lambda number: str(int(number[0])), line)
 
 
-class TestRunLineReading:
-    @given(run_lines())
-    @example("run 0 at=3 times=0 shift=2")
-    @example("run 0 at=3 times=1 shift=2")
-    @example("run 0 at=-3 times=2 shift=-1")
-    @example("run 0 at=3 shift=2")
-    @example("run 0 at=1111111111111111111")
-    @example("run 0 at=3 times=1111111111111111111 shift=2")
-    @example("run 0  at=3 times=2 shift=2")
-    @example("run 0 at=+5 times=2 shift=2")
-    @example("run 00 at=007 times=02 shift=-03")
-    @example("program 1")
-    @example("program 007")
-    @example("program -1")
-    @settings(max_examples=1000)
-    def test_parse_trace_reads_a_run_line_as_the_full_grammar_does(self, line):
-        """parse_trace reads the run and program lines serialize_trace writes
-        without _parse_directive; it gives the runs the full grammar gives, or
-        its message."""
-        text = V4_SWAP_TEXT.format(line)
-        with mock.patch.object(rules, "_WRITTEN_DIRECTIVE", re.compile("(?!)")):
-            expected = runs_or_message(text)
-        assert runs_or_message(text) == expected
+def read_back(line: str, version: str) -> str:
+    """The body line the writer would write for what parse_trace reads from
+    ``line`` in its context."""
+    if line.startswith("step:") or version == "v3":
+        changes = int(line.startswith(f"step: {CROSSING_CHANGE} "))
+        (step,) = parse_trace(STEP_TEXT.format(version, line, changes)).steps
+        return rules._format_step(step)
+    if line.startswith("program"):
+        parse_trace(PROGRAM_TEXT.format(line))
+        return f"program {int(line.partition(' ')[2])}"  # a program read shows no number
+    offsets = [offset for _, offset in parse_trace(RUN_TEXT.format(line)).runs]
+    back = f"run 0 at={offsets[0]}"
+    if len(offsets) > 1:
+        back += f" times={len(offsets)} shift={offsets[1] - offsets[0]}"
+    elif " times=" in line:  # one run shows no shift
+        back += f" times=1 shift={int(line.rpartition('=')[2])}"
+    return back
 
-    def test_the_directives_the_writer_emits_never_reach_the_full_grammar(self):
-        text = serialize_trace(unknot(parse_word(UNKNOT_SAMPLE)))
-        full, read = rules._parse_directive, []
 
-        def spy(line):
-            read.append(line)
-            return full(line)
-
-        with mock.patch.object(rules, "_parse_directive", spy):
-            assert replay(parse_trace(text)) == BraidWord(1, ())
-        assert " times=" in text and read == ["end program"]
+class TestBodyLineReading:
+    @given(st.one_of(written_step_lines(), any_step_lines(), run_lines()), st.sampled_from(("v3", "v4")))
+    @example("step: crossing-change pos=" + "9" * 5000, "v4")
+    @example("step: neighbor-braid pos=007", "v3")
+    @example("step: neighbor-braid pos=7 direction=forward", "v4")
+    @example("step: conjugate amount=\u0663", "v4")
+    @example("step: conjugate amount=-1", "v4")
+    @example("step: distant-swap pos=-1", "v4")
+    @example("step:  destabilize", "v4")
+    @example("step: destabilize ", "v3")
+    @example("run 0 at=3 times=0 shift=2", "v4")
+    @example("run 0 at=3 times=1 shift=2", "v4")
+    @example("run 0 at=-3 times=2 shift=-1", "v4")
+    @example("run 0 at=3 shift=2", "v4")
+    @example("run 0 times=2 shift=2", "v4")
+    @example("run 0 at=1111111111111111111", "v4")
+    @example("run 0 at=3 times=1111111111111111111 shift=2", "v4")
+    @example("run 0 at=3 times=111111111111111111 shift=2", "v4")
+    @example("run 0  at=3 times=2 shift=2", "v4")
+    @example("run 0 at=+5 times=2 shift=2", "v4")
+    @example("run 00 at=007 times=2 shift=-03", "v4")
+    @example("run 0 at=3 times=2 shift=2", "v3")
+    @example("program 1", "v4")
+    @example("program 007", "v4")
+    @example("program -1", "v4")
+    @example("program 1 at=2", "v4")
+    @example("end program", "v4")
+    @example("end  program", "v4")
+    @settings(max_examples=2000)
+    def test_a_body_line_reads_back_as_written_or_is_named_malformed(self, line, version):
+        """A body line reads only as serialize_trace spells it: what it reads
+        as is spelled back as the line itself, leading zeros aside, or the
+        text is a ParseError that names the line (a run of a program the
+        text does not define among them), or else the step cap."""
+        line = line.strip()
+        try:
+            back = read_back(line, version)
+        except ParseError as exc:
+            cap = line.startswith("run ") and str(exc).startswith("trace text expands to more than")
+            assert repr(line) in str(exc) or cap
+        else:
+            assert back == canonical(line)
 
 
 def word_outcome(build):

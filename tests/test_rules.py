@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import time
 from pathlib import Path
 
@@ -21,19 +22,21 @@ from gordian import (
     DESTABILIZE,
     DISTANT_SWAP,
     NEIGHBOR_BRAID,
-    adjacency_3_from_4,
     apply_step,
-    parse_certificate,
     parse_trace,
     parse_word,
     replay,
-    serialize_certificate,
     serialize_trace,
     torus_braid,
-    unknot,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def malformed(line: str) -> str:
+    """The pattern of the one parse error of a body line spelled otherwise
+    than serialize_trace spells it."""
+    return re.escape(f"malformed line in trace body: {line!r}")
 
 
 class TestDistantSwap:
@@ -332,9 +335,9 @@ class TestRunOffset:
 
 class TestStrayParameters:
     """A step that carries a parameter its rule does not take is illegal
-    everywhere, worded as parse_trace words its step line, so the builder
-    never records a step whose trace cannot be read back.  A parameter is
-    there when it is not None, even when it is zero or False."""
+    everywhere, so the builder never records a step whose trace cannot be
+    read back; its step line is malformed text.  A parameter is there when
+    it is not None, even when it is zero or False."""
 
     @pytest.mark.parametrize(
         "text, step, key",
@@ -366,7 +369,7 @@ class TestStrayParameters:
         with pytest.raises(TraceCorrupt, match=message) as info:
             replay(RewriteTrace(word, (step,), after))
         assert info.value.step_index == 0
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(ParseError, match=malformed(rules._format_step(step))):
             parse_trace(serialize_trace(RewriteTrace(word, (step,), after)))
 
 
@@ -460,7 +463,7 @@ class TestSerialization:
     )
     def test_parameters_a_rule_does_not_take_are_parse_errors(self, line):
         text = f"trace v3\ninitial: 2: 1\n{line}\nfinal: 1:\ncrossing_changes: 0\nend\n"
-        with pytest.raises(ParseError, match="takes no"):
+        with pytest.raises(ParseError, match=malformed(line)):
             parse_trace(text)
 
     @pytest.mark.parametrize(
@@ -473,42 +476,39 @@ class TestSerialization:
     )
     def test_repeated_parameters_are_parse_errors(self, line):
         text = f"trace v3\ninitial: 3: 1 1 1\n{line}\nfinal: 3: 1\ncrossing_changes: 1\nend\n"
-        with pytest.raises(ParseError, match="repeated"):
+        with pytest.raises(ParseError, match=malformed(line)):
             parse_trace(text)
 
     # Each distinct step line is parsed once; the first malformed one in the
     # text is still the one reported.
     @pytest.mark.parametrize(
-        "first, second, message",
+        "first, second",
         [
-            ("step: zap", "step: crossing-change pos=x", "unknown rule kind 'zap'"),
-            ("step: crossing-change pos=x", "step: zap", "malformed pos value 'x'"),
+            ("step: zap", "step: crossing-change pos=x"),
+            ("step: crossing-change pos=x", "step: zap"),
         ],
     )
-    def test_the_first_malformed_step_line_is_reported(self, first, second, message):
+    def test_the_first_malformed_step_line_is_reported(self, first, second):
         good = "step: crossing-change pos=0"
         body = "\n".join([good, first, good, second, first])
         text = f"trace v3\ninitial: 2: 1 1 1\n{body}\nfinal: 2: 1\ncrossing_changes: 1\nend\n"
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(ParseError, match=malformed(first)):
             parse_trace(text)
 
-    def test_the_lines_the_writer_emits_never_reach_the_full_grammar(self, monkeypatch):
-        """parse_trace reads every step line serialize_trace writes without
-        _parse_step; a writer change that sent them all down the slow path
-        would otherwise pass every other test."""
-        traces = [path.read_text() for path in sorted(GOLDEN.glob("*.trace"))]
-        traces.append(serialize_trace(unknot(parse_word("4: 1 3 2 1 3 2 2 1 3 3 2 1 1 2 3"))))
-        certificates = [path.read_text() for path in sorted(GOLDEN.glob("*.cert"))]
-        certificates.append(serialize_certificate(adjacency_3_from_4(129)))
-
-        def refuse(line):
-            raise AssertionError(f"{line!r} went to the full grammar")
-
-        monkeypatch.setattr(rules, "_parse_step", refuse)
-        read = [parse_trace(text) for text in traces]
-        read += [parse_certificate(text).trace for text in certificates]
-        kinds = {step.kind for trace in read for step in trace.steps}
-        assert kinds == {DISTANT_SWAP, NEIGHBOR_BRAID, CONJUGATE, DESTABILIZE, CROSSING_CHANGE}
+    @pytest.mark.parametrize(
+        "path",
+        sorted(GOLDEN.glob("*.trace")) + sorted(set(GOLDEN.glob("*.cert")) - {GOLDEN / "adjacency_t34_9_v3.cert"}),
+        ids=lambda path: path.name,
+    )
+    def test_every_version_4_golden_writes_back_byte_for_byte(self, path):
+        """The reader reads exactly the writer's lines: a golden trace, or
+        the trace block of a golden certificate, reads back to a trace the
+        writer spells in the same bytes."""
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".cert":
+            assert text.endswith("\nend\nend\n")
+            text = text[text.index("\ntrace v4\n") + 1 : -len("end\n")]
+        assert serialize_trace(parse_trace(text)) == text
 
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ParseError):
@@ -525,6 +525,14 @@ class TestSerialization:
         )
         with pytest.raises(ParseError, match="crossing-change total"):
             parse_trace(text)
+
+    # A count is 1-18 ASCII digits after one space, as the writer spells it.
+    @pytest.mark.parametrize("value", ["x", "+1", "0_1", "\u0661", " 1 ", "1" * 19, "-1", ""])
+    def test_a_malformed_count_is_a_parse_error(self, value):
+        text = "trace v3\ninitial: 2: 1 1 1\nstep: crossing-change pos=1\nfinal: 2: 1\ncrossing_changes: {}\nend\n"
+        assert parse_trace(text.format("1")).crossing_changes == 1
+        with pytest.raises(ParseError, match="malformed crossing-change total"):
+            parse_trace(text.format(value))
 
     def test_illegal_recorded_step_detected(self):
         text = (
@@ -671,14 +679,14 @@ class TestVersion4:
             ("program 0\nstep: distant-swap pos=0", "no 'end program' line"),
             ("program 0\nstep: distant-swap pos=0\nrun 0 at=0\nend program", "run line inside program 0"),
             ("end program", "outside a program"),
-            (V4_BODY.format("run 0 at=0 times=0 shift=2"), "at least once"),
-            (V4_BODY.format("run 0 at=0 times=-1 shift=2"), "at least once"),
-            (V4_BODY.format("run 0 times=4 shift=2"), "names no offset"),
-            (V4_BODY.format("run 0 at=0 at=2"), "repeated 'at'"),
-            (V4_BODY.format("run 0 at=0 stride=2"), "malformed run parameter"),
-            (V4_BODY.format("run 0 at=x"), "malformed at value"),
-            (V4_BODY.format("run x at=0"), "malformed program id value"),
-            ("program\nend program", "unexpected line"),
+            (V4_BODY.format("run 0 at=0 times=0 shift=2"), malformed("run 0 at=0 times=0 shift=2")),
+            (V4_BODY.format("run 0 at=0 times=-1 shift=2"), malformed("run 0 at=0 times=-1 shift=2")),
+            (V4_BODY.format("run 0 times=4 shift=2"), malformed("run 0 times=4 shift=2")),
+            (V4_BODY.format("run 0 at=0 at=2"), malformed("run 0 at=0 at=2")),
+            (V4_BODY.format("run 0 at=0 stride=2"), malformed("run 0 at=0 stride=2")),
+            (V4_BODY.format("run 0 at=x"), malformed("run 0 at=x")),
+            (V4_BODY.format("run x at=0"), malformed("run x at=0")),
+            ("program\nend program", malformed("program")),
         ],
     )
     def test_malformed_programs_and_runs(self, body, message):
@@ -686,10 +694,11 @@ class TestVersion4:
             parse_trace(V4_TEXT.format(body))
 
     def test_programs_are_not_version_3(self):
-        with pytest.raises(ParseError, match="unexpected line in trace body"):
+        with pytest.raises(ParseError, match=malformed("program 0")):
             parse_trace(V4_TEXT.format(V4_BODY.format("run 0 at=0 times=4 shift=2")).replace("v4", "v3"))
 
-    @pytest.mark.parametrize("times", [rules.MAX_TRACE_STEPS // 2 + 1, 10**18])
+    # 10**17 is the largest power of ten of at most 18 digits.
+    @pytest.mark.parametrize("times", [rules.MAX_TRACE_STEPS // 2 + 1, 10**17])
     def test_the_step_cap_is_checked_before_expansion(self, times):
         text = V4_TEXT.format(V4_BODY.format(f"run 0 at=0 times={times} shift=0"))
         started = time.perf_counter()
