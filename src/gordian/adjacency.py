@@ -33,10 +33,11 @@ from .alexander import alexander
 from .errors import DomainError, ParseError, TraceCorrupt
 from .moves import (
     arrange_blocks,
+    ascending_twist_letters,
     cascade,
     cascade_mirror,
     conv_prog,
-    decompose_region_prog,
+    desc_letters,
     expect_word,
     ext_prog,
     form_letters,
@@ -44,8 +45,8 @@ from .moves import (
     invert_program,
     mirror_program,
     peel_prog,
+    region_levels,
     revform_letters,
-    run_regional,
     wrap,
 )
 from .rules import RewriteTrace, TraceBuilder, next_line, parse_trace, read_count, replay, serialize_trace
@@ -162,18 +163,24 @@ def format_endpoint(ref: TorusParams | BraidWord) -> str:
     return f"word {format_word(ref)}"
 
 
-def _parse_endpoint(text: str) -> TorusParams | BraidWord:
+def _read_endpoint(line: str, key: str) -> TorusParams | BraidWord:
+    """The endpoint after ``key`` on a header line that starts with it,
+    spelled as :func:`format_endpoint` writes it after one space; any other
+    spelling is malformed."""
+    text = line[len(key) :].strip()
     if text.startswith("torus "):
-        fields = text[len("torus ") :].split()
-        if len(fields) != 2:
-            raise ParseError(f"malformed torus endpoint: {text!r}")
         try:
-            return TorusParams(int(fields[0]), int(fields[1]))
+            p, q = map(int, text[len("torus ") :].split())
+            ref = TorusParams(p, q)
         except (ValueError, DomainError):
             raise ParseError(f"malformed torus endpoint: {text!r}") from None
-    if text.startswith("word "):
-        return parse_word(text[len("word ") :])
-    raise ParseError(f"endpoint must start with 'torus' or 'word': {text!r}")
+    elif text.startswith("word "):
+        ref = parse_word(text[len("word ") :])
+    else:
+        raise ParseError(f"endpoint must start with 'torus' or 'word': {text!r}")
+    if line[len(key) :] != f" {format_endpoint(ref)}":
+        raise ParseError(f"malformed {key!r} line: {line!r}")
+    return ref
 
 
 def verify_certificate(cert: AdjacencyCertificate) -> CertificateCheck:
@@ -240,17 +247,14 @@ def parse_certificate(text: str) -> AdjacencyCertificate:
     block = rest[:-3].rstrip()
     if not (rest.endswith("end") and block and len(rest[len(block) :].splitlines()) > 1):
         raise ParseError("certificate text must end with an 'end' line")
-    header = {}
-    for index, key in ((1, "source"), (2, "target"), (3, "claimed_cc"), (4, "verification")):
-        prefix = key + ":"
-        if not lines[index].startswith(prefix):
-            raise ParseError(f"certificate line {index + 1} must start with {prefix!r}")
-        header[key] = lines[index][len(prefix) :].strip()
+    for index, key in enumerate(("source:", "target:", "claimed_cc:", "verification:"), 1):
+        if not lines[index].startswith(key):
+            raise ParseError(f"certificate line {index + 1} must start with {key!r}")
     claimed_cc = read_count(lines[3], "claimed_cc:", "crossing-change claim")
     trace = parse_trace(block)
     return AdjacencyCertificate(
-        source=_parse_endpoint(header["source"]),
-        target=_parse_endpoint(header["target"]),
+        source=_read_endpoint(lines[1], "source:"),
+        target=_read_endpoint(lines[2], "target:"),
         trace=trace,
         claimed_cc=claimed_cc,
     )
@@ -393,6 +397,42 @@ def delete_link_subword(beta_prime: BraidWord, w: BraidWord) -> AdjacencyCertifi
 # ---------------------------------------------------------------------------
 
 
+def _layers_to_run_power(tb: TraceBuilder, n: int, k: int, mirrored: bool) -> None:
+    """Rewrite the layered form at the end of the builder's word, behind its
+    full twists Δ²_n, into ``R_{n-1}^{nk+1}`` by undoing
+    :func:`~gordian.moves.region_levels`; ``mirrored``, the reversed layered
+    form into ``A_{n-1}^{nk+1}`` by undoing its mirror image.
+
+    At each level the twists ``(Δ²_{a-1})^k`` go back round the closure one
+    letter block per twist letter.  Unmirrored they end the word: one
+    conjugation brings them to the front, and they move right past the
+    prefix twists and the finished levels.  Mirrored they start the region:
+    they move left past the prefix twists, one conjugation takes them to the
+    end, and they move left past the mirrored finished levels.
+    """
+    length = len(tb.letters)
+    flen = (n - 1) * (n * k + 1)
+    start = length - flen
+    prefix = [("twist", n)] * (start // (n * (n - 1)))
+    for a, before, stack, after in reversed(region_levels(n, k)):
+        if mirrored:
+            before, after, stack = mirror_program(before, flen), mirror_program(after, flen), stack[::-1]
+        for prog, offset in invert_program(after):
+            tb.run(prog, start + offset)
+        letters = (ascending_twist_letters if mirrored else full_twist_letters)(a - 1) * k
+        twists = [("letter", x) for x in letters]
+        if mirrored:
+            arrange_blocks(tb, 0, [*prefix, *twists], [*twists, *prefix])
+            tb.conjugate(len(letters))
+            behind = len(letters) + sum(len(desc_letters(desc)) for desc in stack)
+            arrange_blocks(tb, length - behind, [*stack, *twists], [*twists, *stack])
+        else:
+            tb.conjugate(length - len(letters))
+            arrange_blocks(tb, 0, [*twists, *prefix, *stack], [*prefix, *stack, *twists])
+        for prog, offset in invert_program(before):
+            tb.run(prog, start + offset)
+
+
 def adjacency_ci(n: int, k: int) -> AdjacencyCertificate:
     """Certificate from T(n+1, (n²−1)k+1) to T(n, n²k+1), spending exactly
     ``n(n−1)k/2`` crossing changes — the gap in unknotting numbers."""
@@ -412,8 +452,7 @@ def adjacency_ci(n: int, k: int) -> AdjacencyCertificate:
     expect_word(tb, full_twist_letters(n) * c + form_letters(n, k))
     # Reassemble the layered remainder into a run power; with the twists it is
     # the literal target torus word.
-    prog = invert_program(decompose_region_prog(n, k))
-    run_regional(tb, prog, c * n * (n - 1), [("twist", n)] * c)
+    _layers_to_run_power(tb, n, k, mirrored=False)
     expect_word(tb, torus_braid(target.p, target.q).letters)
     return _certify(source, target, tb, n * (n - 1) * k // 2)
 
@@ -446,9 +485,7 @@ def adjacency_cin(n: int, k: int) -> AdjacencyCertificate:
     for j in range(n - 1, 1, -1):
         cascade_mirror(tb, base + (j - 1), j, (j - 1) * k)
     expect_word(tb, full_twist_letters(n) * (c + 1) + revform_letters(n, k))
-    flen = (n - 1) * (n * k + 1)
-    prog = invert_program(mirror_program(decompose_region_prog(n, k), flen))
-    run_regional(tb, prog, (c + 1) * n * (n - 1), [("twist", n)] * (c + 1))
+    _layers_to_run_power(tb, n, k, mirrored=True)
     expect_word(tb, full_twist_letters(n) * (c + 1) + ascending_run(n - 1) * (n * k + 1))
     # Every descending twist converts in place to ascending form, leaving one
     # ascending run power.

@@ -28,15 +28,14 @@ Two layers are built on top:
   whether and how a letter crosses a block: it returns None when the letter
   cannot pass.
 * **Regional programs** — lists of *pieces*, each a ``(program, offset)``
-  pair of a cached step program and its offset in a suffix region, or a
-  :class:`Rotation` of a subword.  They describe a rewrite of the region
-  *abstractly*, so the same program can be replayed inside different ambient
-  words (:func:`run_regional`), and each piece runs as one
+  pair of a cached step program and its offset in a suffix region, so the
+  same pieces run inside different ambient words, each as one
   ``TraceBuilder.run``.  :func:`invert_program` and :func:`mirror_program`
-  act on each piece, through one cache per program, and on each rotation as
-  on any other step; running a rotation walks letters around the closure,
-  so the ambient prefix must be described by *block descriptors* the moving
-  letters are known to commute past.
+  act on each piece, through one cache per program.  :func:`region_levels`
+  gives the pieces that turn a run power into the layered form, level by
+  level; between a level's two lists of pieces its peeled twists travel
+  round the closure, which the caller does with :func:`arrange_blocks` and
+  one conjugation, since the way round depends on the ambient word.
 
 Block descriptors are tuples: ``("letter", m)`` a single letter,
 ``("wrap", j)`` the 2j-letter wrap, ``("twist", a)`` the full twist on ``a``
@@ -51,7 +50,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache, partial
-from typing import NamedTuple
 
 from .errors import IllegalStep
 from .rules import (
@@ -88,9 +86,7 @@ __all__ = [
     "arrange_blocks",
     "cascade",
     "cascade_mirror",
-    "Rotation",
-    "decompose_region_prog",
-    "run_regional",
+    "region_levels",
     "expect_word",
 ]
 
@@ -140,58 +136,14 @@ def revform_letters(n: int, k: int) -> tuple[int, ...]:
 # process and cached as a tuple, which no caller can change.
 
 Program = tuple[RewriteStep, ...]
-RCONJ = "rconj"
-
-
-class Rotation(NamedTuple):
-    """Rotate left by ``amount`` the ``length``-letter subword that lies
-    between a region's leading blocks ``lb`` and trailing blocks ``rb``."""
-
-    amount: int
-    length: int
-    lb: tuple = ()
-    rb: tuple = ()
-    kind = RCONJ
-
-
-def _mirror_desc(desc: tuple) -> tuple:
-    if desc[0] in ("letter", "wrap"):
-        return desc
-    if desc[0] == "run":
-        return ("run", tuple(reversed(desc[1])))
-    raise IllegalStep(f"block {desc!r} cannot delimit a mirrored rotation")
-
-
-def _invert_step(step: RewriteStep) -> RewriteStep:
-    """The isotopy step that undoes ``step`` on the word ``step`` produced.
-
-    Distant swaps and braid-relation rewrites undo themselves in place; a
-    subword rotation inverts by rotating the rest of the way round.
-    """
-    if step.kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
-        return step
-    if step.kind == RCONJ:
-        return step._replace(amount=step.length - step.amount)
-    raise IllegalStep(f"a {step.kind} step cannot be inverted")
-
-
-def _mirror_step(step: RewriteStep, length: int) -> RewriteStep:
-    """``step`` conjugated by reversal of a word of ``length`` letters."""
-    if step.kind == NEIGHBOR_BRAID:
-        return RewriteStep(NEIGHBOR_BRAID, length - 3 - step.position)
-    if step.kind == DISTANT_SWAP:
-        return RewriteStep(DISTANT_SWAP, length - 2 - step.position)
-    if step.kind == RCONJ:
-        lb = tuple(_mirror_desc(d) for d in reversed(step.rb))
-        rb = tuple(_mirror_desc(d) for d in reversed(step.lb))
-        return Rotation(step.length - step.amount, step.length, lb, rb)
-    raise IllegalStep(f"a {step.kind} step cannot be mirrored")
+# The letters a distant swap and a braid move read, from their position.
+_WIDTH = {DISTANT_SWAP: 2, NEIGHBOR_BRAID: 3}
 
 
 def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]:
     """Translate a program of distant swaps and braid moves, each with an
-    integer position and no amount, by ``offset``.  Any other step, a
-    rotation among them, raises :class:`IllegalStep`."""
+    integer position and no amount, by ``offset``.  Any other step raises
+    :class:`IllegalStep`."""
     out = []
     for step in prog:
         kind = step.kind
@@ -202,10 +154,19 @@ def shift_program(prog: Sequence[RewriteStep], offset: int) -> list[RewriteStep]
 
 
 def invert_program(prog: Sequence) -> list:
-    """Reverse a program of distant swaps, braid moves and subword rotations,
-    or a regional program piece by piece: ``(P, offset)`` inverts to the
-    cached inverse of ``P`` at the same offset."""
-    return [(_inverse(item[0]), item[1]) if type(item) is tuple else _invert_step(item) for item in reversed(prog)]
+    """Reverse a program of distant swaps and braid moves, each of which
+    undoes itself in place, or a regional program piece by piece:
+    ``(P, offset)`` inverts to the cached inverse of ``P`` at the same
+    offset."""
+    out = []
+    for item in reversed(prog):
+        if type(item) is tuple:
+            out.append((_inverse(item[0]), item[1]))
+        elif item.kind in (DISTANT_SWAP, NEIGHBOR_BRAID):
+            out.append(item)
+        else:
+            raise IllegalStep(f"a {item.kind} step cannot be inverted")
+    return out
 
 
 def mirror_program(prog: Sequence, length: int) -> list:
@@ -213,18 +174,19 @@ def mirror_program(prog: Sequence, length: int) -> list:
 
     If ``prog`` rewrites a word ``w`` of the given length into ``w'``, the
     mirrored program rewrites ``reversed(w)`` into ``reversed(w')``.  It holds
-    distant swaps, braid moves and subword rotations, none of which changes
-    the length.  A piece ``(P, offset)`` of a regional program mirrors to the
-    cached mirror image of ``P`` in its window of width ``W``, at
-    ``length - W - offset``.
+    distant swaps and braid moves, neither of which changes the length.  A
+    piece ``(P, offset)`` of a regional program mirrors to the cached mirror
+    image of ``P`` in its window of width ``W``, at ``length - W - offset``.
     """
     out = []
     for item in prog:
         if type(item) is tuple:
             mirrored, width = _mirror_image(item[0])
             out.append((mirrored, length - width - item[1]))
+        elif item.kind in _WIDTH:
+            out.append(RewriteStep(item.kind, length - _WIDTH[item.kind] - item.position))
         else:
-            out.append(_mirror_step(item, length))
+            raise IllegalStep(f"a {item.kind} step cannot be mirrored")
     return out
 
 
@@ -238,9 +200,9 @@ def _mirror_image(prog: Program) -> tuple[Program, int]:
     """``prog`` mirrored in ``[0, W)``, and ``W``, the end of the letters it
     reads.  A piece of a regional program holds only distant swaps and braid
     moves."""
-    if any(step.kind not in (DISTANT_SWAP, NEIGHBOR_BRAID) for step in prog):
+    if any(step.kind not in _WIDTH for step in prog):
         raise IllegalStep("a regional piece holds a step other than a distant swap or a braid move")
-    width = max((step.position + (3 if step.kind == NEIGHBOR_BRAID else 2) for step in prog), default=0)
+    width = max((step.position + _WIDTH[step.kind] for step in prog), default=0)
     return tuple(mirror_program(prog, width)), width
 
 
@@ -463,16 +425,6 @@ def exchange_prog(left: tuple, right: tuple) -> Program | None:
     return None
 
 
-def _swap_adjacent(tb: TraceBuilder, pos: int, left: tuple, right: tuple) -> None:
-    """Exchange two adjacent blocks, the left one starting at ``pos``, by one
-    run of their exchange program."""
-    build = exchange_prog.__wrapped__ if "run" in (left[0], right[0]) else exchange_prog
-    prog = build(left, right)
-    if prog is None:
-        raise IllegalStep(f"blocks {left!r} and {right!r} cannot pass each other")
-    tb.run(prog, pos)
-
-
 def arrange_blocks(tb: TraceBuilder, start: int, current, target) -> None:
     """Reorder a row of adjacent blocks at ``start`` into the target order.
 
@@ -489,13 +441,15 @@ def arrange_blocks(tb: TraceBuilder, start: int, current, target) -> None:
     for desc in cur:
         offsets.append(offsets[-1] + len(desc_letters(desc)))
     for i, want in enumerate(tgt):
-        if cur[i] == want:
-            continue
-        j = next(q for q in range(i + 1, len(cur)) if cur[q] == want)
-        for s in range(j, i, -1):
-            _swap_adjacent(tb, offsets[s - 1], cur[s - 1], cur[s])
-            cur[s - 1], cur[s] = cur[s], cur[s - 1]
-            offsets[s] = offsets[s - 1] + len(desc_letters(cur[s - 1]))
+        for s in range(cur.index(want, i), i, -1):
+            left, right = cur[s - 1], cur[s]
+            build = exchange_prog.__wrapped__ if "run" in (left[0], right[0]) else exchange_prog
+            prog = build(left, right)
+            if prog is None:
+                raise IllegalStep(f"blocks {left!r} and {right!r} cannot pass each other")
+            tb.run(prog, offsets[s - 1])
+            cur[s - 1], cur[s] = right, left
+            offsets[s] = offsets[s - 1] + len(desc_letters(right))
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +481,6 @@ def cascade_mirror(tb: TraceBuilder, pos: int, j: int, count: int) -> None:
 # ---------------------------------------------------------------------------
 # regional programs
 # ---------------------------------------------------------------------------
-#
-# A regional program is a list of pieces: a (program, offset) pair, its
-# offset relative to the start of a suffix region, or a Rotation.  Running it
-# inside an ambient word runs each pair as one program and realizes each
-# rotation by walking the moved letters around the closure, commuting them
-# through its delimiting blocks and through the ambient prefix (also given as
-# descriptors).
 
 
 @cache
@@ -542,113 +489,35 @@ def _tail_prog(a: int) -> Program:
     return exchange_prog.__wrapped__(("run", descending_run(a - 2)), ("twist", a - 1))
 
 
-def decompose_region_prog(a: int, k: int) -> list[tuple[Program, int] | Rotation]:
-    """Regional program rewriting ``R_{a-1}^{ak+1}`` into the layered form.
+def region_levels(a: int, k: int) -> list[tuple[int, list, tuple, list]]:
+    """The rewrite of ``R_{a-1}^{ak+1}`` into the layered form, level by
+    level: one ``(a', before, stack, after)`` for ``a' = a, a-1, …, 3``.
 
-    Level by level (``a' = a, a-1, …, 2``) the run power splits as
-    ``(Δ²_{a'})^k R_{a'-1}``; the ``k`` full twists are peeled, gathered, sent
-    to the end of the live subword by rotation, and absorbed into the next
-    run power, leaving ``(V_{a'-1})^k σ_{a'-1}`` of the layered form behind.
-    No crossing changes occur and the region keeps its length.  Level 2 has
-    nothing to peel, gather or absorb.
+    At level ``a'`` the region holds ``stack``, the block descriptors of the
+    finished levels, and then the run power ``(Δ²_{a'})^k R_{a'-1}``.  The
+    pieces ``before`` peel the ``k`` full twists and gather the peeled twists
+    ``(Δ²_{a'-1})^k`` ahead of their wraps.  The twists then travel round the
+    closure to the end of the region, which the caller does, since the way
+    round depends on the ambient word; ``after`` brings ``R_{a'-2}``
+    past them, leaving ``(V_{a'-1})^k σ_{a'-1}`` of the layered form ahead of
+    the next run power.  No crossing changes occur and the region keeps its
+    length.  Level 2 has nothing to do.
     """
     if a < 2 or k < 0:
         raise IllegalStep(f"decomposition needs a >= 2 and k >= 0, got a={a}, k={k}")
-    pieces = []
-    stack: list[tuple] = []
-    region_len = (a - 1) * (a * k + 1)
+    levels = []
+    stack: tuple = ()
     base = 0
     for ap in range(a, 2, -1):
         lw = 2 * (ap - 1)
         lt = (ap - 1) * (ap - 2)
-        pieces += [(peel_prog(ap), base + t * (lw + lt)) for t in range(k)]
+        before = [(peel_prog(ap), base + t * (lw + lt)) for t in range(k)]
         # Each peeled twist crosses the wraps peeled before it.
         gather = exchange_prog(("wrap", ap - 1), ("twist", ap - 1))
-        pieces += [(gather, base + t * lt + (t - s) * lw) for t in range(k) for s in range(t + 1)]
-        if k:
-            pieces.append(Rotation(k * lt, region_len - base, tuple(stack)))
+        before += [(gather, base + t * lt + (t - s) * lw) for t in range(k) for s in range(t + 1)]
         tail = _tail_prog(ap)
-        if tail:
-            pieces += [(tail, base + k * lw + 1 + t * lt) for t in range(k)]
-        stack += [("wrap", ap - 1)] * k + [("letter", ap - 1)]
+        after = [(tail, base + k * lw + 1 + t * lt) for t in range(k)] if tail else []
+        levels.append((ap, before, stack, after))
+        stack += (("wrap", ap - 1),) * k + (("letter", ap - 1),)
         base += k * lw + 1
-    return pieces
-
-
-def _stack_legal(movers, descs) -> bool:
-    return all(d[0] != "run" and cross_left_prog(d, i) is not None for d in descs for i in movers)
-
-
-def _lift_rotation(tb: TraceBuilder, region_start: int, prefix, rotation: Rotation) -> None:
-    """Realize one subword rotation inside the ambient word."""
-    amount, s, lb, rb = rotation
-    ell = len(tb.letters)
-    lb_len = sum(len(desc_letters(d)) for d in lb)
-    rb_len = sum(len(desc_letters(d)) for d in rb)
-    if lb_len + s + rb_len != ell - region_start:
-        raise IllegalStep(f"a {s}-letter subword and its delimiters do not fill the region")
-    if not 0 <= amount <= s:
-        raise IllegalStep(f"rotation amount {amount} exceeds the subword length {s}")
-    if amount in (0, s):
-        return
-    sub_start = region_start + lb_len
-    letters = tb.letters
-    movers_left = letters[sub_start : sub_start + amount]
-    movers_right = letters[sub_start + amount : sub_start + s]
-    if _stack_legal(movers_left, [*lb, *prefix, *rb]):
-        # The first `amount` letters exit leftwards around the closure.
-        for t in range(amount):
-            q = t + region_start + lb_len
-            letter = letters[q]
-            for desc in [*reversed(lb), *reversed(prefix)]:
-                q -= len(desc_letters(desc))
-                tb.run(cross_left_prog(desc, letter), q)
-            if q != t:
-                raise AssertionError("rotation walk lost its position")
-        tb.conjugate(amount)
-        for t in range(amount):
-            q = sub_start + (s - amount) + t + rb_len
-            letter = letters[q]
-            for desc in reversed(rb):
-                q -= len(desc_letters(desc))
-                tb.run(cross_left_prog(desc, letter), q)
-    elif _stack_legal(movers_right, [*rb, *prefix, *lb]):
-        # The trailing letters exit rightwards around the closure instead.
-        back = s - amount
-        for c in range(back - 1, -1, -1):
-            q = sub_start + amount + c
-            letter = letters[q]
-            for desc in rb:
-                tb.run(cross_right_prog(desc, letter), q)
-                q += len(desc_letters(desc))
-        tb.conjugate(ell - back)
-        for c in range(back - 1, -1, -1):
-            q = c
-            letter = letters[q]
-            for desc in [*prefix, *lb]:
-                tb.run(cross_right_prog(desc, letter), q)
-                q += len(desc_letters(desc))
-            if q != c + sub_start:
-                raise AssertionError("rotation walk lost its position")
-    else:
-        raise IllegalStep("neither side of the subword can walk around the closure")
-
-
-def run_regional(tb: TraceBuilder, prog: list, region_start: int, prefix) -> None:
-    """Run a regional program on the suffix region starting at ``region_start``.
-
-    Each ``(program, offset)`` piece runs as one program at ``region_start +
-    offset``.  ``prefix`` is a list of block descriptors describing the whole
-    word before the region; rotations walk their letters through these
-    blocks and around the closure, so every prefix block must commute with
-    the letters moved.
-    """
-    prefix = list(prefix)
-    plen = sum(len(desc_letters(d)) for d in prefix)
-    if plen != region_start:
-        raise IllegalStep("prefix descriptors must cover the word before the region")
-    for piece in prog:
-        if type(piece) is Rotation:
-            _lift_rotation(tb, region_start, prefix, piece)
-        else:
-            tb.run(piece[0], region_start + piece[1])
+    return levels

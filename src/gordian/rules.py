@@ -239,11 +239,11 @@ def _misplaced(kind: str, position, offset: int, length: int) -> IllegalStep:
     return IllegalStep(f"{kind} requires an integer position, got {position!r}")
 
 
-def _stray(step: RewriteStep) -> IllegalStep:
+def _stray(kind: str, position, amount) -> IllegalStep:
     """The error for a step that carries a parameter its rule does not take."""
-    for key, value in zip(("pos", "amount"), step[1:]):
-        if value is not None and key not in _STEP_PARAMETERS[step.kind]:
-            return IllegalStep(f"a {step.kind} step takes no {key!r} parameter")
+    for key, value in (("pos", position), ("amount", amount)):
+        if value is not None and key not in _STEP_PARAMETERS[kind]:
+            return IllegalStep(f"a {kind} step takes no {key!r} parameter")
 
 
 def _run(letters: list[int], strands: int, runs, record: list | None = None) -> int:
@@ -262,11 +262,11 @@ def _run(letters: list[int], strands: int, runs, record: list | None = None) -> 
         for step in steps:
             try:
                 kind, position, amount = step
-            except ValueError:
-                raise IllegalStep(f"unknown rule kind {step.kind!r}") from None
+            except (TypeError, ValueError):
+                raise IllegalStep(f"not a rewrite step: {step!r}") from None
             if kind == NEIGHBOR_BRAID:
                 if amount is not None:
-                    raise _stray(step)
+                    raise _stray(kind, position, amount)
                 if type(position) is not int or not 0 <= (position := position + offset) <= length - 3:
                     raise _misplaced(kind, position, offset, length)
                 a = letters[position]
@@ -280,7 +280,7 @@ def _run(letters: list[int], strands: int, runs, record: list | None = None) -> 
                 letters[position + 1] = a
             elif kind == DISTANT_SWAP:
                 if amount is not None:
-                    raise _stray(step)
+                    raise _stray(kind, position, amount)
                 if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                     raise _misplaced(kind, position, offset, length)
                 a = letters[position]
@@ -291,7 +291,7 @@ def _run(letters: list[int], strands: int, runs, record: list | None = None) -> 
                 letters[position + 1] = a
             elif kind == CROSSING_CHANGE:
                 if amount is not None:
-                    raise _stray(step)
+                    raise _stray(kind, position, amount)
                 if type(position) is not int or not 0 <= (position := position + offset) <= length - 2:
                     raise _misplaced(kind, position, offset, length)
                 a = letters[position]
@@ -302,7 +302,7 @@ def _run(letters: list[int], strands: int, runs, record: list | None = None) -> 
                 length -= 2
             elif kind == CONJUGATE:
                 if position is not None:
-                    raise _stray(step)
+                    raise _stray(kind, position, amount)
                 if offset:
                     raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
                 if type(amount) is not int:
@@ -317,7 +317,7 @@ def _run(letters: list[int], strands: int, runs, record: list | None = None) -> 
                 letters[:] = letters[amount:] + letters[:amount]
             elif kind == DESTABILIZE:
                 if position is not None or amount is not None:
-                    raise _stray(step)
+                    raise _stray(kind, position, amount)
                 if offset:
                     raise IllegalStep(f"cannot shift a {kind} step to offset {offset}")
                 if strands == 1:
@@ -398,7 +398,8 @@ def _walk(trace: RewriteTrace):
             try:
                 strands = _run(letters, strands, (((step,), offset),))
             except IllegalStep as exc:
-                raise TraceCorrupt(f"step {index} ({step.kind}) is illegal: {exc}", index) from None
+                kind = f" ({step.kind})" if type(step) is RewriteStep else ""
+                raise TraceCorrupt(f"step {index}{kind} is illegal: {exc}", index) from None
             index += 1
             yield strands, letters
 
@@ -744,6 +745,15 @@ def _runs(body: list[str], known: dict) -> tuple[list[tuple[tuple, int]], tuple[
     return runs, (loose + total - repeats, changes)
 
 
+def _read_word(line: str, key: str) -> BraidWord:
+    """The word after ``key`` on a line that starts with it, spelled as
+    format_word spells it after one space; any other spelling is malformed."""
+    word = parse_word(line[len(key) :])
+    if line[len(key) :] != f" {format_word(word)}":
+        raise ParseError(f"malformed {key!r} line: {line!r}")
+    return word
+
+
 def parse_trace(text: str) -> RewriteTrace:
     """Parse version-4 or version-3 trace text, as :func:`serialize_trace`
     writes it (version 3 is version 4 without programs); any other spelling
@@ -758,14 +768,14 @@ def parse_trace(text: str) -> RewriteTrace:
         raise ParseError("trace text must end with an 'end' line")
     if len(lines) < 4 or not lines[1].startswith("initial:"):
         raise ParseError("trace text must have an 'initial:' line")
-    initial = parse_word(lines[1][len("initial:") :].strip())
+    initial = _read_word(lines[1], "initial:")
     count_line = lines[-2]
     if not count_line.startswith("crossing_changes:"):
         raise ParseError("trace text must have a 'crossing_changes:' line before 'end'")
     declared = read_count(count_line, "crossing_changes:", "crossing-change total")
     if len(lines) < 5 or not lines[-3].startswith("final:"):
         raise ParseError("trace text must have a 'final:' line before 'crossing_changes:'")
-    final = parse_word(lines[-3][len("final:") :].strip())
+    final = _read_word(lines[-3], "final:")
     body = lines[2:-3]
     # Body lines repeat a lot; read each distinct line once, in order of
     # first appearance, so that the first malformed line is the one reported.

@@ -35,13 +35,17 @@ from gordian import adjacency
 from gordian.adjacency import endpoint_word
 from gordian.moves import (
     arrange_blocks,
-    decompose_region_prog,
+    form_letters,
     full_twist_letters,
+    invert_program,
+    mirror_program,
     peel_prog,
+    region_levels,
+    revform_letters,
     wrap,
 )
 from gordian.rules import DISTANT_SWAP
-from gordian.words import is_knot
+from gordian.words import ascending_run, descending_run, is_knot
 
 
 def family_grid() -> list[AdjacencyCertificate]:
@@ -119,11 +123,42 @@ class TestManeuvers:
         tb.run(peel_prog(3), 1)
         assert tb.word.letters == (3,) + wrap(2) + full_twist_letters(2)
 
-    def test_decompose_twists_domain(self):
-        with pytest.raises(IllegalStep):
-            decompose_region_prog(1, 1)
-        with pytest.raises(IllegalStep):
-            decompose_region_prog(3, -1)
+
+class TestLayersToRunPower:
+    """The last stage of ``ci`` and ``cin``: the layered form behind ``c``
+    full twists Δ²_n becomes a run power, each level's twists going round
+    the closure by block exchanges and one conjugation."""
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["ci", "cin"])
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ends_at_the_run_power(self, n, k, c, mirrored):
+        layers, run = (revform_letters, ascending_run) if mirrored else (form_letters, descending_run)
+        word = BraidWord(n, full_twist_letters(n) * c + layers(n, k))
+        tb = TraceBuilder(word)
+        adjacency._layers_to_run_power(tb, n, k, mirrored)
+        assert tb.word.letters == full_twist_letters(n) * c + run(n - 1) * (n * k + 1)
+        assert tb.crossing_changes == 0
+        assert replay(tb.snapshot()) == tb.word
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["ci", "cin"])
+    def test_each_piece_runs_as_one_run_of_its_cached_program(self, mirrored):
+        n, k, c = 4, 2, 3
+        flen = (n - 1) * (n * k + 1)
+        start = c * n * (n - 1)
+        layers = revform_letters if mirrored else form_letters
+        tb = TraceBuilder(BraidWord(n, full_twist_letters(n) * c + layers(n, k)))
+        adjacency._layers_to_run_power(tb, n, k, mirrored)
+        # Each piece is recorded, in order, as one run of its own program;
+        # the runs between them take the twists round the closure.
+        pieces = []
+        for _, before, _, after in reversed(region_levels(n, k)):
+            for part in (after, before):
+                pieces += invert_program(mirror_program(part, flen) if mirrored else part)
+        assert len(pieces) > 10
+        runs = iter(tb.snapshot().runs)
+        assert all(any(run[0] is prog and run[1] == start + offset for run in runs) for prog, offset in pieces)
 
 
 class TestSquareFamilies:
@@ -262,12 +297,12 @@ class TestCertificateFormat:
     @pytest.mark.parametrize(
         "build, length, digest",
         [
-            (lambda: adjacency_3_from_4(129), 6383,
-             "35e12296c94b6870aa8e32b9c2919511bd985a235539de70357e6e54cfa7630f"),
+            (lambda: adjacency_3_from_4(129), 5242,
+             "fbf80e6eca3ba8261bdfd8a68c71085148f36173152f5ae5c9f1b8410704ec48"),
             (lambda: adjacency_2_from_4(21), 2903,
              "3cc5f7510d9ab206d5bd47eacaf355d8cdcef436f306fc39671bfda73dfa1bd3"),
-            (lambda: adjacency_ci(4, 1), 5952,
-             "39bf87f95d7ebba8b8240dbb055656d78a41510fc57ad4664c4c8719d8c4c4b1"),
+            (lambda: adjacency_ci(4, 1), 5293,
+             "2ff7da9f424cebe2bd44533751ac79a68c4705f4e16322ac7c1ad7cd034e2515"),
             (lambda: adjacency_cin(4, 1), 7511,
              "adc099dc441a0ee2465eb6631d97a231c0e79c6e590ca507950c9f6793d2d612"),
             (lambda: strip_top_strand(TorusParams(5, 13)), 3603,
@@ -291,7 +326,7 @@ class TestCertificateFormat:
             digest.update(serialize_certificate(cert, verify_certificate(cert)).encode())
         assert (len(grid), digest.hexdigest()) == (
             162,
-            "fca8ea14be2a464bf468b06a633205b0a1d5109e7969d2f7ce33c35cd148e162",
+            "ecab1a06e53467ab106a43b753d2d3ca7fc6a71b45759144067c0f6757d61dca",
         )
 
     # The steps themselves, apart from how the text writes them: a change of
@@ -300,14 +335,14 @@ class TestCertificateFormat:
         digest = hashlib.sha256()
         for cert in grid:
             digest.update(step_lines(cert.trace))
-        assert digest.hexdigest() == "406682897ab0b679b7f417176bbec4472ae02ed25521ffd11e80dbf8d218b554"
+        assert digest.hexdigest() == "576d05efbd85524f2cb1f41743d3a96f404841d0364d58bbf35b0381bb44341b"
 
     @pytest.mark.parametrize(
         "name, count, digest",
         [
-            ("t34-129", 17698, "5c4facbfc8f03f8e3a0db3f2d6643a5f23baeae1f10a43b92cc9303e85e034e2"),
+            ("t34-129", 15522, "3bba95701f252f03c47df3b9d8b3a5e96f60b004949eb0aced795e1e81b977e8"),
             ("t24-21", 613, "9183c1a7820d0dd288651ea89591b9fc415c711191177ff8716ca39bebbb5ed8"),
-            ("ci-4-1", 874, "193737fd5496a6c0996802d9d97272adc2f426513ada0b599bbc43a1eae33022"),
+            ("ci-4-1", 784, "d3ef715e09d4bedcdb5fd6a1a3dcad08c426a67e6a71914cdf481cc8c041d61d"),
             ("cin-4-1", 1105, "8e87a4ed67051fb6acf597b420cdbc0c5778bbb66a10862cea35aa5147ef58e4"),
             ("strip-5-13", 288, "367e1fb5f2310e16647bccf6fd22291367e9bf50a8cc4947591dd8a25c880371"),
         ],

@@ -12,7 +12,6 @@ from gordian import (
     replay,
 )
 from gordian.moves import (
-    Rotation,
     arrange_blocks,
     ascending_twist_letters,
     cascade,
@@ -20,7 +19,6 @@ from gordian.moves import (
     conv_prog,
     cross_left_prog,
     cross_right_prog,
-    decompose_region_prog,
     desc_letters,
     exchange_prog,
     expect_word,
@@ -34,8 +32,8 @@ from gordian.moves import (
     move_d_prog,
     move_z_prog,
     peel_prog,
+    region_levels,
     revform_letters,
-    run_regional,
     shift_program,
     wrap,
 )
@@ -160,6 +158,15 @@ class TestRunProgram:
         assert tb.word.letters == (3, 1, 2, 1, 2)
         tb.run(invert_program(prog))
         assert tb.word == word
+
+    @pytest.mark.parametrize(
+        "step", [RewriteStep(CONJUGATE, 0, amount=1), RewriteStep(DESTABILIZE, 4), RewriteStep(CONJUGATE, amount=2)]
+    )
+    def test_whole_word_steps_do_not_shift_whatever_their_position(self, step):
+        # The rule kind, not a stray position, makes a step whole-word.
+        for offset in (0, 2):
+            with pytest.raises(IllegalStep, match=f"cannot shift a {step.kind} step"):
+                shift_program([step], offset)
 
     def test_mirror_program(self):
         # conjugating by letter reversal: mirrored program does to the
@@ -347,66 +354,68 @@ class TestCascades:
 
 def flat(regional) -> list:
     """A regional program with each ``(program, offset)`` piece written out
-    as its shifted steps, rotations left in place."""
-    out = []
-    for piece in regional:
-        out += [piece] if type(piece) is Rotation else shift_program(*piece)
-    return out
+    as its shifted steps."""
+    return [step for piece in regional for step in shift_program(*piece)]
 
 
 def is_pieces(regional) -> bool:
-    return all(
-        type(piece) is Rotation or (type(piece) is tuple and type(piece[0]) is tuple and type(piece[1]) is int)
-        for piece in regional
-    )
+    return all(type(piece) is tuple and type(piece[0]) is tuple and type(piece[1]) is int for piece in regional)
+
+
+def run_pieces(word: BraidWord, pieces) -> tuple[int, ...]:
+    tb = TraceBuilder(word)
+    for prog, offset in pieces:
+        tb.run(prog, offset)
+    assert tb.crossing_changes == 0
+    return tuple(tb.letters)
+
+
+LEVEL_CASES = [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
 
 
 class TestRegionalPrograms:
-    def test_decompose_run_power_into_layers(self):
-        for a, k in [(2, 1), (3, 1), (3, 2), (4, 1)]:
-            word = BraidWord(a, descending_run(a - 1) * (a * k + 1))
-            tb = TraceBuilder(word)
-            run_regional(tb, decompose_region_prog(a, k), 0, [])
-            assert tb.word.letters == form_letters(a, k), (a, k)
-            assert tb.crossing_changes == 0
+    @pytest.mark.parametrize("a, k", LEVEL_CASES)
+    def test_levels_rewrite_a_run_power_into_the_layered_form(self, a, k):
+        # Level a' turns stack (Δ²_a')^k R_{a'-1} into stack T (V_{a'-1})^k
+        # R_{a'-1}, T = (Δ²_{a'-1})^k; with T moved to the end, the level's
+        # other pieces leave stack (V_{a'-1})^k σ_{a'-1} R_{a'-2}^{(a'-1)k+1},
+        # where the next level starts.
+        live = descending_run(a - 1) * (a * k + 1)
+        for ap, before, stack, after in region_levels(a, k):
+            head = tuple(letter for desc in stack for letter in desc_letters(desc))
+            twists = full_twist_letters(ap - 1) * k
+            peeled = wrap(ap - 1) * k + descending_run(ap - 1)
+            assert run_pieces(BraidWord(a, head + live), before) == head + twists + peeled
+            live = descending_run(ap - 2) * ((ap - 1) * k + 1)
+            layer = wrap(ap - 1) * k + (ap - 1,)
+            assert run_pieces(BraidWord(a, head + peeled + twists), after) == head + layer + live
+        assert head + layer + live == form_letters(a, k)
 
-    def test_regional_invert_round_trips(self):
-        a, k = 3, 2
-        word = BraidWord(a, descending_run(a - 1) * (a * k + 1))
-        prog = decompose_region_prog(a, k)
-        inverse = invert_program(prog)
-        # Inverted piece by piece, each program through its cache, the steps
-        # are those of the whole program inverted.
-        assert is_pieces(prog) and is_pieces(inverse)
-        assert all(p[0] is q[0] for p, q in zip(inverse, invert_program(prog)) if type(p) is tuple)
-        assert flat(inverse) == invert_program(flat(prog))
-        tb = TraceBuilder(word)
-        run_regional(tb, prog, 0, [])
-        run_regional(tb, inverse, 0, [])
-        assert tb.word == word
+    def test_levels_carry_the_finished_blocks(self):
+        levels = region_levels(4, 2)
+        assert [level[0] for level in levels] == [4, 3]
+        assert [level[2] for level in levels] == [(), (("wrap", 3),) * 2 + (("letter", 3),)]
+        assert region_levels(2, 3) == []
 
-    def test_regional_mirror_acts_on_reversed_region(self):
-        a, k = 3, 1
+    @pytest.mark.parametrize("a, k", [(1, 1), (0, 2), (3, -1)])
+    def test_levels_domain(self, a, k):
+        with pytest.raises(IllegalStep):
+            region_levels(a, k)
+
+    @pytest.mark.parametrize("a, k", LEVEL_CASES)
+    def test_invert_and_mirror_act_piece_by_piece(self, a, k):
+        # Inverted or mirrored piece by piece, each program through its cache,
+        # the steps are those of the flattened pieces inverted or mirrored.
         length = (a - 1) * (a * k + 1)
-        prog = decompose_region_prog(a, k)
-        mirrored = mirror_program(prog, length)
-        assert is_pieces(mirrored) and flat(mirrored) == mirror_program(flat(prog), length)
-        reversed_word = BraidWord(a, tuple(reversed(descending_run(a - 1) * (a * k + 1))))
-        tb = TraceBuilder(reversed_word)
-        run_regional(tb, mirrored, 0, [])
-        assert tb.word.letters == tuple(reversed(form_letters(a, k)))
-
-    def test_each_piece_runs_as_one_program(self):
-        a, k = 4, 2
-        prog = decompose_region_prog(a, k)
-        tb = TraceBuilder(BraidWord(a, descending_run(a - 1) * (a * k + 1)))
-        run_regional(tb, prog, 0, [])
-        # Each piece is recorded, in order, as one run of its own program;
-        # the runs between them walk the rotations round the closure.
-        runs = iter(tb.snapshot().runs)
-        pieces = [piece for piece in prog if type(piece) is tuple]
-        assert len(pieces) > 10
-        assert all(any(run[0] is piece[0] and run[1] == piece[1] for run in runs) for piece in pieces)
+        for _, before, _, after in region_levels(a, k):
+            for pieces in (before, after):
+                inverse, mirrored = invert_program(pieces), mirror_program(pieces, length)
+                assert is_pieces(pieces) and is_pieces(inverse) and is_pieces(mirrored)
+                assert all(p[0] is q[0] for p, q in zip(inverse, invert_program(pieces)))
+                assert all(p[0] is q[0] for p, q in zip(mirrored, mirror_program(pieces, length)))
+                assert flat(inverse) == invert_program(flat(pieces))
+                assert flat(mirrored) == mirror_program(flat(pieces), length)
+                assert invert_program(inverse) == pieces
 
     @pytest.mark.parametrize("step", [RewriteStep(CONJUGATE, amount=1), RewriteStep(CROSSING_CHANGE, 0)])
     def test_mirror_refuses_a_piece_other_than_swaps_and_braid_moves(self, step):
@@ -416,97 +425,8 @@ class TestRegionalPrograms:
     @pytest.mark.parametrize(
         "step", [RewriteStep(CONJUGATE, amount=1), RewriteStep(CROSSING_CHANGE, 0), RewriteStep(DESTABILIZE)]
     )
-    def test_invert_and_mirror_refuse_a_step_other_than_swaps_braid_moves_and_rotations(self, step):
+    def test_invert_and_mirror_refuse_a_step_other_than_swaps_and_braid_moves(self, step):
         with pytest.raises(IllegalStep, match="cannot be inverted"):
             invert_program([SWAP_AT_0, step])
         with pytest.raises(IllegalStep, match="cannot be mirrored"):
             mirror_program([SWAP_AT_0, step], 4)
-
-    def test_run_regional_requires_matching_prefix(self):
-        word = BraidWord(3, (2,) + descending_run(2) * 4)
-        tb = TraceBuilder(word)
-        with pytest.raises(IllegalStep):
-            run_regional(tb, decompose_region_prog(3, 1), 1, [])
-
-    def test_run_regional_with_prefix_blocks(self):
-        # the prefix block must commute with every letter the rotation walks
-        # around the closure (here: the generator-1 letters of a small twist)
-        word = BraidWord(4, (3,) + descending_run(2) * 4)
-        tb = TraceBuilder(word)
-        run_regional(tb, decompose_region_prog(3, 1), 1, [("letter", 3)])
-        assert tb.word.letters == (3,) + form_letters(3, 1)
-
-    def test_run_regional_rejects_blocking_prefix(self):
-        word = BraidWord(3, (2,) + descending_run(2) * 4)
-        tb = TraceBuilder(word)
-        with pytest.raises(IllegalStep):
-            run_regional(tb, decompose_region_prog(3, 1), 1, [("letter", 2)])
-
-
-class TestRotation:
-    def test_decomposition_carries_subword_lengths(self):
-        # R_3^9 has 27 letters; the second rotation skips 2 wraps V_3 and σ_3.
-        rotations = [step for step in decompose_region_prog(4, 2) if isinstance(step, Rotation)]
-        assert rotations == [
-            Rotation(12, 27),
-            Rotation(4, 27 - 13, (("wrap", 3),) * 2 + (("letter", 3),)),
-        ]
-
-    def test_invert_program_then_the_original_round_trips(self):
-        for a, k in [(3, 1), (3, 2), (4, 1)]:
-            word = BraidWord(a, form_letters(a, k))
-            prog = decompose_region_prog(a, k)
-            assert is_pieces(prog) and invert_program(invert_program(prog)) == prog
-            tb = TraceBuilder(word)
-            run_regional(tb, invert_program(prog), 0, [])
-            assert tb.word.letters == descending_run(a - 1) * (a * k + 1), (a, k)
-            run_regional(tb, prog, 0, [])
-            assert tb.word == word, (a, k)
-            assert tb.crossing_changes == 0
-
-    def test_mirror_rotation_acts_on_reversed_region(self):
-        rotation = Rotation(1, 4, (("wrap", 3),))
-        mirrored = mirror_program([rotation], 10)
-        assert mirrored == [Rotation(3, 4, (), (("wrap", 3),))]
-        word = BraidWord(4, wrap(3) + (1, 2, 1, 1))
-        tb = TraceBuilder(word)
-        run_regional(tb, [rotation], 0, [])
-        rotated = tb.word.letters
-        tb = TraceBuilder(BraidWord(4, tuple(reversed(word.letters))))
-        run_regional(tb, mirrored, 0, [])
-        assert tb.word.letters == tuple(reversed(rotated))
-
-    @pytest.mark.parametrize("length", [3, 5, 6])
-    def test_rotation_must_fill_the_region(self, length):
-        # lb + length + rb must equal the region's 6 letters: 2 + 4 here.
-        word = BraidWord(4, (1, 1, 3, 3, 3, 3))
-        tb = TraceBuilder(word)
-        with pytest.raises(IllegalStep):
-            run_regional(tb, [Rotation(1, length, (("wrap", 1),))], 0, [])
-        assert tb.word == word and tb.steps == ()
-
-    def test_rotation_that_fills_the_region_runs(self):
-        tb = TraceBuilder(BraidWord(4, (1, 1, 3, 2, 3, 3)))
-        run_regional(tb, [Rotation(1, 4, (("wrap", 1),))], 0, [])
-        assert tb.word.letters == (1, 1, 2, 3, 3, 3)
-
-    def test_rotation_does_not_shift(self):
-        for offset in (0, 3):
-            with pytest.raises(IllegalStep, match="cannot shift a rconj step"):
-                shift_program([Rotation(1, 2)], offset)
-        # A regional program places a rotation by its delimiting blocks, never
-        # by an offset, and the builder refuses one at any offset.
-        tb = TraceBuilder(BraidWord(3, (1, 2, 1, 2)))
-        for offset in (0, 3):
-            with pytest.raises(IllegalStep):
-                tb.run([Rotation(1, 2)], offset=offset)
-        assert tb.steps == ()
-
-    @pytest.mark.parametrize(
-        "step", [RewriteStep(CONJUGATE, 0, amount=1), RewriteStep(DESTABILIZE, 4), RewriteStep(CONJUGATE, amount=2)]
-    )
-    def test_whole_word_steps_do_not_shift_whatever_their_position(self, step):
-        # The rule kind, not a stray position, makes a step whole-word.
-        for offset in (0, 2):
-            with pytest.raises(IllegalStep, match=f"cannot shift a {step.kind} step"):
-                shift_program([step], offset)

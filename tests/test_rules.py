@@ -373,6 +373,39 @@ class TestStrayParameters:
             parse_trace(serialize_trace(RewriteTrace(word, (step,), after)))
 
 
+class TestMalformedSteps:
+    """A step that is not a ``(kind, position, amount)`` triple is refused
+    with :class:`IllegalStep`, named by its repr, at every entry point."""
+
+    WORD = BraidWord(4, (1, 3, 1, 3))
+    STEPS = [("distant-swap", 0), ("distant-swap",), ("distant-swap", 0, None, None), 5, None]
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_the_builder_refuses_it_and_records_nothing(self, step):
+        tb = TraceBuilder(self.WORD)
+        with pytest.raises(IllegalStep, match=re.escape(f"not a rewrite step: {step!r}")):
+            tb.run([step])
+        assert tb.word == self.WORD and not tb.snapshot().steps
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_apply_step_refuses_it(self, step):
+        with pytest.raises(IllegalStep, match=re.escape(f"not a rewrite step: {step!r}")):
+            apply_step(self.WORD, step)
+
+    @pytest.mark.parametrize("step", STEPS[:3])
+    def test_replay_refuses_it_at_its_index(self, step):
+        trace = RewriteTrace(self.WORD, [RewriteStep(DISTANT_SWAP, 2), step], self.WORD)
+        with pytest.raises(TraceCorrupt, match=re.escape(f"step 1 is illegal: not a rewrite step: {step!r}")) as info:
+            replay(trace)
+        assert info.value.step_index == 1
+
+    def test_a_plain_triple_is_a_step(self):
+        # The kernel reads any triple, and names its kind when it is illegal.
+        assert apply_step(self.WORD, ("distant-swap", 0, None)) == BraidWord(4, (3, 1, 1, 3))
+        with pytest.raises(IllegalStep, match="a distant-swap step takes no 'amount' parameter"):
+            apply_step(self.WORD, ("distant-swap", 0, 1))
+
+
 class TestSerialization:
     def test_round_trip(self):
         tb = TraceBuilder(torus_braid(3, 4))
@@ -447,6 +480,28 @@ class TestSerialization:
         text = f"trace v3\ninitial: 2: 1 1 1\n{line}\nfinal: 2: 1\ncrossing_changes: 0\nend\n"
         with pytest.raises(ParseError, match="malformed"):
             parse_trace(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "initial:   2:\t1  1 1",
+            "final: 2:   1",
+            "initial:2: 1 1 1",
+            "initial: 2 : 1 1 1",
+            "initial: 02: 1 1 1",
+            "initial: 2: 1 1 01",
+            "final: 2: +1",
+        ],
+    )
+    def test_word_lines_are_spelled_as_written(self, line):
+        # Only a line padded as a whole reads; the word must be spelled as
+        # format_word spells it, one space after the key.
+        initial, final = (line, "final: 2: 1") if line.startswith("initial:") else ("initial: 2: 1 1 1", line)
+        text = "trace v3\n{}\nstep: crossing-change pos=1\n{}\ncrossing_changes: 1\nend\n"
+        assert parse_trace(text.format("  initial: 2: 1 1 1\t", "\u00a0final: 2: 1 ")).step_count == 1
+        key = line.split(":")[0] + ":"
+        with pytest.raises(ParseError, match=re.escape(f"malformed {key!r} line: {line!r}")):
+            parse_trace(text.format(initial, final))
 
     @pytest.mark.parametrize(
         "line",
